@@ -66,13 +66,17 @@ def parse_instant(text: str) -> Instant:
     Accepts decimal integers plus the spellings ``forever``, ``inf`` and
     the infinity glyph for :data:`FOREVER`.
     """
-    cleaned = text.strip().lower()
-    if cleaned in {"forever", "inf", "infinity", "oo", "∞"}:
-        return FOREVER
     try:
-        value = int(cleaned)
-    except ValueError as exc:
-        raise InvalidIntervalError(f"not an instant: {text!r}") from exc
+        value = int(text)
+    except ValueError:
+        cleaned = text.strip().lower()
+        if cleaned in {"forever", "inf", "infinity", "oo", "∞"}:
+            return FOREVER
+        try:
+            # str.strip also drops the separators \x1c-\x1f; int() does not.
+            value = int(cleaned)
+        except ValueError as exc:
+            raise InvalidIntervalError(f"not an instant: {text!r}") from exc
     if value < ORIGIN:
         raise InvalidIntervalError(f"instant before origin: {text!r}")
     return value

@@ -44,7 +44,7 @@ one type and branch on the subclass instead of fishing bare
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.core.interval import InvalidIntervalError
 
@@ -63,6 +63,7 @@ __all__ = [
     "StaleEpoch",
     "NotPrimary",
     "ReplicaLagExceeded",
+    "recovery_hint",
 ]
 
 
@@ -313,3 +314,63 @@ class ReplicaLagExceeded(ReplicationError):
         self.token_version = int(token_version)
         self.applied_version = int(applied_version)
         self.retry_after_ms = int(retry_after_ms)
+
+
+#: Recovery hints keyed by taxonomy class, most-derived first: the
+#: first ``isinstance`` match wins, so subclasses shadow their bases.
+_ERROR_HINTS: Tuple[Tuple[Type[TemporalAggregateError], str], ...] = (
+    (
+        StorageCorruption,
+        "run `python -m repro.storage scrub PATH` (or \\scrub PATH) to "
+        "locate the damage, then reopen with HeapFile.durable() to recover",
+    ),
+    (
+        RecoveryError,
+        "acknowledged data could not be restored; keep the journal "
+        "segments and re-run recovery against a copy",
+    ),
+    (
+        StorageError,
+        "check disk space and permissions, then retry the operation",
+    ),
+    (
+        BudgetExhausted,
+        "raise the memory budget (\\budget BYTES, or `\\budget off`) or "
+        "let the engine degrade to the spilling paged tree",
+    ),
+    (
+        DeadlineExceeded,
+        "raise the deadline (\\deadline MS, or `\\deadline off`) or "
+        "narrow the query window",
+    ),
+    (
+        ServerOverloaded,
+        "the server is at capacity; back off for the reply's "
+        "retry_after_ms and resubmit",
+    ),
+    (
+        ShardFailure,
+        "the parallel pool is unhealthy; retry with shards=1",
+    ),
+    (
+        InvalidInput,
+        "check the query's interval bounds and aggregate arguments",
+    ),
+    (
+        TemporalAggregateError,
+        "see \\help for usage",
+    ),
+)
+
+
+def recovery_hint(error: TemporalAggregateError) -> str:
+    """The recovery hint for a taxonomy error (most-derived match wins).
+
+    The TSQL2 shell prints it after each diagnostic, and the query
+    server puts it in its typed error frames, so remote clients see the
+    diagnostics the shell shows.
+    """
+    for kind, hint in _ERROR_HINTS:
+        if isinstance(error, kind):
+            return hint
+    raise AssertionError("unreachable: base class terminates the table")

@@ -47,7 +47,6 @@ __all__ = [
     "TemporalRelation",
     "RelationStatistics",
     "next_relation_uid",
-    "fold_fingerprint",
     "fingerprint_rows",
 ]
 
@@ -81,56 +80,52 @@ def _stable_value_repr(value: Any) -> str:
     return payload
 
 
-def fold_fingerprint(fingerprint: int, row: TemporalTuple) -> int:
-    """Fold one appended row into a chained content fingerprint.
+def fingerprint_rows(rows: Iterable[TemporalTuple], fingerprint: int = 0) -> int:
+    """Fold ``rows``, in order, onto the chained content ``fingerprint``
+    (0 starts a chain from scratch).
 
-    The chain is order-sensitive (hash mixing, not XOR), so the same
-    rows appended in a different order fingerprint differently —
-    exactly the property an append-only cache validity check needs.
-    The fingerprint is a cheap guard on top of (uid, version), not a
-    cryptographic identity.
+    The one fold loop behind every chain: each
+    :class:`TemporalRelation`, heap file and snapshot extends its
+    fingerprint with this as rows are appended.  The chain is
+    order-sensitive (hash mixing, not XOR), so the same rows appended
+    in a different order fingerprint differently — exactly the property
+    an append-only cache validity check needs.  The fingerprint is a
+    cheap guard on top of (uid, version), not a cryptographic identity.
+    Crash recovery recomputes it from scratch over a full scan of the
+    restored file (:func:`repro.storage.recovery.recover`): it agrees
+    with the journal's COMMIT records only if the exact acknowledged
+    rows were restored in the exact acknowledged order.
 
-    The contribution must be **process-stable**: journal recovery
+    A row's contribution must be **process-stable**: journal recovery
     verifies a chain written by a *previous* interpreter, and
     replication compares chains across *different* machines — so the
     per-process salt of built-in ``str`` hashing (PYTHONHASHSEED) is
-    unusable here.  A short BLAKE2 digest over the row's canonical
-    repr gives the same 64-bit contribution in every process.
-    Individual values whose repr is not value-determined (default
-    object reprs embed addresses) degrade to a type-only placeholder;
-    the timestamps and every other value still contribute, and string
-    values are never degraded (their reprs are value-determined even
-    when they contain an address-like substring).
+    unusable here.  A short BLAKE2 digest over the canonical repr of
+    ``(start, end, values)`` gives the same 64-bit contribution in
+    every process.  Individual values whose repr is not
+    value-determined (default object reprs embed addresses) degrade to
+    a type-only placeholder; the timestamps and every other value still
+    contribute, and string values are never degraded (their reprs are
+    value-determined even when they contain an address-like substring).
     """
-    try:
-        payload = repr((row.start, row.end, row.values))
-    except Exception:  # pragma: no cover - pathological __repr__
-        payload = repr((row.start, row.end))
-    else:
-        if " at 0x" in payload:
-            # Rebuild per value so only the address-bearing elements
-            # lose their contribution.  The "!canon" prefix keeps this
-            # payload shape disjoint from the tuple-repr fast path.
-            values = ", ".join(_stable_value_repr(v) for v in row.values)
-            payload = f"!canon({row.start!r}, {row.end!r}, [{values}])"
-    contribution = int.from_bytes(
-        blake2b(payload.encode("utf-8"), digest_size=8).digest(), "big"
-    )
-    return ((fingerprint * 1_000_003) ^ contribution) & _FINGERPRINT_MASK
-
-
-def fingerprint_rows(rows: Iterable[TemporalTuple]) -> int:
-    """The chained fingerprint of an entire row sequence from scratch.
-
-    Crash recovery's end-to-end check: the journal's COMMIT records
-    carry the writer's incremental chain, and
-    :func:`repro.storage.recovery.recover` recomputes it with this over
-    a full scan of the restored file — the two agree only if the exact
-    acknowledged rows were restored in the exact acknowledged order.
-    """
-    fingerprint = 0
-    for row in rows:
-        fingerprint = fold_fingerprint(fingerprint, row)
+    from_bytes = int.from_bytes
+    for values, start, end in rows:
+        try:
+            # Spelled out, this is exactly repr((start, end, values)).
+            payload = f"({start!r}, {end!r}, {values!r})"
+        except Exception:  # pragma: no cover - pathological __repr__
+            payload = repr((start, end))
+        else:
+            if " at 0x" in payload:
+                # Rebuild per value so only the address-bearing elements
+                # lose their contribution.  The "!canon" prefix keeps
+                # this payload shape disjoint from the fast path.
+                stable = ", ".join(_stable_value_repr(v) for v in values)
+                payload = f"!canon({start!r}, {end!r}, [{stable}])"
+        digest = blake2b(payload.encode("utf-8"), digest_size=8).digest()
+        fingerprint = (
+            (fingerprint * 1_000_003) ^ from_bytes(digest, "big")
+        ) & _FINGERPRINT_MASK
     return fingerprint
 
 
@@ -174,11 +169,10 @@ class TemporalRelation:
         #: Monotonically increasing mutation counter; every insert,
         #: extend, and in-place reorder bumps it, so anything derived
         #: from the rows (statistics, cached results) can key on it.
+        #: A relation built from rows starts at 0.
         self.version = 0
         self._reorder_version = 0
-        self._fingerprint = 0
-        for row in self._rows:
-            self._fingerprint = fold_fingerprint(self._fingerprint, row)
+        self._fingerprint = fingerprint_rows(self._rows)
         self._statistics_cache: Optional[Tuple[int, RelationStatistics]] = None
         #: Version-keyed flat-column snapshots per attribute (None =
         #: timestamps only); served until the next mutation bumps
@@ -280,10 +274,7 @@ class TemporalRelation:
 
     def _note_appended(self, rows: Sequence[TemporalTuple]) -> None:
         """Account one append batch: version bump + fingerprint fold."""
-        fingerprint = self._fingerprint
-        for row in rows:
-            fingerprint = fold_fingerprint(fingerprint, row)
-        self._fingerprint = fingerprint
+        self._fingerprint = fingerprint_rows(rows, self._fingerprint)
         self.version += 1
         self._statistics_cache = None
 
@@ -433,10 +424,7 @@ class TemporalRelation:
         pure-hit nor delta-refresh — they must recompute.
         """
         self._rows.sort(key=timestamp_sort_key)
-        fingerprint = 0
-        for row in self._rows:
-            fingerprint = fold_fingerprint(fingerprint, row)
-        self._fingerprint = fingerprint
+        self._fingerprint = fingerprint_rows(self._rows)
         self.version += 1
         self._reorder_version = self.version
         self._statistics_cache = None
@@ -484,9 +472,8 @@ class TemporalRelation:
         """
         if row_count > len(self._rows):
             return False
-        for row in self._rows[row_count:]:
-            fingerprint = fold_fingerprint(fingerprint, row)
-        return fingerprint == self._fingerprint
+        tail = self._rows[row_count:]
+        return fingerprint_rows(tail, fingerprint) == self._fingerprint
 
     def reordered(
         self, permutation: Sequence[int], name: Optional[str] = None

@@ -49,7 +49,6 @@ from repro.exec.errors import ReplicationError
 from repro.relation.relation import (
     TemporalRelation,
     fingerprint_rows,
-    fold_fingerprint,
 )
 from repro.relation.schema import Schema
 from repro.relation.tuples import TemporalTuple
@@ -293,9 +292,7 @@ class ReplicaApplier:
             rows = [heap.codec.decode(record) for record in records]
             # Verify the chained fingerprint BEFORE mutating anything:
             # a divergent batch must leave no trace.
-            expect = heap.fingerprint
-            for row in rows:
-                expect = fold_fingerprint(expect, row)
+            expect = fingerprint_rows(rows, heap.fingerprint)
             if expect != require_int(frame, "fingerprint"):
                 raise ReplicationError(
                     f"shipped batch v{version} diverges from this replica's "

@@ -9,6 +9,12 @@ interrupted::
 ``--load PATH[:NAME]`` serves temporal CSVs; ``--seed`` serves the
 paper's Employed relation.  The admission/degradation knobs mirror
 :class:`~repro.serve.config.ServerConfig`.
+
+Malformed CSV rows are quarantined, not fatal: their summary goes to
+stderr before the ``serving on`` line.  A CSV that cannot be loaded at
+all (missing file, text not in the file's encoding, bad header, too
+many malformed rows) prints one ``error:`` line to stderr and exits
+with status 2.
 """
 
 from __future__ import annotations
@@ -87,10 +93,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         server.register(employed_relation(), name="Employed")
     for spec in args.load:
-        from repro.relation.io import read_csv
+        from repro.relation.io import QuarantineReport, RelationIOError, read_csv
 
         path, _, name = spec.partition(":")
-        relation = read_csv(path, name=name or "loaded", on_error="quarantine")
+        report = QuarantineReport()
+        try:
+            relation = read_csv(
+                path, name=name or "loaded", on_error="quarantine", report=report
+            )
+        except (RelationIOError, OSError) as error:
+            print(f"error: cannot load {path}: {error}", file=sys.stderr)
+            return 2
+        if report.rows:
+            print(report.summary(), file=sys.stderr)
         server.register(relation, name=name or relation.name)
     try:
         asyncio.run(_serve(server))

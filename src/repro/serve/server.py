@@ -18,7 +18,7 @@ of labor per connection:
 
 Failures cross the wire as typed error frames: ``{"ok": false,
 "error": {"type", "message", "hint", ...}}`` with the same recovery
-hints the shell prints (:func:`repro.tsql2.shell.recovery_hint`), plus
+hints the shell prints (:func:`repro.exec.errors.recovery_hint`), plus
 ``retry_after_ms`` on every ``ServerOverloaded``.
 
 :class:`ServerRunner` hosts a server on a dedicated thread with its
@@ -41,6 +41,7 @@ from repro.exec.errors import (
     ReplicaLagExceeded,
     ServerOverloaded,
     TemporalAggregateError,
+    recovery_hint,
 )
 from repro.metrics.counters import ThreadLocalCounters
 from repro.relation.relation import TemporalRelation
@@ -53,7 +54,6 @@ from repro.serve.snapshots import ServedRelation
 from repro.tsql2.executor import Database, StatementLimits, TSQL2SemanticError
 from repro.tsql2.lexer import TSQL2SyntaxError
 from repro.tsql2.parser import parse
-from repro.tsql2.shell import recovery_hint
 
 __all__ = ["QueryServer", "ServerRunner", "DEDUP_WINDOW"]
 

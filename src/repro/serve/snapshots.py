@@ -148,14 +148,12 @@ class SnapshotView:
     def verify_append_chain(self, row_count: int, fingerprint: int) -> bool:
         """Is this view's pinned fingerprint reachable by appending rows
         ``row_count:`` of the pinned prefix onto ``fingerprint``?"""
-        from repro.relation.relation import fold_fingerprint
+        from repro.relation.relation import fingerprint_rows
 
         if row_count > self._row_count:
             return False
         tail = islice(self._base.iter_prefix(self._row_count), row_count, None)
-        for row in tail:
-            fingerprint = fold_fingerprint(fingerprint, row)
-        return fingerprint == self.fingerprint
+        return fingerprint_rows(tail, fingerprint) == self.fingerprint
 
     # ------------------------------------------------------------------
     # Derived structures (via a lazily materialized private copy)

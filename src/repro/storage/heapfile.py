@@ -24,7 +24,7 @@ from repro.core.ordering import k_ordered_percentage, k_orderedness
 from repro.relation.relation import (
     RelationStatistics,
     TemporalRelation,
-    fold_fingerprint,
+    fingerprint_rows,
     next_relation_uid,
 )
 from repro.relation.schema import Schema
@@ -92,8 +92,7 @@ class HeapFile:
         #: it; recovery re-derives and compares it end to end).
         self._fingerprint = 0
         if journal is not None and self._tuple_count:
-            for row in self.scan():
-                self._fingerprint = fold_fingerprint(self._fingerprint, row)
+            self._fingerprint = fingerprint_rows(self.scan())
         #: Set by :func:`repro.storage.recovery.recover` on durable opens.
         self.last_recovery: Optional[Any] = None
 
@@ -142,7 +141,7 @@ class HeapFile:
         record = self.codec.encode(row)
         if self.journal is not None:
             self.journal.log_append(record)
-        self._fingerprint = fold_fingerprint(self._fingerprint, row)
+        self._fingerprint = fingerprint_rows((row,), self._fingerprint)
         if self._tail_page_id is not None:
             page = self.buffer.get(self._tail_page_id)
             if not page.is_full:

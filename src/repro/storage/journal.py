@@ -41,7 +41,7 @@ Kinds:
 ``COMMIT``
     Payload ``>QQ``: total acknowledged append count and the chained
     relation fingerprint after that many appends
-    (:func:`repro.relation.relation.fold_fingerprint`), giving recovery
+    (:func:`repro.relation.relation.fingerprint_rows`), giving recovery
     an end-to-end integrity check that is independent of both the
     journal CRCs and the page checksums.
 ``CHECKPOINT``

@@ -21,7 +21,7 @@ append is present, nothing else is** —
    is truncated after them (discarding uncommitted appends — they were
    never acknowledged), and the data file is fsynced.
 4. **Verify end to end**: the chained relation fingerprint
-   (:func:`~repro.relation.relation.fold_fingerprint`) is recomputed
+   (:func:`~repro.relation.relation.fingerprint_rows`) is recomputed
    from a full scan of the repaired file and compared against the one
    the COMMIT record carried.  A mismatch — bytes that survived every
    CRC but are still wrong — raises ``RecoveryError`` rather than

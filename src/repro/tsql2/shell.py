@@ -47,17 +47,7 @@ import time
 from typing import Iterable, Optional, TextIO
 
 from repro.core.planner import choose_strategy
-from repro.exec.errors import (
-    BudgetExhausted,
-    DeadlineExceeded,
-    InvalidInput,
-    RecoveryError,
-    ServerOverloaded,
-    ShardFailure,
-    StorageCorruption,
-    StorageError,
-    TemporalAggregateError,
-)
+from repro.exec.errors import TemporalAggregateError, recovery_hint
 from repro.relation.io import QuarantineReport, RelationIOError, read_csv, write_csv
 from repro.tsql2.executor import Database, TSQL2SemanticError
 from repro.tsql2.lexer import TSQL2SyntaxError
@@ -66,64 +56,6 @@ from repro.tsql2.parser import parse
 __all__ = ["Shell", "diagnose", "main", "recovery_hint"]
 
 _HELP = __doc__.split("Meta-commands", 1)[1].split("Engine failures", 1)[0]
-
-#: Recovery hints keyed by taxonomy class, most-derived first: the
-#: first ``isinstance`` match wins, so subclasses shadow their bases.
-_ERROR_HINTS = (
-    (
-        StorageCorruption,
-        "run `python -m repro.storage scrub PATH` (or \\scrub PATH) to "
-        "locate the damage, then reopen with HeapFile.durable() to recover",
-    ),
-    (
-        RecoveryError,
-        "acknowledged data could not be restored; keep the journal "
-        "segments and re-run recovery against a copy",
-    ),
-    (
-        StorageError,
-        "check disk space and permissions, then retry the operation",
-    ),
-    (
-        BudgetExhausted,
-        "raise the memory budget (\\budget BYTES, or `\\budget off`) or "
-        "let the engine degrade to the spilling paged tree",
-    ),
-    (
-        DeadlineExceeded,
-        "raise the deadline (\\deadline MS, or `\\deadline off`) or "
-        "narrow the query window",
-    ),
-    (
-        ServerOverloaded,
-        "the server is at capacity; back off for the reply's "
-        "retry_after_ms and resubmit",
-    ),
-    (
-        ShardFailure,
-        "the parallel pool is unhealthy; retry with shards=1",
-    ),
-    (
-        InvalidInput,
-        "check the query's interval bounds and aggregate arguments",
-    ),
-    (
-        TemporalAggregateError,
-        "see \\help for usage",
-    ),
-)
-
-
-def recovery_hint(error: TemporalAggregateError) -> str:
-    """The recovery hint for a taxonomy error (most-derived match wins).
-
-    Shared with the query server, which puts the same hint in its typed
-    error frames so remote clients see the diagnostics the shell shows.
-    """
-    for kind, hint in _ERROR_HINTS:
-        if isinstance(error, kind):
-            return hint
-    raise AssertionError("unreachable: base class terminates the table")
 
 
 def diagnose(error: TemporalAggregateError) -> str:

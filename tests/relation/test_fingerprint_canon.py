@@ -9,10 +9,7 @@ still distinguish the row.
 
 from __future__ import annotations
 
-from repro.relation.relation import (
-    _stable_value_repr,
-    fold_fingerprint,
-)
+from repro.relation.relation import _stable_value_repr, fingerprint_rows
 from repro.relation.tuples import TemporalTuple
 
 
@@ -37,12 +34,12 @@ class TestFoldFingerprintCanon:
     def test_strings_containing_address_substring_still_distinguish(self):
         a = TemporalTuple(("fn at 0x1234", 1), 0, 10)
         b = TemporalTuple(("fn at 0x5678", 1), 0, 10)
-        assert fold_fingerprint(0, a) != fold_fingerprint(0, b)
+        assert fingerprint_rows([a]) != fingerprint_rows([b])
 
     def test_same_row_fingerprints_identically(self):
         row = TemporalTuple(("fn at 0x1234", 1), 0, 10)
         again = TemporalTuple(("fn at 0x1234", 1), 0, 10)
-        assert fold_fingerprint(0, row) == fold_fingerprint(0, again)
+        assert fingerprint_rows([row]) == fingerprint_rows([again])
 
     def test_other_columns_survive_an_unstable_value(self):
         # Two rows share an address-bearing object column; the stable
@@ -50,11 +47,11 @@ class TestFoldFingerprintCanon:
         # degradation collapsed both to time-only).
         a = TemporalTuple((_Opaque(), "alice"), 0, 10)
         b = TemporalTuple((_Opaque(), "bobby"), 0, 10)
-        assert fold_fingerprint(0, a) != fold_fingerprint(0, b)
+        assert fingerprint_rows([a]) != fingerprint_rows([b])
 
     def test_unstable_value_itself_is_type_only(self):
         # Distinct instances of the same type contribute identically —
         # the documented (and process-stable) degradation.
         a = TemporalTuple((_Opaque(), "alice"), 0, 10)
         b = TemporalTuple((_Opaque(), "alice"), 0, 10)
-        assert fold_fingerprint(0, a) == fold_fingerprint(0, b)
+        assert fingerprint_rows([a]) == fingerprint_rows([b])

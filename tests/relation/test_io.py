@@ -1,5 +1,7 @@
 """Tests of temporal CSV import/export."""
 
+import csv
+import gc
 import io
 
 import pytest
@@ -88,6 +90,83 @@ class TestReadErrors:
     def test_inverted_interval(self):
         with pytest.raises(RelationIOError):
             from_csv_text("a,valid_start,valid_end\nx,9,3\n")
+
+    def test_undecodable_bytes(self):
+        """A file that is not text in its encoding is refused as a
+        RelationIOError, in either policy, not a UnicodeDecodeError."""
+        raw = b"name,valid_start,valid_end\nJos\xe9,0,5\n"
+        for on_error in ("raise", "quarantine"):
+            stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+            with pytest.raises(RelationIOError, match="not utf-8 text") as caught:
+                read_csv(stream, on_error=on_error)
+            assert "line 1 or later" in str(caught.value)
+
+    def test_field_over_the_csv_limit(self):
+        huge = "x" * (csv.field_size_limit() + 1)
+        text = f"name,valid_start,valid_end\nA,0,5\n{huge},0,5\n"
+        for on_error in ("raise", "quarantine"):
+            with pytest.raises(RelationIOError, match="^line 3: field larger"):
+                from_csv_text(text, on_error=on_error)
+
+
+class TestGarbageCollectorState:
+    """The load pauses the cyclic GC and hands back the caller's setting."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored(self, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            from_csv_text(EMPLOYED_CSV)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_restored_when_the_build_fails(self, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise MemoryError("no room for the rows")
+
+        monkeypatch.setattr("repro.relation.io.TemporalRelation", broken)
+        gc.enable()
+        with pytest.raises(MemoryError):
+            from_csv_text(EMPLOYED_CSV)
+        assert gc.isenabled()
+
+
+class TestHeaderErrors:
+    """A bad attribute name is a header problem: RelationIOError naming
+    the header, in either error policy, before any row is read."""
+
+    @pytest.mark.parametrize(
+        "header, problem",
+        [
+            ("a,a,valid_start,valid_end", "duplicate attribute name"),
+            ("Name,name,valid_start,valid_end", "duplicate attribute name"),
+            ("a,,valid_start,valid_end", "invalid attribute name"),
+            ("a, ,valid_start,valid_end", "invalid attribute name"),
+            ("a-b,valid_start,valid_end", "invalid attribute name"),
+            ("first name,valid_start,valid_end", "invalid attribute name"),
+        ],
+    )
+    @pytest.mark.parametrize("on_error", ["raise", "quarantine"])
+    def test_bad_attribute_name(self, header, problem, on_error):
+        text = header + "\n" + ",".join(["x"] * (header.count(",") - 1)) + ",0,5\n"
+        with pytest.raises(RelationIOError, match=problem) as caught:
+            from_csv_text(text, on_error=on_error)
+        assert "bad header" in str(caught.value)
+        assert "valid_start" in str(caught.value)
+
+    def test_header_checked_before_rows(self):
+        """The header is refused even when every data row is broken too."""
+        with pytest.raises(RelationIOError, match="bad header"):
+            from_csv_text("a,a,valid_start,valid_end\nonly-one-field\n")
+
+    def test_bad_name_with_declared_schema(self):
+        with pytest.raises(RelationIOError, match="bad header"):
+            from_csv_text(
+                "name,name,valid_start,valid_end\nA,1,0,5\n",
+                schema=EMPLOYED_SCHEMA,
+            )
 
 
 class TestWriteAndRoundtrip:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.core.planner import choose_strategy
 from repro.relation.relation import (
     TemporalRelation,
-    fold_fingerprint,
+    fingerprint_rows,
     next_relation_uid,
 )
 from repro.relation.schema import EMPLOYED_SCHEMA
@@ -73,7 +73,7 @@ class TestFingerprint:
         relation = tiny_relation(SORTED_ROWS)
         folded = 0
         for row in relation.scan():
-            folded = fold_fingerprint(folded, row)
+            folded = fingerprint_rows([row], folded)
         assert folded == relation.fingerprint
 
 

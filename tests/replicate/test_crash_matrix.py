@@ -43,11 +43,9 @@ def _ship_frame_for(table: ReplicatedTable, rows, version, sid):
 
 
 def _fold_over(fingerprint, codec, records):
-    from repro.relation.relation import fold_fingerprint
+    from repro.relation.relation import fingerprint_rows
 
-    for record in records:
-        fingerprint = fold_fingerprint(fingerprint, codec.decode(record))
-    return fingerprint
+    return fingerprint_rows(map(codec.decode, records), fingerprint)
 
 
 def test_torn_link_mid_ship_resyncs_and_converges(tmp_path):

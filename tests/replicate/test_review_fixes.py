@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.exec.errors import ReplicationError
-from repro.relation.relation import fold_fingerprint
+from repro.relation.relation import fingerprint_rows
 from repro.relation.tuples import TemporalTuple
 from repro.serve.client import QueryClient
 from repro.serve.server import ServerRunner
@@ -84,8 +84,8 @@ class TestFailedSyncRollsBack:
             assert node.applier.rollbacks == 1
 
             # And a correct sync now succeeds from that cursor.
-            good_fp = fold_fingerprint(
-                committed["fingerprint"], TemporalTuple(("bob", 200), 5, 15)
+            good_fp = fingerprint_rows(
+                [TemporalTuple(("bob", 200), 5, 15)], committed["fingerprint"]
             )
             good = _sync_chunk(
                 table, [(["bob", 200], 5, 15)],
@@ -150,13 +150,11 @@ class TestFailedSyncRollsBack:
             )
             # Build the frame against the *committed* prefix, as the
             # primary would (its own heap never saw the zombie row).
-            committed_fp = fold_fingerprint(
-                0, TemporalTuple(("alice", 100), 0, 10)
-            )
+            committed_fp = fingerprint_rows([TemporalTuple(("alice", 100), 0, 10)])
             frame["base_count"] = 1
             frame["row_count"] = 2
-            frame["fingerprint"] = fold_fingerprint(
-                committed_fp, TemporalTuple(("bob", 200), 5, 15)
+            frame["fingerprint"] = fingerprint_rows(
+                [TemporalTuple(("bob", 200), 5, 15)], committed_fp
             )
             reply = node.applier.apply_ship(frame)
             assert reply["duplicate"] is False

@@ -85,6 +85,15 @@ class TestLoadAndSave:
         out, _ = run_shell("\\load /nonexistent/file.csv")
         assert "error:" in out
 
+    def test_load_bad_header_reports_and_continues(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("a,a,valid_start,valid_end\nx,y,0,5\n")
+        out, shell = run_shell(f"\\load {path}", "\\seed", "\\tables")
+        assert "error: bad header" in out
+        assert "duplicate attribute name" in out
+        assert not shell.done
+        assert "employed  (4 tuples)" in out
+
 
 class TestErrorHandling:
     def test_syntax_error_reported(self):
