@@ -274,16 +274,17 @@ def verify_cached_shards(
     attribute: Optional[str],
     aggregate: Any,
     windows: Sequence[Tuple[int, int]],
-    shard_rows: Sequence[Sequence[Tuple[int, int, Any]]],
+    parts: Sequence[Any],
 ) -> None:
     """One sampled cached shard re-sweeps to the same rows from scratch.
 
     The shard-result cache's pure-hit path returns rows computed in the
     past; this check recomputes one window — sampled deterministically
     from the relation's version so repeated hits rotate through the
-    shards — against the *live* relation and compares row for row.  A
-    cache serving stale or corrupted partials surfaces here instead of
-    in downstream answers.
+    shards — against the *live* relation and compares row for row.
+    ``parts`` are the cached per-window columns
+    (:class:`~repro.core.columns.ColumnSet`).  A cache serving stale or
+    corrupted partials surfaces here instead of in downstream answers.
     """
     if not windows:
         return
@@ -298,7 +299,8 @@ def verify_cached_shards(
         return
     starts, ends, values = zip(*triples)
     expected, _events = window_rows(starts, ends, values, aggregate, lo, hi)
-    cached = list(shard_rows[index])
+    part = parts[index]
+    cached = list(zip(part.starts, part.ends, part.values))
     if len(cached) != len(expected):
         raise InvariantViolation(
             f"cached shard {index} over [{lo}, {hi}] holds {len(cached)} "

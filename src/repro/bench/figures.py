@@ -743,7 +743,7 @@ def cache(
     COUNT over randomly ordered relations (post-paper; see
     :mod:`repro.cache`).  Repeat scenario: the same relation queried
     against a fresh cache — the cold call populates it, the warm calls
-    are pure hits off the stitched rows (best-of-3).  Append scenario:
+    are pure hits off the cached shard columns (best-of-3).  Append scenario:
     after warming, 1 % new short tuples confined to the start of the
     timeline are inserted and the query re-runs — the delta path
     re-sweeps only the shards the appends overlap, never the clean

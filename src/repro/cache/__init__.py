@@ -6,7 +6,7 @@ the parallel sweep already produces (PR 1's shard/clip/stitch
 decomposition) and maintains them incrementally:
 
 * repeated queries over an unchanged relation are served straight from
-  the stitched cached rows (``cache_hits``),
+  the cached shard columns (``cache_hits``),
 * appends dirty only the shards whose windows overlap the new tuples'
   intervals; clean shards are never re-swept (``cache_dirty_shards``),
 * memory is bounded by a byte budget with LRU eviction

@@ -7,15 +7,15 @@ watermark, chained fingerprint — see
 ``temporal_aggregate`` call down one of three paths:
 
 * **Pure hit** — the entry's version and fingerprint match the
-  relation's: return a copy of the stitched rows.  No scan, no sort,
-  no sweep.
+  relation's: concatenate the cached shard columns into a fresh
+  column-backed result.  No scan, no sort, no sweep, no row objects.
 * **Append delta** — the entry predates some appends but postdates the
   last in-place reorder, and the relation confirms the content chain
   (:meth:`~repro.relation.relation.TemporalRelation.verify_append_chain`):
   mark dirty exactly the time shards whose windows overlap an appended
   tuple's interval, re-sweep *only those* with the columnar kernel,
-  and re-stitch against the current boundary sets.  Clean shards'
-  cached rows are reused byte for byte.
+  and re-decide the seam merges against the current boundary sets.
+  Clean shards' cached columns are reused as they are.
 * **Miss** — shard the timeline (:func:`repro.core.partition.
   shard_bounds`), sweep every window, stitch, and store.
 
@@ -33,8 +33,8 @@ row for row (:func:`repro.analysis.invariants.verify_cached_shards`).
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
+from array import array
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis import invariants as _invariants
 from repro.core.base import Evaluator, Triple, coerce_aggregate
@@ -43,9 +43,10 @@ from repro.core.columnar_sweep import (
     validate_columns,
     window_rows,
 )
+from repro.core.columns import ColumnSet
 from repro.core.parallel import registered_instance
-from repro.core.partition import available_workers, shard_bounds, stitch_rows
-from repro.core.result import ConstantInterval, TemporalAggregateResult
+from repro.core.partition import available_workers, seam_merges, shard_bounds
+from repro.core.result import TemporalAggregateResult
 from repro.exec.validation import validate_shards
 from repro.cache.store import (
     CachedEntry,
@@ -141,16 +142,17 @@ def _serve_hit(
     # Even a pure hit honors the caller's deadline: a statement that
     # arrived already past its budget must fail typed, not serve rows
     # the session will never read.
+    rows = len(entry)
     if deadline is not None:
-        deadline.check(cached_rows=len(entry.rows))
+        deadline.check(cached_rows=rows)
     counters.cache_hits += 1
     cache.tally(cache_hits=1)
-    counters.emitted += len(entry.rows)
+    counters.emitted += rows
     if _invariants.invariants_enabled():
         _invariants.verify_cached_shards(
-            relation, attribute, aggregate, entry.windows, entry.shard_rows
+            relation, attribute, aggregate, entry.windows, entry.parts
         )
-    return TemporalAggregateResult(list(entry.rows), check=False)
+    return TemporalAggregateResult.from_columns(*entry.columns())
 
 
 def _scan_columns(
@@ -235,18 +237,24 @@ def _pool_sweep(
     return outcome[0]
 
 
+def _part(rows: Sequence[Tuple[int, int, Any]]) -> ColumnSet:
+    """One window's kernel rows (never empty: an empty window yields
+    one identity row) transposed into exactly-sized columns."""
+    starts, ends, values = zip(*rows)
+    return ColumnSet(array("q", starts), array("q", ends), list(values))
+
+
 def _finish(
     entry: CachedEntry,
-    starts: Iterable[int],
-    ends: Iterable[int],
+    cache: ShardResultCache,
+    key: CacheKey,
     counters: "OperationCounters",
 ) -> TemporalAggregateResult:
-    """Stitch the entry's shard rows against the current boundary sets
-    and refresh its finished-row copy."""
-    raw = stitch_rows(entry.shard_rows, set(starts), set(ends))
-    entry.rows = list(map(tuple.__new__, repeat(ConstantInterval), raw))
-    counters.emitted += len(raw)
-    return TemporalAggregateResult(list(entry.rows), check=False)
+    """Answer from a freshly built entry, then publish it."""
+    counters.emitted += len(entry)
+    result = TemporalAggregateResult.from_columns(*entry.columns())
+    cache.store(key, entry)
+    return result
 
 
 def _refresh_append(
@@ -283,14 +291,7 @@ def _refresh_append(
     # (and re-applies the byte budget) through the normal store path.
     cache.discard(key)
     starts, ends, values, columns = _scan_columns(relation, attribute, counters)
-    refreshed = CachedEntry(
-        version=relation.version,
-        fingerprint=relation.fingerprint,
-        row_count=len(relation),
-        windows=windows,
-        shard_rows=list(entry.shard_rows),
-        rows=[],
-    )
+    parts = list(entry.parts)
     events_by_shard: List[int] = []
     dirty_windows = [windows[index] for index in dirty]
     pooled = _pool_sweep(
@@ -298,7 +299,7 @@ def _refresh_append(
     )
     if pooled is not None:
         for index, (rows, events) in zip(dirty, pooled):
-            refreshed.shard_rows[index] = rows
+            parts[index] = _part(rows)
             events_by_shard.append(events)
     else:
         for position, index in enumerate(dirty):
@@ -306,7 +307,7 @@ def _refresh_append(
                 deadline.check(completed_shards=position, total_shards=len(dirty))
             lo, hi = windows[index]
             rows, events = window_rows(starts, ends, values, aggregate, lo, hi)
-            refreshed.shard_rows[index] = rows
+            parts[index] = _part(rows)
             events_by_shard.append(events)
     counters.tuples += len(delta)
     # The delta itself arrives as a short list of per-row tuples (it
@@ -319,9 +320,15 @@ def _refresh_append(
     cache.tally(cache_hits=1, cache_dirty_shards=len(dirty))
     space.absorb_concurrent(events_by_shard)
 
-    result = _finish(refreshed, starts, ends, counters)
-    cache.store(key, refreshed)
-    return result
+    refreshed = CachedEntry(
+        version=relation.version,
+        fingerprint=relation.fingerprint,
+        row_count=len(relation),
+        windows=windows,
+        parts=parts,
+        merges=seam_merges(parts, starts, ends),
+    )
+    return _finish(refreshed, cache, key, counters)
 
 
 def _recompute(
@@ -341,21 +348,21 @@ def _recompute(
     cache.discard(key)
     starts, ends, values, columns = _scan_columns(relation, attribute, counters)
     windows = shard_bounds(starts, ends, shard_count)
-    shard_rows: List[List[tuple]] = []
+    parts: List[ColumnSet] = []
     events_by_shard: List[int] = []
     pooled = _pool_sweep(
         columns, starts, ends, values, windows, aggregate, counters, deadline
     )
     if pooled is not None:
         for rows, events in pooled:
-            shard_rows.append(rows)
+            parts.append(_part(rows))
             events_by_shard.append(events)
     else:
         for index, (lo, hi) in enumerate(windows):
             if deadline is not None:
                 deadline.check(completed_shards=index, total_shards=len(windows))
             rows, events = window_rows(starts, ends, values, aggregate, lo, hi)
-            shard_rows.append(rows)
+            parts.append(_part(rows))
             events_by_shard.append(events)
     counters.tuples += len(starts)
     counters.node_visits += sum(events_by_shard)
@@ -367,12 +374,10 @@ def _recompute(
         fingerprint=relation.fingerprint,
         row_count=len(relation),
         windows=windows,
-        shard_rows=shard_rows,
-        rows=[],
+        parts=parts,
+        merges=seam_merges(parts, starts, ends),
     )
-    result = _finish(entry, starts, ends, counters)
-    cache.store(key, entry)
-    return result
+    return _finish(entry, cache, key, counters)
 
 
 class CachedSweepEvaluator(Evaluator):

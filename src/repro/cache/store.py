@@ -1,9 +1,10 @@
 """The mergeable shard-result cache: versioned entries, LRU, byte budget.
 
 A :class:`ShardResultCache` remembers, per ``(relation uid, aggregate,
-attribute, shard count)``, the per-time-shard partial rows *and* the
-stitched final rows of one ``temporal_aggregate`` evaluation, stamped
-with the relation's version and content fingerprint at compute time.
+attribute, shard count)``, the per-time-shard partial answers of one
+``temporal_aggregate`` evaluation — held once, as columns, with the
+seam merges decided when they were stitched — stamped with the
+relation's version and content fingerprint at compute time.
 The evaluation logic that decides hit / append-delta / miss lives in
 :mod:`repro.cache.evaluator`; this module is pure storage policy:
 
@@ -11,14 +12,12 @@ The evaluation logic that decides hit / append-delta / miss lives in
   ``fingerprint``; the relation side of the handshake lives on
   :class:`~repro.relation.relation.TemporalRelation` (version counter,
   append watermark, chained fingerprint).
-* **Byte budget** — entries are charged to a
-  :class:`~repro.metrics.space.SpaceTracker` under the paper's node
-  model (one node per cached row, partial and stitched rows both —
-  they are both materialised).  Inserting past the budget evicts
-  least-recently-used entries first; an entry larger than the whole
-  budget is simply not admitted.
+* **Byte budget** — each entry is charged the bytes of its column
+  buffers (:attr:`CachedEntry.charged_bytes`).  Inserting past the
+  budget evicts least-recently-used entries first; an entry larger
+  than the whole budget is simply not admitted.
 * **Shedding** — :func:`shed_default_cache` empties the process-default
-  cache and reports the modeled bytes released; the memory-budget
+  cache and reports the charged bytes released; the memory-budget
   guard (:mod:`repro.exec.budget`) calls it before degrading an
   evaluation, making cached results the first memory to go.
 * **Repeat detection** — :meth:`note_query` keeps a bounded set of
@@ -33,12 +32,14 @@ cache is constructed, so tests can swap it per-process).
 from __future__ import annotations
 
 import os
+import sys
 import threading
+from array import array
 from collections import OrderedDict
-from typing import Any, List, NamedTuple, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.columns import ColumnSet
 from repro.metrics.counters import OperationCounters
-from repro.metrics.space import SpaceTracker
 
 __all__ = [
     "ENV_BUDGET",
@@ -66,9 +67,9 @@ def cacheable_relation(relation: Any) -> bool:
 #: Environment variable naming the default cache's byte budget.
 ENV_BUDGET = "REPRO_CACHE_BUDGET_BYTES"
 
-#: Default byte budget under the node model — roughly 1.6M cached rows
-#: at 20 modeled bytes per row, far above any test workload and far
-#: below a workstation's memory.
+#: Default byte budget — roughly 1.4M cached answer rows at 24 charged
+#: bytes per row, far above any test workload and far below a
+#: workstation's memory.
 DEFAULT_BUDGET_BYTES = 32 * 1024 * 1024
 
 #: Recent query signatures remembered for repeat detection.
@@ -85,15 +86,35 @@ class CacheKey(NamedTuple):
 
 
 class CachedEntry:
-    """One evaluation's shard partials + stitched rows, version-stamped."""
+    """One evaluation's shard partials, held once as columns.
+
+    ``parts`` holds one :class:`~repro.core.columns.ColumnSet` per
+    window of ``windows``: the window's pre-stitch rows as ``array('q')``
+    starts and ends plus a plain value list — what the append-delta
+    path re-sweeps shard by shard.  ``merges[i]`` records the stitching
+    decided when the entry was built: True when part ``i``'s first row
+    continues the previous part's last row across an artificial seam.
+    There is no stitched copy; :meth:`columns` concatenates the parts
+    at C speed on every hit.
+
+    ``charged_bytes`` is what the cache budget counts: the
+    ``sys.getsizeof`` of every part's three column buffers.  It leaves
+    out the value objects the value lists point at — for MIN and MAX
+    the relation's own values, for COUNT mostly cached small ints, for
+    SUM and AVG computed ints and floats that can add as many bytes
+    again — and the fixed per-entry overhead of this object, its window
+    list and the ``ColumnSet`` headers.  An entry is never mutated once
+    stored: the refresh path builds a new one.
+    """
 
     __slots__ = (
         "version",
         "fingerprint",
         "row_count",
         "windows",
-        "shard_rows",
-        "rows",
+        "parts",
+        "merges",
+        "charged_bytes",
     )
 
     def __init__(
@@ -102,25 +123,52 @@ class CachedEntry:
         fingerprint: int,
         row_count: int,
         windows: List[Tuple[int, int]],
-        shard_rows: List[List[tuple]],
-        rows: List[Any],
+        parts: List[ColumnSet],
+        merges: Sequence[bool],
     ) -> None:
+        if len(merges) != len(parts):
+            raise ValueError(
+                f"{len(merges)} seam merges for {len(parts)} shard parts"
+            )
         self.version = version
         self.fingerprint = fingerprint
         #: Relation row count at compute time; rows past this index are
         #: the append delta the refresh path folds in.
         self.row_count = row_count
         self.windows = windows
-        #: Plain-tuple rows per window, pre-stitch — what the delta
-        #: path recomputes shard by shard.
-        self.shard_rows = shard_rows
-        #: The stitched, finished ConstantInterval rows — what a pure
-        #: hit returns (copied) without touching the kernel at all.
-        self.rows = rows
+        self.parts = parts
+        self.merges = list(merges)
+        self.charged_bytes = sum(
+            sys.getsizeof(part.starts)
+            + sys.getsizeof(part.ends)
+            + sys.getsizeof(part.values)
+            for part in parts
+        )
 
-    def node_count(self) -> int:
-        """Modeled nodes this entry occupies (one per materialised row)."""
-        return sum(len(part) for part in self.shard_rows) + len(self.rows)
+    def __len__(self) -> int:
+        """Rows of the stitched answer."""
+        return sum(len(part) for part in self.parts) - sum(self.merges)
+
+    def columns(self) -> Tuple["array[int]", "array[int]", List[Any]]:
+        """The stitched answer as fresh ``(starts, ends, values)`` columns."""
+        starts: "array[int]" = array("q")
+        ends: "array[int]" = array("q")
+        values: List[Any] = []
+        for part, merged in zip(self.parts, self.merges):
+            part_values = part.values
+            assert part_values is not None  # cached parts carry values
+            if merged:
+                # The seam is artificial and the values agree: the
+                # previous row runs on to this part's first row's end.
+                ends[-1] = part.ends[0]
+                starts += part.starts[1:]
+                ends += part.ends[1:]
+                values += part_values[1:]
+            else:
+                starts += part.starts
+                ends += part.ends
+                values += part_values
+        return starts, ends, values
 
 
 class ShardResultCache:
@@ -131,7 +179,6 @@ class ShardResultCache:
         budget_bytes: Optional[int] = None,
         *,
         counters: Optional[OperationCounters] = None,
-        space: Optional[SpaceTracker] = None,
     ) -> None:
         if budget_bytes is None:
             env = os.environ.get(ENV_BUDGET, "").strip()
@@ -140,7 +187,7 @@ class ShardResultCache:
             raise ValueError("cache budget must be positive")
         self.budget_bytes = int(budget_bytes)
         self.counters = counters if counters is not None else OperationCounters()
-        self.space = space if space is not None else SpaceTracker()
+        self._live_bytes = 0  # ta: guarded-by(self.lock)
         self._entries: "OrderedDict[CacheKey, CachedEntry]" = OrderedDict()  # ta: guarded-by(self.lock)
         self._recent: "OrderedDict[Tuple[int, str, Optional[str]], bool]" = (
             OrderedDict()
@@ -165,9 +212,10 @@ class ShardResultCache:
 
     @property
     def live_bytes(self) -> int:
-        """Modeled bytes currently held by cached entries."""
+        """Charged bytes (:attr:`CachedEntry.charged_bytes`) of the
+        entries currently held."""
         with self.lock:
-            return self.space.live_bytes
+            return self._live_bytes
 
     def tally(self, **deltas: int) -> None:
         """Add ``deltas`` to the cache's shared counters, atomically.
@@ -199,11 +247,10 @@ class ShardResultCache:
         budget and was not admitted."""
         with self.lock:
             self.discard(key)
-            nodes = entry.node_count()
-            if nodes * self.space.node_bytes > self.budget_bytes:
+            if entry.charged_bytes > self.budget_bytes:
                 return False
             self._entries[key] = entry
-            self.space.allocate(nodes)
+            self._live_bytes += entry.charged_bytes
             self._evict_over_budget_locked(keep=key)
             return True
 
@@ -212,7 +259,7 @@ class ShardResultCache:
         with self.lock:
             entry = self._entries.pop(key, None)
             if entry is not None:
-                self.space.free(entry.node_count())
+                self._live_bytes -= entry.charged_bytes
 
     def _evict_over_budget_locked(self, keep: CacheKey) -> None:
         """Evict least-recently-used entries until under budget.
@@ -225,28 +272,26 @@ class ShardResultCache:
         when it alone is what crossed the line — admission already
         rejected entries bigger than the whole budget.
         """
-        while self.space.live_bytes > self.budget_bytes and len(self._entries) > 1:
+        while self._live_bytes > self.budget_bytes and len(self._entries) > 1:
             victim_key = next(iter(self._entries))
             if victim_key == keep:  # pragma: no cover - keep is MRU
                 break
             victim = self._entries.pop(victim_key)
-            self.space.free(victim.node_count())
+            self._live_bytes -= victim.charged_bytes
             self.counters.cache_evictions += 1
 
     def shed(self) -> int:
-        """Evict everything; returns the modeled bytes released.
+        """Evict everything; returns the charged bytes released.
 
         This is the memory-pressure hook: under a tripped memory
         budget, cached results are the first allocation to go — they
         are always recomputable.
         """
         with self.lock:
-            released = self.space.live_bytes
-            evicted = len(self._entries)
-            for entry in self._entries.values():
-                self.space.free(entry.node_count())
+            released = self._live_bytes
+            self.counters.cache_evictions += len(self._entries)
             self._entries.clear()
-            self.counters.cache_evictions += evicted
+            self._live_bytes = 0
             return released
 
     def reset(self) -> None:
@@ -255,7 +300,6 @@ class ShardResultCache:
             self.shed()
             self._recent.clear()
             self.counters.reset()
-            self.space.reset()
 
     # ------------------------------------------------------------------
     # Repeat detection

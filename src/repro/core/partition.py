@@ -28,6 +28,7 @@ import os
 from array import array
 from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.columns import ColumnSet
 from repro.core.interval import FOREVER, ORIGIN
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "clip_columns",
     "partition_triples",
     "is_real_boundary",
+    "seam_merges",
     "stitch_rows",
 ]
 
@@ -181,3 +183,35 @@ def stitch_rows(
                     rows = rows[1:]
         out.extend(rows)
     return out
+
+
+def seam_merges(
+    parts: Sequence[ColumnSet], starts: Iterable[int], ends: Iterable[int]
+) -> List[bool]:
+    """The column-layout counterpart of :func:`stitch_rows`.
+
+    ``parts`` hold the rows of consecutive windows as columns;
+    ``starts`` and ``ends`` are the relation's interval endpoints.
+    Returns one flag per part: True when the part's first row heals
+    into the previous row across an artificial seam, by exactly
+    :func:`stitch_rows`'s rule.  Only the seam instants are looked up,
+    so no set of every endpoint is built.
+    """
+    cuts = [part.starts[0] for part in parts[1:] if len(part)]
+    starting = set(cuts).intersection(starts)
+    ending = {cut - 1 for cut in cuts}.intersection(ends)
+    merges: List[bool] = []
+    previous: Optional[List[Any]] = None  # the last non-empty part's values
+    for part in parts:
+        values = part.values
+        if not len(part):
+            merges.append(False)
+            continue
+        assert values is not None  # cached parts carry values
+        merges.append(
+            previous is not None
+            and not is_real_boundary(part.starts[0], starting, ending)
+            and previous[-1] == values[0]
+        )
+        previous = values
+    return merges

@@ -17,8 +17,10 @@ brute-force oracle.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from typing import Any, Iterable, Iterator, List, NamedTuple, Tuple
+from itertools import repeat
+from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.interval import (
     FOREVER,
@@ -52,6 +54,10 @@ class ConstantInterval(NamedTuple):
         )
 
 
+#: A result's column layout: starts, ends, values.
+Columns = Tuple["array[int]", "array[int]", List[Any]]
+
+
 class TemporalAggregateResult:
     """A time-ordered partition of the timeline into constant intervals.
 
@@ -59,14 +65,32 @@ class TemporalAggregateResult:
     exactly one instant before row ``i+1`` starts) and jointly cover
     ``[ORIGIN, FOREVER]`` unless the result was :meth:`restrict`-ed or
     filtered.
+
+    A result holds its answer either as rows (what the object
+    evaluators emit) or as three columns (:meth:`from_columns`, what
+    the shard-result cache hands out): ``array('q')`` starts and ends
+    plus a plain value list.  Each layout is built from the other at
+    most once, and only when a caller reads it — a cache hit shaped
+    column-wise never builds a :class:`ConstantInterval`.
     """
 
     def __init__(
         self, rows: Iterable[ConstantInterval], *, check: bool = True
     ) -> None:
-        self.rows: List[ConstantInterval] = list(rows)
+        self._rows: Optional[List[ConstantInterval]] = list(rows)
+        self._columns: Optional[Columns] = None
         if check:
             self.verify_partition(full_cover=False)
+
+    @classmethod
+    def from_columns(
+        cls, starts: "array[int]", ends: "array[int]", values: List[Any]
+    ) -> "TemporalAggregateResult":
+        """Adopt three parallel columns (not copied, not checked)."""
+        result = cls.__new__(cls)
+        result._rows = None
+        result._columns = (starts, ends, values)
+        return result
 
     @classmethod
     def from_pairs(
@@ -78,12 +102,37 @@ class TemporalAggregateResult:
             for interval, value in pairs
         )
 
+    @property
+    def rows(self) -> List[ConstantInterval]:
+        """The constant intervals, built from the columns on first read."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = list(
+                map(tuple.__new__, repeat(ConstantInterval), zip(*self.columns()))
+            )
+        return rows
+
+    def columns(self) -> Columns:
+        """``(starts, ends, values)``: the stored columns, or columns
+        built once from the rows.  Callers must not mutate them."""
+        columns = self._columns
+        if columns is None:
+            rows = self.rows
+            columns = self._columns = (
+                array("q", [row[0] for row in rows]),
+                array("q", [row[1] for row in rows]),
+                [row[2] for row in rows],
+            )
+        return columns
+
     # ------------------------------------------------------------------
     # Container protocol
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.rows)
+        if self._rows is not None:
+            return len(self._rows)
+        return len(self.columns()[0])
 
     def __iter__(self) -> Iterator[ConstantInterval]:
         return iter(self.rows)
@@ -97,26 +146,27 @@ class TemporalAggregateResult:
         return self.rows == other.rows
 
     def __repr__(self) -> str:
-        return f"TemporalAggregateResult({len(self.rows)} constant intervals)"
+        return f"TemporalAggregateResult({len(self)} constant intervals)"
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
     def value_at(self, instant: int) -> Any:
-        """The aggregate value at one instant (binary search).
+        """The aggregate value at one instant (binary search over the
+        start column).
 
         Raises ``KeyError`` when the instant falls outside every row
         (possible after :meth:`restrict` or :meth:`drop_value`).
         """
-        starts = [row.start for row in self.rows]
+        starts, ends, values = self.columns()
         index = bisect_right(starts, instant) - 1
-        if index >= 0 and self.rows[index].start <= instant <= self.rows[index].end:
-            return self.rows[index].value
+        if index >= 0 and instant <= ends[index]:
+            return values[index]
         raise KeyError(f"no constant interval covers instant {instant}")
 
     def values(self) -> List[Any]:
-        return [row.value for row in self.rows]
+        return list(self.columns()[2])
 
     def intervals(self) -> List[Interval]:
         return [row.interval for row in self.rows]

@@ -521,7 +521,9 @@ class QueryServer:
                 "ok": True,
                 "op": "query",
                 "columns": list(result.columns),
-                "rows": [list(row) for row in result.rows],
+                # Row tuples zipped from the result's columns; JSON
+                # encodes them exactly as it encodes lists.
+                "rows": result.rows,
                 "pinned": {
                     "table": served.name,
                     "version": view.version,

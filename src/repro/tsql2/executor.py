@@ -7,18 +7,22 @@ The executor glues the query language to the evaluation engine:
    are grouped, span grouping has a bounded window);
 3. apply the WHERE qualification in one pass over the relation;
 4. evaluate every aggregate call with the hinted algorithm — or let
-   the Section 6.3 planner choose — and zip the per-aggregate results
-   (all aggregates over the same tuples share the same constant
-   intervals, so zipping is sound);
-5. present the rows as a :class:`QueryResult` table with the valid
-   time exposed as ``valid_start`` / ``valid_end`` columns.
+   the Section 6.3 planner choose — and line up the per-aggregate
+   results (all aggregates over the same tuples share the same
+   constant intervals, so lining them up is sound);
+5. shape the select items and HAVING column by column — compiled once
+   per statement (:class:`_Shaper`) — into a :class:`QueryResult`
+   table with the valid time exposed as ``valid_start`` /
+   ``valid_end`` columns.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.store import cacheable_relation
 from repro.core.base import coerce_aggregate
@@ -26,6 +30,7 @@ from repro.core.engine import STRATEGIES, make_evaluator, temporal_aggregate
 from repro.core.interval import FOREVER, Interval, format_instant
 from repro.core.calendar import CalendarError, calendar_span_aggregate
 from repro.core.planner import PlannerDecision, choose_strategy
+from repro.core.result import TemporalAggregateResult
 from repro.core.span_grouping import span_aggregate
 from repro.exec.budget import MemoryGuard, evaluate_with_degradation
 from repro.exec.deadline import Deadline
@@ -121,19 +126,35 @@ class StatementLimits:
 
 
 class QueryResult:
-    """A flat result table with named columns.
+    """A flat result table with named columns, held column by column.
 
     Temporal grouping exposes the valid time of each row as
     ``valid_start`` / ``valid_end`` columns; attribute grouping
-    prepends the grouping attributes.
+    prepends the grouping attributes.  ``data`` holds one sequence per
+    column name; the row tuples are built once, on the first read of
+    :attr:`rows` (or iteration, or indexing).
     """
 
-    def __init__(self, columns: Sequence[str], rows: List[Tuple]) -> None:
+    def __init__(
+        self, columns: Sequence[str], data: Sequence[Sequence[Any]]
+    ) -> None:
+        if len(data) != len(columns):
+            raise ValueError(
+                f"{len(data)} data columns for {len(columns)} column names"
+            )
         self.columns = tuple(columns)
-        self.rows = rows
+        self._data = list(data)
+        self._rows: Optional[List[Tuple]] = None
+
+    @property
+    def rows(self) -> List[Tuple]:
+        """The rows as tuples, built from the columns on first read."""
+        if self._rows is None:
+            self._rows = list(zip(*self._data))
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._data[0]) if self._data else 0
 
     def __iter__(self):
         return iter(self.rows)
@@ -141,15 +162,17 @@ class QueryResult:
     def __getitem__(self, index: int) -> Tuple:
         return self.rows[index]
 
-    def column(self, name: str) -> List[Any]:
-        """All values of one column."""
+    def column(self, name: str) -> Sequence[Any]:
+        """All values of one column: the stored column itself (an
+        ``array('q')`` for ``valid_start`` / ``valid_end``), no rows
+        built.  Callers must not mutate it."""
         try:
             position = self.columns.index(name)
         except ValueError:
             raise KeyError(
                 f"no column {name!r}; columns are {self.columns}"
             ) from None
-        return [row[position] for row in self.rows]
+        return self._data[position]
 
     def _render_cell(self, column: str, value: Any) -> str:
         if column in ("valid_start", "valid_end") and isinstance(value, int):
@@ -188,7 +211,115 @@ class QueryResult:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"QueryResult({len(self.rows)} rows, columns={self.columns})"
+        return f"QueryResult({len(self)} rows, columns={self.columns})"
+
+
+# ---------------------------------------------------------------------------
+# Select items and HAVING, column-wise
+# ---------------------------------------------------------------------------
+
+#: One statement's aggregate value columns, per call, over shared
+#: constant intervals.
+CallColumns = Dict[AggregateCall, Sequence[Any]]
+
+#: A compiled select item: the call columns and the row count in, the
+#: item's output column out.
+ItemColumn = Callable[[CallColumns, int], Sequence[Any]]
+
+
+#: SQL arithmetic on one cell pair: NULL (None) propagates, and
+#: division by zero yields NULL.
+_ARITHMETIC: Dict[str, Callable[[Any, Any], Any]] = {
+    "+": lambda left, right: None if left is None or right is None else left + right,
+    "-": lambda left, right: None if left is None or right is None else left - right,
+    "*": lambda left, right: None if left is None or right is None else left * right,
+    "/": lambda left, right: (
+        None if left is None or right is None or right == 0 else left / right
+    ),
+}
+
+
+def _compile_item(item: Any) -> ItemColumn:
+    """One select item (or HAVING operand) as a column-wise function."""
+    if isinstance(item, AggregateCall):
+        return lambda calls, count: calls[item]
+    if isinstance(item, Literal):
+        value = item.value
+        return lambda calls, count: [value] * count
+    if isinstance(item, BinaryOp):
+        apply = _ARITHMETIC[item.operator]
+        left = _compile_item(item.left)
+        right = _compile_item(item.right)
+        return lambda calls, count: list(
+            map(apply, left(calls, count), right(calls, count))
+        )
+    raise AssertionError(f"unexpected select item {item!r}")
+
+
+def _kept(column: Sequence[Any], keep: List[Any]) -> Sequence[Any]:
+    """The cells of ``column`` whose ``keep`` flag is true."""
+    if isinstance(column, array):
+        return array(column.typecode, compress(column, keep))
+    return list(compress(column, keep))
+
+
+class _Shaper:
+    """A statement's select items, HAVING and empty-row presentation,
+    compiled once and applied column by column to each timeline."""
+
+    def __init__(self, query: Query, keep_empty: bool) -> None:
+        # Every select item but the grouped bare columns, which the
+        # grouped path puts first.
+        items = [item for item in query.select if not isinstance(item, ColumnRef)]
+        #: Column names of the shaped timeline.
+        self.columns = ["valid_start", "valid_end"] + [item.label() for item in items]
+        self.items = [_compile_item(item) for item in items]
+        self.having = [
+            (_compile_item(condition.item), _COMPARATORS[condition.operator],
+             condition.literal)
+            for condition in query.having
+        ]
+        #: Per output item, the value of an empty group (0 for COUNT,
+        #: NULL otherwise); None keeps empty rows.
+        self.empties: Optional[List[Any]] = None if keep_empty else [
+            0 if isinstance(item, AggregateCall) and item.function == "count"
+            else None
+            for item in items
+        ]
+
+    def shape(
+        self, results: Dict[AggregateCall, TemporalAggregateResult]
+    ) -> List[Sequence[Any]]:
+        """``[valid_start, valid_end, *items]`` columns of one timeline."""
+        starts, ends, _values = next(iter(results.values())).columns()
+        calls: CallColumns = {}
+        for call, result in results.items():
+            call_starts, call_ends, calls[call] = result.columns()
+            if call_starts != starts or call_ends != ends:
+                raise AssertionError(
+                    "aggregate calls disagree on constant intervals"
+                )
+        count = len(starts)
+        # SQL semantics: a NULL aggregate value satisfies no comparison.
+        # Conditions filter in order, each over the rows the previous
+        # ones kept.
+        for item, compare, literal in self.having:
+            keep = [
+                value is not None and compare(value, literal)
+                for value in item(calls, count)
+            ]
+            if not all(keep):
+                starts, ends = _kept(starts, keep), _kept(ends, keep)
+                calls = {call: _kept(column, keep) for call, column in calls.items()}
+                count = len(starts)
+        shaped = [starts, ends] + [item(calls, count) for item in self.items]
+        if self.empties is not None:
+            empties = self.empties
+            cells = zip(*shaped[2:]) if self.items else repeat((), count)
+            keep = [not all(map(operator.eq, row, empties)) for row in cells]
+            if not all(keep):
+                shaped = [_kept(column, keep) for column in shaped]
+        return shaped
 
 
 class Database:
@@ -263,16 +394,12 @@ class Database:
         if query.explain:
             return self._explain(query, relation, filtered)
 
+        shaper = _Shaper(query, keep_empty)
         if query.group_by.kind == "span":
-            result = self._execute_span(query, relation, filtered, limits)
-        elif query.group_by.attributes:
-            result = self._execute_grouped(query, relation, filtered, limits)
-        else:
-            result = self._execute_instant(query, relation, filtered, limits)
-
-        if not keep_empty:
-            result = self._drop_empty(query, result)
-        return result
+            return self._execute_span(query, relation, filtered, shaper, limits)
+        if query.group_by.attributes:
+            return self._execute_grouped(query, relation, filtered, shaper, limits)
+        return self._execute_instant(query, relation, filtered, shaper, limits)
 
     # ------------------------------------------------------------------
     # EXPLAIN
@@ -305,7 +432,7 @@ class Database:
             ("long-lived fraction", round(statistics.long_lived_fraction, 3)),
             ("aggregate calls", len(query.aggregate_calls())),
         ]
-        return QueryResult(["property", "value"], table)
+        return QueryResult(["property", "value"], [list(column) for column in zip(*table)])
 
     # ------------------------------------------------------------------
     # Checks and filtering
@@ -412,11 +539,11 @@ class Database:
         strategy: str,
         k: Optional[int],
         limits: Optional[StatementLimits] = None,
-    ) -> Dict[AggregateCall, Any]:
+    ) -> Dict[AggregateCall, TemporalAggregateResult]:
         """One TemporalAggregateResult per distinct aggregate call."""
         deadline = limits.deadline if limits is not None else None
         budget = limits.memory_budget_bytes if limits is not None else None
-        results: Dict[AggregateCall, Any] = {}
+        results: Dict[AggregateCall, TemporalAggregateResult] = {}
         for call in query.aggregate_calls():
             if deadline is not None:
                 deadline.check(aggregate=call.label())
@@ -437,98 +564,19 @@ class Database:
                 results[call] = evaluator.evaluate(triples)
         return results
 
-    # ------------------------------------------------------------------
-    # Select-item expressions
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _output_items(query: Query) -> List[Any]:
-        """Select items that produce output columns (everything except
-        the grouped bare columns, which come first)."""
-        return [
-            item for item in query.select if not isinstance(item, ColumnRef)
-        ]
-
-    def _evaluate_item(self, item: Any, values: Dict[AggregateCall, Any]) -> Any:
-        """Evaluate one select item given the per-call values for one
-        constant interval.  NULL (None) propagates; division by zero
-        yields NULL, as in SQL."""
-        if isinstance(item, AggregateCall):
-            return values[item]
-        if isinstance(item, Literal):
-            return item.value
-        if isinstance(item, BinaryOp):
-            left = self._evaluate_item(item.left, values)
-            right = self._evaluate_item(item.right, values)
-            if left is None or right is None:
-                return None
-            if item.operator == "+":
-                return left + right
-            if item.operator == "-":
-                return left - right
-            if item.operator == "*":
-                return left * right
-            if right == 0:
-                return None
-            return left / right
-        raise AssertionError(f"unexpected select item {item!r}")
-
-    def _item_rows(
-        self,
-        query: Query,
-        results: Dict[AggregateCall, Any],
-    ) -> List[Tuple]:
-        """Zip per-call constant intervals into per-select-item rows."""
-        calls = list(results)
-        if not calls:
-            return []
-        boundaries = [(r.start, r.end) for r in results[calls[0]]]
-        for call in calls[1:]:
-            if [(r.start, r.end) for r in results[call]] != boundaries:
-                raise AssertionError(
-                    "aggregate calls disagree on constant intervals"
-                )
-        items = self._output_items(query)
-        table = []
-        for index, (start, end) in enumerate(boundaries):
-            values = {call: results[call][index].value for call in calls}
-            if not self._having_holds(query, values):
-                continue
-            table.append(
-                (start, end)
-                + tuple(self._evaluate_item(item, values) for item in items)
-            )
-        return table
-
-    def _having_holds(self, query: Query, values: Dict[AggregateCall, Any]) -> bool:
-        """All HAVING conditions on one row's aggregate values.
-
-        SQL semantics: a NULL aggregate value satisfies no comparison.
-        """
-        for condition in query.having:
-            left = self._evaluate_item(condition.item, values)
-            if left is None:
-                return False
-            if not _COMPARATORS[condition.operator](left, condition.literal):
-                return False
-        return True
-
     def _execute_instant(
         self,
         query: Query,
         relation: TemporalRelation,
         rows: List,
+        shaper: _Shaper,
         limits: Optional[StatementLimits] = None,
     ) -> QueryResult:
-        columns = ["valid_start", "valid_end"] + [
-            item.label() for item in self._output_items(query)
-        ]
-        fast = self._engine_results(query, relation, rows, limits)
-        if fast is not None:
-            return QueryResult(columns, self._item_rows(query, fast))
-        strategy, k = self._resolve_strategy(query, relation, rows, limits)
-        results = self._evaluate_calls(query, relation, rows, strategy, k, limits)
-        return QueryResult(columns, self._item_rows(query, results))
+        results = self._engine_results(query, relation, rows, limits)
+        if results is None:
+            strategy, k = self._resolve_strategy(query, relation, rows, limits)
+            results = self._evaluate_calls(query, relation, rows, strategy, k, limits)
+        return QueryResult(shaper.columns, shaper.shape(results))
 
     def _engine_results(
         self,
@@ -536,7 +584,7 @@ class Database:
         relation: TemporalRelation,
         rows: List,
         limits: Optional[StatementLimits],
-    ) -> Optional[Dict[AggregateCall, Any]]:
+    ) -> Optional[Dict[AggregateCall, TemporalAggregateResult]]:
         """Cache-eligible fast path: route whole-relation instant queries
         through :func:`temporal_aggregate` so the shard-result cache (and
         append-delta maintenance) can serve them.
@@ -562,7 +610,7 @@ class Database:
             )
         else:
             strategy = "auto"
-        results: Dict[AggregateCall, Any] = {}
+        results: Dict[AggregateCall, TemporalAggregateResult] = {}
         for call in query.aggregate_calls():
             results[call] = temporal_aggregate(
                 relation,
@@ -579,6 +627,7 @@ class Database:
         query: Query,
         relation: TemporalRelation,
         rows: List,
+        shaper: _Shaper,
         limits: Optional[StatementLimits] = None,
     ) -> QueryResult:
         schema = relation.schema
@@ -588,27 +637,32 @@ class Database:
             key = tuple(row.values[p] for p in positions)
             partitions.setdefault(key, []).append(row)
 
-        columns = (
-            [schema.attributes[p].name for p in positions]
-            + ["valid_start", "valid_end"]
-            + [item.label() for item in self._output_items(query)]
+        columns = [schema.attributes[p].name for p in positions] + shaper.columns
+        data: List[Any] = (
+            [[] for _ in positions]
+            + [array("q"), array("q")]
+            + [[] for _ in shaper.items]
         )
-        table: List[Tuple] = []
         for key in sorted(partitions, key=repr):
             group_rows = partitions[key]
             strategy, k = self._resolve_strategy(query, relation, group_rows, limits)
             results = self._evaluate_calls(
                 query, relation, group_rows, strategy, k, limits
             )
-            for row in self._item_rows(query, results):
-                table.append(key + row)
-        return QueryResult(columns, table)
+            shaped = shaper.shape(results)
+            count = len(shaped[0])
+            for slot, value in enumerate(key):
+                data[slot].extend(repeat(value, count))
+            for slot, column in enumerate(shaped, len(positions)):
+                data[slot].extend(column)
+        return QueryResult(columns, data)
 
     def _execute_span(
         self,
         query: Query,
         relation: TemporalRelation,
         rows: List,
+        shaper: _Shaper,
         limits: Optional[StatementLimits] = None,
     ) -> QueryResult:
         group_by = query.group_by
@@ -629,10 +683,7 @@ class Database:
                 )
             window = Interval(start, end)
 
-        columns = ["valid_start", "valid_end"] + [
-            item.label() for item in self._output_items(query)
-        ]
-        results: Dict[AggregateCall, Any] = {}
+        results: Dict[AggregateCall, TemporalAggregateResult] = {}
         for call in query.aggregate_calls():
             if limits is not None and limits.deadline is not None:
                 limits.deadline.check(aggregate=call.label())
@@ -649,27 +700,4 @@ class Database:
                 results[call] = span_aggregate(
                     triples, call.function, window, group_by.span
                 )
-        return QueryResult(columns, self._item_rows(query, results))
-
-    # ------------------------------------------------------------------
-    # Presentation helpers
-    # ------------------------------------------------------------------
-
-    def _drop_empty(self, query: Query, result: QueryResult) -> QueryResult:
-        items = self._output_items(query)
-        empties = [
-            0 if isinstance(item, AggregateCall) and item.function == "count"
-            else None
-            for item in items
-        ]
-        width = len(result.columns)
-        output_slots = range(width - len(items), width)
-        kept = [
-            row
-            for row in result.rows
-            if not all(
-                row[slot] == empty
-                for slot, empty in zip(output_slots, empties)
-            )
-        ]
-        return QueryResult(result.columns, kept)
+        return QueryResult(shaper.columns, shaper.shape(results))

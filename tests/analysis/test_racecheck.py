@@ -17,11 +17,13 @@ Three layers of proof:
 from __future__ import annotations
 
 import threading
+from array import array
 
 import pytest
 
 from repro.analysis import racecheck
 from repro.cache.store import CachedEntry, ShardResultCache
+from repro.core.columns import ColumnSet
 
 BARRIER_TIMEOUT = 30.0
 
@@ -206,8 +208,8 @@ def _tiny_entry() -> CachedEntry:
         fingerprint=0,
         row_count=0,
         windows=[(0, 1)],
-        shard_rows=[[]],
-        rows=[],
+        parts=[ColumnSet(array("q"), array("q"), [])],
+        merges=[False],
     )
 
 

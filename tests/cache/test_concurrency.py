@@ -13,6 +13,7 @@ Three first-touch / hot-path races the serving layer depends on:
 from __future__ import annotations
 
 import threading
+from array import array
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.cache.store import (
     set_default_cache,
 )
 from repro.core.aggregates import AGGREGATES, Aggregate, get_aggregate
+from repro.core.columns import ColumnSet
 from repro.core.parallel import _REGISTERED_TYPE_MEMO, registered_instance
 
 THREADS = 8
@@ -131,17 +133,15 @@ def _entry(rows: int = 8) -> CachedEntry:
         fingerprint=7,
         row_count=rows,
         windows=[(0, 0)],
-        shard_rows=[[(0, 0, 0)] * rows],
-        rows=[(0, 0, 0)] * rows,
+        parts=[ColumnSet(array("q", [0] * rows), array("q", [0] * rows), [0] * rows)],
+        merges=[False],
     )
 
 
 class TestStoreUnderContention:
     def test_mixed_hammer_keeps_accounting_consistent(self):
         probe = _entry()
-        cache = ShardResultCache(
-            4 * probe.node_count() * ShardResultCache().space.node_bytes
-        )
+        cache = ShardResultCache(4 * probe.charged_bytes)
         rounds = 200
 
         def hammer(index):
@@ -158,7 +158,7 @@ class TestStoreUnderContention:
         with cache.lock:
             live = cache.live_bytes
             entries = len(cache)
-        assert live == entries * probe.node_count() * cache.space.node_bytes
+        assert live == entries * probe.charged_bytes
         assert 0 <= live <= cache.budget_bytes
         assert cache.counters.cache_hits == THREADS * rounds
 
@@ -178,7 +178,7 @@ class TestStoreUnderContention:
         _fan_out(hammer)
         with cache.lock:
             probe = _entry()
-            expected = len(cache) * probe.node_count() * cache.space.node_bytes
+            expected = len(cache) * probe.charged_bytes
             assert cache.live_bytes == expected
 
     def test_concurrent_note_query_never_raises(self):

@@ -27,8 +27,7 @@ class TestMutationIsCaught:
         self, small_random_relation, invariant_checks
     ):
         cache, entry, sampled = warm_cache(small_random_relation)
-        start, end, value = entry.shard_rows[sampled][0]
-        entry.shard_rows[sampled][0] = (start, end, value + 1)
+        entry.parts[sampled].values[0] += 1
         with pytest.raises(InvariantViolation, match="diverged"):
             evaluate_cached(
                 small_random_relation, "count", shards=SHARDS, cache=cache
@@ -38,7 +37,8 @@ class TestMutationIsCaught:
         self, small_random_relation, invariant_checks
     ):
         cache, entry, sampled = warm_cache(small_random_relation)
-        del entry.shard_rows[sampled][0]
+        part = entry.parts[sampled]
+        del part.starts[0], part.ends[0], part.values[0]
         with pytest.raises(InvariantViolation, match="rows"):
             evaluate_cached(
                 small_random_relation, "count", shards=SHARDS, cache=cache
@@ -50,9 +50,14 @@ class TestMutationIsCaught:
         # Documents what the flag buys: without it a corrupted cache
         # serves the corrupt rows without complaint.
         cache, entry, sampled = warm_cache(small_random_relation)
-        start, end, value = entry.shard_rows[sampled][0]
-        entry.shard_rows[sampled][0] = (start, end, value + 1)
-        evaluate_cached(small_random_relation, "count", shards=SHARDS, cache=cache)
+        entry.parts[sampled].values[0] += 1
+        result = evaluate_cached(
+            small_random_relation, "count", shards=SHARDS, cache=cache
+        )
+        assert cache.counters.cache_hits == 1
+        assert result.rows != evaluate_cached(
+            small_random_relation, "count", shards=SHARDS
+        ).rows
 
 
 class TestHealthyCachePasses:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 import pytest
 
 from repro.cache.store import (
@@ -16,6 +19,7 @@ from repro.cache.store import (
     set_default_cache,
     shed_default_cache,
 )
+from repro.core.columns import ColumnSet
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import EMPLOYED_SCHEMA
 from repro.storage.heapfile import HeapFile
@@ -25,17 +29,20 @@ def make_key(uid: int = 1, aggregate: str = "count") -> CacheKey:
     return CacheKey(uid, aggregate, None, 4)
 
 
+def make_part(rows: int) -> ColumnSet:
+    return ColumnSet(array("q", [0] * rows), array("q", [0] * rows), [0] * rows)
+
+
 def make_entry(rows: int = 10, shards: int = 2) -> CachedEntry:
-    """An entry whose node model charges ``2 * rows`` nodes (shard rows
-    plus the same number of stitched rows)."""
+    """An entry of ``shards`` unmerged parts holding ``rows`` rows."""
     per_shard = rows // shards
     return CachedEntry(
         version=1,
         fingerprint=42,
         row_count=rows,
         windows=[(i, i) for i in range(shards)],
-        shard_rows=[[(0, 0, 0)] * per_shard for _ in range(shards)],
-        rows=[(0, 0, 0)] * rows,
+        parts=[make_part(per_shard) for _ in range(shards)],
+        merges=[False] * shards,
     )
 
 
@@ -58,15 +65,42 @@ class TestEntryLifecycle:
         assert key in cache
         assert len(cache) == 1
 
+    def test_columns_concatenate_the_parts_across_merged_seams(self):
+        entry = CachedEntry(
+            version=1,
+            fingerprint=42,
+            row_count=3,
+            windows=[(0, 14), (15, 40), (41, 50)],
+            parts=[
+                ColumnSet(array("q", [0]), array("q", [14]), [2]),
+                ColumnSet(array("q", [15, 31]), array("q", [30, 40]), [2, 3]),
+                ColumnSet(array("q", [41]), array("q", [50]), [4]),
+            ],
+            merges=[False, True, False],
+        )
+        starts, ends, values = entry.columns()
+        assert (list(starts), list(ends), values) == ([0, 31, 41], [30, 40, 50], [2, 3, 4])
+        assert len(entry) == 3
+        # Every hit gets fresh columns; the parts stay as they were.
+        assert entry.columns()[0] is not starts
+        assert list(entry.parts[0].ends) == [14]
+
     def test_lookup_miss_returns_none(self):
         cache = ShardResultCache()
         assert cache.lookup(make_key()) is None
 
-    def test_store_charges_the_node_model(self):
+    def test_store_charges_the_column_buffers(self):
         cache = ShardResultCache()
         entry = make_entry(rows=10)
         cache.store(make_key(), entry)
-        assert cache.live_bytes == entry.node_count() * cache.space.node_bytes
+        part = make_part(5)
+        per_part = (
+            sys.getsizeof(part.starts)
+            + sys.getsizeof(part.ends)
+            + sys.getsizeof(part.values)
+        )
+        assert entry.charged_bytes == 2 * per_part
+        assert cache.live_bytes == entry.charged_bytes
 
     def test_replacing_an_entry_frees_the_old_charge(self):
         cache = ShardResultCache()
@@ -75,7 +109,7 @@ class TestEntryLifecycle:
         small = make_entry(rows=10)
         cache.store(key, small)
         assert len(cache) == 1
-        assert cache.live_bytes == small.node_count() * cache.space.node_bytes
+        assert cache.live_bytes == small.charged_bytes
 
     def test_discard_is_idempotent(self):
         cache = ShardResultCache()
@@ -90,8 +124,7 @@ class TestEntryLifecycle:
 class TestBudgetAndEviction:
     def budget_for(self, entries: int, rows: int) -> int:
         """A budget that fits exactly ``entries`` entries of ``rows`` rows."""
-        probe = make_entry(rows=rows)
-        return entries * probe.node_count() * ShardResultCache().space.node_bytes
+        return entries * make_entry(rows=rows).charged_bytes
 
     def test_lru_eviction_past_the_budget(self):
         cache = ShardResultCache(self.budget_for(2, 10))
@@ -188,5 +221,6 @@ class TestDefaultCache:
     def test_shed_default_reports_released_bytes(self):
         cache = ShardResultCache()
         set_default_cache(cache)
-        cache.store(make_key(), make_entry(rows=10))
-        assert shed_default_cache() == 10 * 2 * cache.space.node_bytes
+        entry = make_entry(rows=10)
+        cache.store(make_key(), entry)
+        assert shed_default_cache() == entry.charged_bytes

@@ -1,13 +1,17 @@
 """Tests of the time-domain partitioning primitives."""
 
+from array import array
+
 import pytest
 
+from repro.core.columns import ColumnSet
 from repro.core.interval import FOREVER, ORIGIN
 from repro.core.partition import (
     available_workers,
     clip_triples,
     is_real_boundary,
     partition_triples,
+    seam_merges,
     shard_bounds,
     stitch_rows,
 )
@@ -73,6 +77,18 @@ class TestStitching:
     START_SET = {0, 10}
     END_SET = {9, 30}
 
+    def merges(self, parts):
+        """:func:`seam_merges` over the same parts in column layout."""
+        columns = [
+            ColumnSet(
+                array("q", [row[0] for row in rows]),
+                array("q", [row[1] for row in rows]),
+                [row[2] for row in rows],
+            )
+            for rows in parts
+        ]
+        return seam_merges(columns, sorted(self.START_SET), sorted(self.END_SET))
+
     def test_real_boundary_detection(self):
         assert is_real_boundary(10, self.START_SET, self.END_SET)
         assert is_real_boundary(10, set(), {9})  # ends at cut-1
@@ -81,6 +97,7 @@ class TestStitching:
     def test_artificial_seam_with_equal_values_merges(self):
         parts = [[(0, 14, 2)], [(15, 30, 2)]]
         assert stitch_rows(parts, self.START_SET, self.END_SET) == [(0, 30, 2)]
+        assert self.merges(parts) == [False, True]
 
     def test_real_seam_stays_split_even_when_values_agree(self):
         parts = [[(0, 9, 2)], [(10, 30, 2)]]
@@ -88,6 +105,7 @@ class TestStitching:
             (0, 9, 2),
             (10, 30, 2),
         ]
+        assert self.merges(parts) == [False, False]
 
     def test_artificial_seam_with_unequal_values_stays_split(self):
         parts = [[(0, 14, 2)], [(15, 30, 3)]]
@@ -95,10 +113,12 @@ class TestStitching:
             (0, 14, 2),
             (15, 30, 3),
         ]
+        assert self.merges(parts) == [False, False]
 
     def test_empty_parts_are_skipped(self):
         parts = [[(0, 14, 1)], [], [(15, 30, 1)]]
         assert stitch_rows(parts, self.START_SET, self.END_SET) == [(0, 30, 1)]
+        assert self.merges(parts) == [False, False, True]
 
 
 class TestWorkers:

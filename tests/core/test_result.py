@@ -1,5 +1,7 @@
 """Tests for constant-interval results and their invariants."""
 
+from array import array
+
 import pytest
 
 from repro.core.interval import FOREVER, Interval
@@ -74,6 +76,27 @@ class TestValueAt:
             sparse.value_at(4)
         with pytest.raises(KeyError):
             sparse.value_at(10)
+
+    def test_lookups_share_one_start_column(self, table1_like):
+        # The columns are built once; each lookup bisects them.
+        columns = table1_like.columns()
+        for instant in range(30):
+            table1_like.value_at(instant)
+        assert table1_like.columns() is columns
+        assert list(columns[0]) == [0, 7, 8, 13, 18, 21, 22]
+
+
+class TestColumnLayout:
+    def test_column_backed_result_matches_its_rows(self, table1_like):
+        starts, ends, values = table1_like.columns()
+        backed = TemporalAggregateResult.from_columns(
+            array("q", starts), array("q", ends), list(values)
+        )
+        assert len(backed) == 7
+        assert backed.value_at(19) == 3
+        assert backed == table1_like
+        assert backed.rows == table1_like.rows
+        assert all(type(row) is ConstantInterval for row in backed)
 
 
 class TestCoalesceValues:
