@@ -177,8 +177,11 @@ class AggregationTreeEvaluator(Evaluator):
         aggregate = self.aggregate
         counters = self.counters
         rows: List[ConstantInterval] = []
-        root = self.root if self.root is not None else self._new_root()
-        stack: List[tuple] = [(root, aggregate.identity())]
+        if self.root is None:
+            # An empty input still has one constant interval; keep the
+            # root so the structure matches the space it was charged.
+            self.root = self._new_root()
+        stack: List[tuple] = [(self.root, aggregate.identity())]
         while stack:
             node, inherited = stack.pop()
             state = aggregate.merge(inherited, node.state)

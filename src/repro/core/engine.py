@@ -199,6 +199,7 @@ def temporal_aggregate(
     counters: Optional[OperationCounters] = None,
     space: Optional[SpaceTracker] = None,
     explain: bool = False,
+    use_cache: bool = True,
 ) -> "TemporalAggregateResult | tuple[TemporalAggregateResult, PlannerDecision]":
     """Compute a temporal aggregate over a relation, grouped by instant.
 
@@ -236,6 +237,11 @@ def temporal_aggregate(
     explain:
         When true, also return the :class:`PlannerDecision` (a
         synthesised one when ``strategy`` was given explicitly).
+    use_cache:
+        Whether the shard-result cache may serve and fill this call.
+        False skips repeat detection (so the planner never picks
+        ``cached_sweep``) and runs an explicit ``cached_sweep``
+        uncached: nothing reads or fills the cache.
 
     Returns the result, or ``(result, decision)`` with ``explain``.
     """
@@ -256,7 +262,11 @@ def temporal_aggregate(
         # carrying the cache protocol (and registry aggregates, which
         # are what cache entries key on) participate.
         repeat_observed = False
-        if cacheable_relation(relation) and registered_instance(aggregate):
+        if (
+            use_cache
+            and cacheable_relation(relation)
+            and registered_instance(aggregate)
+        ):
             repeat_observed = default_cache().note_query(
                 relation.uid, aggregate.name, attribute
             )
@@ -312,8 +322,11 @@ def temporal_aggregate(
                 f"{trip.observed_bytes} against the {trip.budget_bytes}-byte "
                 "budget)",
             )
-    else:
+    elif use_cache or type(evaluator) is not CachedSweepEvaluator:
         result = evaluator.evaluate_relation(target, attribute)
+    else:
+        # Over raw triples the cached sweep is the plain columnar sweep.
+        result = evaluator.evaluate(target.scan_triples(attribute))
     if _invariants.invariants_enabled():
         # Relations re-scan deterministically, so the verifier gets an
         # independent copy of exactly the triples the evaluator saw.

@@ -429,9 +429,9 @@ class QueryServer:
             strategy_override=(
                 "paged_tree" if level >= DegradationLevel.FORCE_PAGED else None
             ),
-            # Rung 1 already shed the shared cache; stop re-filling it
-            # until load returns to normal.
-            prefer_cache=(level is DegradationLevel.NORMAL),
+            # Rung 1 already shed the shared cache; neither read nor
+            # re-fill it until load returns to normal.
+            use_cache=(level is DegradationLevel.NORMAL),
         )
 
     def _debug_delay(self) -> None:

@@ -4,12 +4,17 @@ The executor glues the query language to the evaluation engine:
 
 1. parse the query text;
 2. semantic checks (table and attributes exist, bare select columns
-   are grouped, span grouping has a bounded window);
-3. apply the WHERE qualification in one pass over the relation;
-4. evaluate every aggregate call with the hinted algorithm — or let
-   the Section 6.3 planner choose — and line up the per-aggregate
-   results (all aggregates over the same tuples share the same
-   constant intervals, so lining them up is sound);
+   are grouped, span grouping has a bounded window, hinted algorithms
+   are known);
+3. pick the statement's one source relation: the registered relation
+   itself, or one relation of the rows the WHERE qualification keeps
+   (GROUP BY builds one per partition);
+4. evaluate every aggregate call through
+   :func:`~repro.core.engine.temporal_aggregate` with the hinted
+   algorithm — or the Section 6.3 planner's choice for that aggregate
+   — and line up the per-aggregate results (all aggregates over the
+   same tuples share the same constant intervals, so lining them up
+   is sound);
 5. shape the select items and HAVING column by column — compiled once
    per statement (:class:`_Shaper`) — into a :class:`QueryResult`
    table with the valid time exposed as ``valid_start`` /
@@ -24,15 +29,13 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.store import cacheable_relation
 from repro.core.base import coerce_aggregate
-from repro.core.engine import STRATEGIES, make_evaluator, temporal_aggregate
+from repro.core.engine import STRATEGIES, temporal_aggregate
 from repro.core.interval import FOREVER, Interval, format_instant
 from repro.core.calendar import CalendarError, calendar_span_aggregate
 from repro.core.planner import PlannerDecision, choose_strategy
 from repro.core.result import TemporalAggregateResult
 from repro.core.span_grouping import span_aggregate
-from repro.exec.budget import MemoryGuard, evaluate_with_degradation
 from repro.exec.deadline import Deadline
 from repro.relation.relation import TemporalRelation
 from repro.tsql2.ast import (
@@ -85,44 +88,52 @@ class StatementLimits:
 
     * ``deadline`` — one already-started wall-clock budget shared by
       every aggregate call the statement makes.
-    * ``memory_budget_bytes`` — run-time memory bound; an
-      aggregation-tree build that crosses it degrades to the spilling
-      paged tree instead of OOMing.
+    * ``memory_budget_bytes`` — consulted by the planner and enforced
+      at run time: an aggregation-tree build that crosses it degrades
+      to the spilling paged tree instead of OOMing.
     * ``strategy_override`` — forces every call onto one strategy
       (the overload ladder downgrades statements to ``paged_tree``
       this way); wins over USING ALGORITHM hints.
-    * ``prefer_cache`` — route unfiltered instant queries through the
-      full engine (``temporal_aggregate``), which serves them from the
-      shard-result cache when the relation carries the cache protocol.
+    * ``use_cache`` — whether the shard-result cache may serve and
+      fill the statement (``temporal_aggregate``'s keyword of the same
+      name).  Only unfiltered instant statements ever use it: WHERE
+      and GROUP BY statements evaluate fresh relations no later
+      statement can hit.  The server clears it from the SHED_CACHE
+      rung up, so a shed cache stays empty until load is back to
+      normal.
     """
 
     deadline: Optional[Deadline] = None
     memory_budget_bytes: Optional[int] = None
     strategy_override: Optional[str] = None
-    prefer_cache: bool = False
+    use_cache: bool = True
 
-    @classmethod
-    def from_options(
-        cls,
-        deadline_ms: Optional[float] = None,
-        memory_budget_bytes: Optional[int] = None,
-        strategy_override: Optional[str] = None,
-        prefer_cache: bool = False,
-    ) -> "Optional[StatementLimits]":
-        """Build limits from plain options; None when nothing is set."""
-        if (
-            deadline_ms is None
-            and memory_budget_bytes is None
-            and strategy_override is None
-            and not prefer_cache
-        ):
-            return None
-        return cls(
-            deadline=Deadline.after_ms(deadline_ms),
-            memory_budget_bytes=memory_budget_bytes,
-            strategy_override=strategy_override,
-            prefer_cache=prefer_cache,
-        )
+
+def _known_strategy(name: str, what: str) -> str:
+    """``name`` resolved through the aliases to a registered strategy."""
+    strategy = _STRATEGY_ALIASES.get(name, name)
+    if strategy not in STRATEGIES:
+        known = ", ".join(sorted(STRATEGIES))
+        raise TSQL2SemanticError(f"unknown {what} {name!r}; known: {known}")
+    return strategy
+
+
+def _strategy(query: Query, limits: StatementLimits) -> Tuple[str, Optional[int]]:
+    """The statement's ``(strategy, k)`` for every aggregate call.
+
+    The limits' ``strategy_override`` (the overload ladder's, which
+    wins over hints), else the USING ALGORITHM hint, else ``"auto"``
+    for the Section 6.3 planner; ``k`` only for the k-ordered tree.
+    Both names are checked, so a bad hint is an error at any load.
+    """
+    strategy, k = "auto", None
+    if query.hint is not None:
+        strategy = _known_strategy(query.hint.strategy, "algorithm")
+        k = query.hint.k
+    if limits.strategy_override is not None:
+        strategy = _known_strategy(limits.strategy_override, "override strategy")
+        k = None
+    return strategy, k if strategy == "kordered_tree" else None
 
 
 class QueryResult:
@@ -356,7 +367,6 @@ class Database:
         deadline_ms: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
         strategy_override: Optional[str] = None,
-        prefer_cache: bool = False,
     ) -> QueryResult:
         """Parse and run one query.
 
@@ -364,62 +374,79 @@ class Database:
         empty (None, or 0 for COUNT) — TSQL2's presentation of Table 1.
 
         ``limits`` (or the equivalent plain options ``deadline_ms``,
-        ``memory_budget_bytes``, ``strategy_override``,
-        ``prefer_cache``) bound and route this one statement — see
-        :class:`StatementLimits`.  A tripped deadline raises
+        ``memory_budget_bytes``, ``strategy_override``) bound and
+        route this one statement — see :class:`StatementLimits`.  A
+        tripped deadline raises
         :class:`~repro.exec.errors.DeadlineExceeded`; a tripped memory
         budget degrades tree builds to the spilling paged tree.
         """
         if limits is None:
-            limits = StatementLimits.from_options(
-                deadline_ms=deadline_ms,
+            limits = StatementLimits(
+                deadline=Deadline.after_ms(deadline_ms),
                 memory_budget_bytes=memory_budget_bytes,
                 strategy_override=strategy_override,
-                prefer_cache=prefer_cache,
             )
         query = parse(text)
         relation = self.relation(query.table)
         self._check_semantics(query, relation)
-        if limits is not None and limits.strategy_override is not None:
-            override = _STRATEGY_ALIASES.get(
-                limits.strategy_override, limits.strategy_override
+        strategy, k = _strategy(query, limits)
+        source = relation
+        if query.where:
+            source = TemporalRelation(
+                relation.schema,
+                self._apply_where(query, relation),
+                name="qualifying",
             )
-            if override not in STRATEGIES:
-                known = ", ".join(sorted(STRATEGIES))
-                raise TSQL2SemanticError(
-                    f"unknown override strategy {override!r}; known: {known}"
-                )
-        filtered = self._apply_where(query, relation)
 
         if query.explain:
-            return self._explain(query, relation, filtered)
+            return self._explain(query, source, strategy, k, limits)
 
         shaper = _Shaper(query, keep_empty)
         if query.group_by.kind == "span":
-            return self._execute_span(query, relation, filtered, shaper, limits)
+            return self._execute_span(query, source, shaper, limits)
         if query.group_by.attributes:
-            return self._execute_grouped(query, relation, filtered, shaper, limits)
-        return self._execute_instant(query, relation, filtered, shaper, limits)
+            return self._execute_grouped(query, source, shaper, strategy, k, limits)
+        # A qualifying relation is new every statement: caching it
+        # would only churn the repeat set and store unhittable entries.
+        results = self._aggregate(
+            query, source, strategy, k, limits, use_cache=not query.where
+        )
+        return QueryResult(shaper.columns, shaper.shape(results))
 
     # ------------------------------------------------------------------
     # EXPLAIN
     # ------------------------------------------------------------------
 
     def _explain(
-        self, query: Query, relation: TemporalRelation, rows: List
+        self,
+        query: Query,
+        source: TemporalRelation,
+        strategy: str,
+        k: Optional[int],
+        limits: StatementLimits,
     ) -> QueryResult:
-        """The Section 6.3 plan for the query, without executing it."""
-        working = TemporalRelation(relation.schema, rows, name="qualifying")
-        statistics = working.statistics()
-        if query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(query.hint.strategy, query.hint.strategy)
-            decision = PlannerDecision(
-                strategy=strategy,
-                k=query.hint.k,
-                reason="strategy forced by USING ALGORITHM hint",
+        """The plan of the statement's first aggregate call, without
+        executing it: the Section 6.3 planner's choice for that
+        aggregate under the statement's memory budget, or the forced
+        strategy.  It is the plan of a first run; a repeat of an
+        unfiltered statement over a large relation is licensed onto
+        ``cached_sweep`` by the engine's repeat detection."""
+        statistics = source.statistics()
+        if strategy == "auto":
+            decision = choose_strategy(
+                statistics,
+                aggregate=coerce_aggregate(query.aggregate_calls()[0].function),
+                memory_budget_bytes=limits.memory_budget_bytes,
             )
         else:
-            decision = choose_strategy(statistics)
+            forced_by = (
+                "the statement's strategy override"
+                if limits.strategy_override is not None
+                else "USING ALGORITHM hint"
+            )
+            decision = PlannerDecision(
+                strategy=strategy, k=k, reason=f"strategy forced by {forced_by}"
+            )
         table = [
             ("strategy", decision.strategy),
             ("k", decision.k if decision.k is not None else ""),
@@ -475,15 +502,9 @@ class Database:
                     f"WHERE attribute {condition.attribute!r} is not an "
                     f"attribute of {query.table!r}"
                 )
-        if query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(query.hint.strategy, query.hint.strategy)
-            if strategy not in STRATEGIES:
-                known = ", ".join(sorted(STRATEGIES))
-                raise TSQL2SemanticError(
-                    f"unknown algorithm {query.hint.strategy!r}; known: {known}"
-                )
 
     def _apply_where(self, query: Query, relation: TemporalRelation) -> List:
+        """The rows of ``relation`` the WHERE qualification keeps."""
         rows = list(relation.scan())
         for condition in query.where:
             if isinstance(condition, ValidOverlaps):
@@ -503,137 +524,50 @@ class Database:
         return rows
 
     # ------------------------------------------------------------------
-    # Evaluation paths
+    # Evaluation
     # ------------------------------------------------------------------
 
-    def _resolve_strategy(
+    def _aggregate(
         self,
         query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        limits: Optional[StatementLimits] = None,
-    ) -> Tuple[str, Optional[int]]:
-        if limits is not None and limits.strategy_override is not None:
-            # The overload-degradation ladder (and any other caller
-            # bounding a statement) wins over per-query hints.
-            override = _STRATEGY_ALIASES.get(
-                limits.strategy_override, limits.strategy_override
-            )
-            return override, None
-        if query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(query.hint.strategy, query.hint.strategy)
-            return strategy, query.hint.k
-        working = TemporalRelation(relation.schema, rows, name="filtered")
-        decision = choose_strategy(working.statistics())
-        # The executor evaluates in memory, so a sort-first plan reduces
-        # to sorting the working rows before evaluation.
-        if decision.sort_first:
-            rows.sort(key=lambda row: (row.start, row.end))
-        return decision.strategy, decision.k
-
-    def _evaluate_calls(
-        self,
-        query: Query,
-        relation: TemporalRelation,
-        rows: List,
+        source: TemporalRelation,
         strategy: str,
         k: Optional[int],
-        limits: Optional[StatementLimits] = None,
+        limits: StatementLimits,
+        use_cache: bool,
     ) -> Dict[AggregateCall, TemporalAggregateResult]:
-        """One TemporalAggregateResult per distinct aggregate call."""
-        deadline = limits.deadline if limits is not None else None
-        budget = limits.memory_budget_bytes if limits is not None else None
+        """One :func:`temporal_aggregate` call per distinct aggregate
+        call over ``source`` — the statement's only evaluation path."""
+        deadline = limits.deadline
         results: Dict[AggregateCall, TemporalAggregateResult] = {}
         for call in query.aggregate_calls():
             if deadline is not None:
                 deadline.check(aggregate=call.label())
-            extractor = relation.value_extractor(call.argument)
-            triples = [(row.start, row.end, extractor(row)) for row in rows]
-            evaluator = make_evaluator(
-                strategy,
-                call.function,
-                k=k if strategy == "kordered_tree" else None,
-                deadline=deadline,
-            )
-            if budget is not None and strategy == "aggregation_tree":
-                guard = MemoryGuard(budget, evaluator.space)
-                results[call], _trip = evaluate_with_degradation(
-                    evaluator, triples, guard, deadline=deadline
-                )
-            else:
-                results[call] = evaluator.evaluate(triples)
-        return results
-
-    def _execute_instant(
-        self,
-        query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        shaper: _Shaper,
-        limits: Optional[StatementLimits] = None,
-    ) -> QueryResult:
-        results = self._engine_results(query, relation, rows, limits)
-        if results is None:
-            strategy, k = self._resolve_strategy(query, relation, rows, limits)
-            results = self._evaluate_calls(query, relation, rows, strategy, k, limits)
-        return QueryResult(shaper.columns, shaper.shape(results))
-
-    def _engine_results(
-        self,
-        query: Query,
-        relation: TemporalRelation,
-        rows: List,
-        limits: Optional[StatementLimits],
-    ) -> Optional[Dict[AggregateCall, TemporalAggregateResult]]:
-        """Cache-eligible fast path: route whole-relation instant queries
-        through :func:`temporal_aggregate` so the shard-result cache (and
-        append-delta maintenance) can serve them.
-
-        Only taken when the caller opted in (``limits.prefer_cache``) and
-        the query covers the relation unfiltered — a WHERE-qualified row
-        subset has no stable identity for cache keys.  Returns None when
-        ineligible, deferring to the per-statement evaluator path.
-        """
-        if limits is None or not limits.prefer_cache:
-            return None
-        if query.where or not cacheable_relation(relation):
-            return None
-        if len(rows) != len(relation):
-            return None
-        if limits.strategy_override is not None:
-            strategy = _STRATEGY_ALIASES.get(
-                limits.strategy_override, limits.strategy_override
-            )
-        elif query.hint is not None:
-            strategy = _STRATEGY_ALIASES.get(
-                query.hint.strategy, query.hint.strategy
-            )
-        else:
-            strategy = "auto"
-        results: Dict[AggregateCall, TemporalAggregateResult] = {}
-        for call in query.aggregate_calls():
             results[call] = temporal_aggregate(
-                relation,
+                source,
                 call.function,
                 call.argument,
                 strategy=strategy,
+                k=k,
                 memory_budget_bytes=limits.memory_budget_bytes,
-                deadline_ms=limits.deadline,
+                deadline_ms=deadline,
+                use_cache=use_cache and limits.use_cache,
             )
         return results
 
     def _execute_grouped(
         self,
         query: Query,
-        relation: TemporalRelation,
-        rows: List,
+        source: TemporalRelation,
         shaper: _Shaper,
-        limits: Optional[StatementLimits] = None,
+        strategy: str,
+        k: Optional[int],
+        limits: StatementLimits,
     ) -> QueryResult:
-        schema = relation.schema
+        schema = source.schema
         positions = [schema.position_of(name) for name in query.group_by.attributes]
         partitions: Dict[Tuple, List] = {}
-        for row in rows:
+        for row in source.scan():
             key = tuple(row.values[p] for p in positions)
             partitions.setdefault(key, []).append(row)
 
@@ -644,12 +578,12 @@ class Database:
             + [[] for _ in shaper.items]
         )
         for key in sorted(partitions, key=repr):
-            group_rows = partitions[key]
-            strategy, k = self._resolve_strategy(query, relation, group_rows, limits)
-            results = self._evaluate_calls(
-                query, relation, group_rows, strategy, k, limits
+            # Each partition is a new relation, planned on its own and
+            # evaluated uncached like a qualifying relation.
+            group = TemporalRelation(schema, partitions[key], name="group")
+            shaped = shaper.shape(
+                self._aggregate(query, group, strategy, k, limits, use_cache=False)
             )
-            shaped = shaper.shape(results)
             count = len(shaped[0])
             for slot, value in enumerate(key):
                 data[slot].extend(repeat(value, count))
@@ -660,35 +594,32 @@ class Database:
     def _execute_span(
         self,
         query: Query,
-        relation: TemporalRelation,
-        rows: List,
+        source: TemporalRelation,
         shaper: _Shaper,
-        limits: Optional[StatementLimits] = None,
+        limits: StatementLimits,
     ) -> QueryResult:
         group_by = query.group_by
         if group_by.window is not None:
             window = Interval(*group_by.window)
         else:
-            if not rows:
+            lifespan = source.lifespan
+            if lifespan is None:
                 raise TSQL2SemanticError(
                     "span grouping over an empty qualification needs an "
                     "explicit window: GROUP BY SPAN n [a, b]"
                 )
-            start = min(row.start for row in rows)
-            end = max(row.end for row in rows)
-            if end >= FOREVER:
+            if lifespan.end >= FOREVER:
                 raise TSQL2SemanticError(
                     "span grouping needs a bounded window; the relation "
                     "extends to FOREVER — use GROUP BY SPAN n [a, b]"
                 )
-            window = Interval(start, end)
+            window = lifespan
 
         results: Dict[AggregateCall, TemporalAggregateResult] = {}
         for call in query.aggregate_calls():
-            if limits is not None and limits.deadline is not None:
+            if limits.deadline is not None:
                 limits.deadline.check(aggregate=call.label())
-            extractor = relation.value_extractor(call.argument)
-            triples = [(row.start, row.end, extractor(row)) for row in rows]
+            triples = source.scan_triples(call.argument)
             if group_by.unit is not None:
                 try:
                     results[call] = calendar_span_aggregate(

@@ -18,8 +18,9 @@ Meta-commands (backslash-prefixed):
 ``\\tables``               list registered relations
 ``\\schema NAME``          show a relation's attributes and statistics
 ``\\seed``                 register the paper's Employed example
-``\\plan QUERY``           show the Section 6.3 planner decision for QUERY's
-                          underlying relation (without running it)
+``\\plan QUERY``           show the strategy and reason ``EXPLAIN QUERY``
+                          reports under the session limits (without
+                          running it)
 ``\\time QUERY``           run QUERY and report the elapsed time
 ``\\deadline [MS]``         set (or show) the session's per-statement
                           deadline in milliseconds; ``off`` clears it
@@ -46,12 +47,10 @@ import sys
 import time
 from typing import Iterable, Optional, TextIO
 
-from repro.core.planner import choose_strategy
 from repro.exec.errors import TemporalAggregateError, recovery_hint
 from repro.relation.io import QuarantineReport, RelationIOError, read_csv, write_csv
-from repro.tsql2.executor import Database, TSQL2SemanticError
+from repro.tsql2.executor import Database, QueryResult, TSQL2SemanticError
 from repro.tsql2.lexer import TSQL2SyntaxError
-from repro.tsql2.parser import parse
 
 __all__ = ["Shell", "diagnose", "main", "recovery_hint"]
 
@@ -166,10 +165,8 @@ class Shell:
             if not query_text:
                 self._print("usage: \\plan QUERY")
                 return
-            query = parse(query_text)
-            relation = self.database.relation(query.table)
-            decision = choose_strategy(relation.statistics())
-            self._print(decision.describe())
+            plan = dict(self._execute(f"EXPLAIN {query_text}").rows)
+            self._print(f"{plan['strategy']} — {plan['reason']}")
         elif command == "deadline":
             self._set_limit("deadline", arguments)
         elif command == "budget":
@@ -180,11 +177,7 @@ class Shell:
                 self._print("usage: \\time QUERY")
                 return
             started = time.perf_counter()
-            result = self.database.execute(
-                query_text,
-                deadline_ms=self.deadline_ms,
-                memory_budget_bytes=self.memory_budget_bytes,
-            )
+            result = self._execute(query_text)
             elapsed = time.perf_counter() - started
             self._print(result.pretty())
             self._print(f"({len(result)} rows in {elapsed:.4f}s)")
@@ -229,12 +222,16 @@ class Shell:
         shown = "off" if value is None else f"{value:g} {unit}"
         self._print(f"{which} set to {shown} (per statement)")
 
-    def _query(self, line: str) -> None:
-        result = self.database.execute(
-            line,
+    def _execute(self, text: str) -> QueryResult:
+        """Run one statement under the session's limits."""
+        return self.database.execute(
+            text,
             deadline_ms=self.deadline_ms,
             memory_budget_bytes=self.memory_budget_bytes,
         )
+
+    def _query(self, line: str) -> None:
+        result = self._execute(line)
         self._print(result.pretty())
         self._print(f"({len(result)} rows)")
 

@@ -21,6 +21,8 @@ from repro.core.kordered_tree import KOrderedTreeEvaluator
 from repro.core.paged_tree import PagedAggregationTreeEvaluator
 from repro.core.reference import ReferenceEvaluator
 from repro.core.result import ConstantInterval, TemporalAggregateResult
+from repro.relation.relation import TemporalRelation
+from repro.relation.schema import EMPLOYED_SCHEMA
 from tests.conftest import random_triples
 
 TRIPLES = random_triples(seed=5, n=120, max_instant=200)
@@ -219,6 +221,22 @@ class TestEngineHook:
         for strategy in ("aggregation_tree", "sweep", "two_pass"):
             result = temporal_aggregate(employed, "count", strategy=strategy)
             assert result.rows
+
+    @pytest.mark.parametrize(
+        "strategy",
+        ["auto", "aggregation_tree", "kordered_tree", "balanced_tree", "paged_tree"],
+    )
+    def test_empty_relation_passes_under_checking(self, invariant_checks, strategy):
+        """An empty input is one all-identity constant interval, and
+        the tree that produced it is charged exactly the space it
+        holds."""
+        empty = TemporalRelation(EMPLOYED_SCHEMA, name="empty")
+        for function in ("count", "sum", "min", "max", "avg"):
+            attribute = None if function == "count" else "salary"
+            result = temporal_aggregate(
+                empty, function, attribute, strategy=strategy
+            )
+            assert result.rows == rows_of([], function)
 
     def test_streaming_input_still_streams(self, invariant_checks):
         """The verifier's input recording must not pre-materialise."""

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.cache.store import default_cache
 from repro.exec.errors import DeadlineExceeded, ServerOverloaded
 from repro.serve import QueryClient, RemoteQueryError
 from repro.serve.protocol import recv_frame, send_frame
@@ -279,6 +280,38 @@ class TestAdmissionOverTheWire:
                 reply = client.query(COUNT)
                 assert reply.degraded == 0
                 assert [tuple(r) for r in reply.rows] == serial_rows(64, COUNT)
+
+
+class TestCacheLadder:
+    """From SHED_CACHE up a statement neither reads nor refills the
+    shared result cache; at NORMAL a repeated statement is a hit."""
+
+    def sends(self, **config):
+        with serve(make_relation(4096), **config) as runner:
+            with QueryClient(runner.host, runner.port) as client:
+                replies = [client.query(COUNT) for _ in range(3)]
+        assert all(
+            [tuple(r) for r in reply.rows] == serial_rows(4096, COUNT)
+            for reply in replies
+        )
+        return [reply.degraded for reply in replies], default_cache()
+
+    def test_shed_cache_statements_leave_the_cache_alone(self):
+        # One worker: a lone statement is judged at load 1.0.
+        levels, cache = self.sends(workers=1, shed_load=0.5)
+        assert levels == [1, 1, 1]
+        assert cache.counters.cache_hits == 0
+        assert cache.counters.cache_misses == 0
+        assert len(cache) == 0
+
+    def test_normal_statements_hit_on_the_third_send(self):
+        levels, cache = self.sends()
+        assert levels == [0, 0, 0]
+        # First send: a new signature; second: repeat -> miss + store;
+        # third: pure hit.
+        assert cache.counters.cache_misses == 1
+        assert cache.counters.cache_hits == 1
+        assert len(cache) == 1
 
 
 class TestFairness:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import temporal_aggregate
 from repro.tsql2.executor import Database
 from repro.tsql2.parser import parse
 from repro.workload.employed import employed_relation
@@ -84,3 +85,34 @@ class TestExecution:
             )
         )
         assert plan["aggregate calls"] == 2
+
+
+class TestPlanMatchesEngine:
+    """EXPLAIN reports the plan ``temporal_aggregate`` runs: the
+    planner sees the first call's aggregate (MIN is not invertible, so
+    it never gets the sweep strategies COUNT gets)."""
+
+    @pytest.mark.parametrize(
+        "function, argument", [("MIN", "salary"), ("COUNT", "name")]
+    )
+    def test_strategy_matches_temporal_aggregate(
+        self, db, monkeypatch, function, argument
+    ):
+        monkeypatch.setattr("repro.core.planner.PARALLEL_MIN_TUPLES", 128)
+        plan = plan_of(
+            db.execute(f"EXPLAIN SELECT {function}({argument}) FROM Big")
+        )
+        _result, decision = temporal_aggregate(
+            db.relation("Big"), function.lower(), argument, explain=True
+        )
+        assert plan["strategy"] == decision.strategy
+
+    def test_override_wins_over_the_hint(self, db):
+        plan = plan_of(
+            db.execute(
+                "EXPLAIN SELECT COUNT(name) FROM Big USING ALGORITHM tree",
+                strategy_override="paged_tree",
+            )
+        )
+        assert plan["strategy"] == "paged_tree"
+        assert "override" in plan["reason"]

@@ -11,10 +11,10 @@ COUNT or literal, HAVING with every comparator, ``keep_empty`` both
 ways, instant, attribute and span grouping — ``Database.execute`` must
 return the same column names and rows.
 
-Each statement runs three times: uncached, then twice routed through
-the shard-result cache (``prefer_cache`` with the ``cached_sweep``
-strategy, since the planner only picks the cache on large relations),
-so both a miss and a column-backed pure hit get shaped.
+Each statement runs three times: planned, then twice forced onto the
+shard-result cache (a ``cached_sweep`` strategy override, since the
+planner only picks the cache on large relations), so both a miss and
+a column-backed pure hit get shaped.
 """
 
 import operator
@@ -256,7 +256,6 @@ def test_shaper_matches_the_per_row_interpreter(rows, text, keep_empty):
         got = database.execute(
             text,
             keep_empty=keep_empty,
-            prefer_cache=True,
             strategy_override="cached_sweep",
         )
         assert got.columns == want_columns

@@ -41,6 +41,13 @@ class TestMetaCommands:
         out, _ = run_shell("\\seed", "\\plan SELECT COUNT(Name) FROM Employed")
         assert "aggregation_tree" in out
 
+    def test_plan_is_what_explain_reports(self):
+        out, _ = run_shell(
+            "\\seed",
+            "\\plan SELECT COUNT(Name) FROM Employed USING ALGORITHM list",
+        )
+        assert "linked_list — strategy forced by USING ALGORITHM hint" in out
+
     def test_time(self):
         out, _ = run_shell("\\seed", "\\time SELECT COUNT(Name) FROM Employed")
         assert "7 rows in" in out
