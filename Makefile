@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-invariants test-races bench figures figures-full examples lint scrub serve bench-serving bench-pool bench-replication chaos clean
+.PHONY: install test test-invariants test-races bench figures figures-full examples lint scrub serve bench-serving bench-pool bench-replication bench-planner chaos clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -58,6 +58,12 @@ bench-serving:
 # grid -> results/BENCH_pool.json (--workers/--clients to resize)
 bench-pool:
 	REPRO_BENCH_MAX_TUPLES=65536 PYTHONPATH=src $(PYTHON) -m repro.bench pool --csv-dir results
+
+# Every plan the planner can pick, timed over the 1K..64K grid
+# -> results/BENCH_planner.json (the table tests/core/test_planner_table.py
+# checks the planner against)
+bench-planner:
+	REPRO_BENCH_MAX_TUPLES=65536 PYTHONPATH=src $(PYTHON) -m repro.bench planner --csv-dir results
 
 # Shipping overhead, catch-up, failover and read scaling
 # -> results/BENCH_replication.json

@@ -298,7 +298,8 @@ def verify_cached_shards(
     if not triples:
         return
     starts, ends, values = zip(*triples)
-    expected, _events = window_rows(starts, ends, values, aggregate, lo, hi)
+    answer, _events = window_rows(starts, ends, values, aggregate, lo, hi)
+    expected = list(zip(*answer))
     part = parts[index]
     cached = list(zip(part.starts, part.ends, part.values))
     if len(cached) != len(expected):

@@ -252,6 +252,27 @@ def _write_replication_json(reports, csv_dir) -> str:
     return path
 
 
+def _write_planner_json(reports, csv_dir) -> str:
+    """Machine-readable artifact for the ``planner`` driver.
+
+    Every grid cell's statistics, per-plan medians, pick and regret,
+    under the host header, so the tier-1 planner test can replay the
+    planner over the recorded statistics.
+    """
+    from repro.bench.planner import PLANNER_DETAIL, host_header
+
+    payload = {
+        "generated_by": "python -m repro.bench planner",
+        "host": host_header(),
+        **PLANNER_DETAIL,
+    }
+    path = os.path.join(csv_dir or ".", "BENCH_planner.json")
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1)
+        handle.write("\n")
+    return path
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -364,6 +385,9 @@ def main(argv=None) -> int:
             print(f"[wrote {path}]", file=sys.stderr)
         elif name == "replication":
             path = _write_replication_json(reports, args.csv_dir)
+            print(f"[wrote {path}]", file=sys.stderr)
+        elif name == "planner":
+            path = _write_planner_json(reports, args.csv_dir)
             print(f"[wrote {path}]", file=sys.stderr)
         print(f"[{name} completed in {elapsed:.1f}s]", file=sys.stderr)
     return 0

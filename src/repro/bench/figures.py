@@ -949,6 +949,7 @@ def durability(
     return [throughput, recovery]
 
 
+from repro.bench.planner import planner  # noqa: E402  (registry import)
 from repro.bench.pool import pool  # noqa: E402  (registry import)
 from repro.bench.replication import replication  # noqa: E402  (registry import)
 from repro.bench.serving import serving  # noqa: E402  (registry import)
@@ -969,6 +970,7 @@ DRIVERS: Dict[str, Callable[..., List[Report]]] = {
     "columnar": columnar,
     "cache": cache,
     "durability": durability,
+    "planner": planner,
     "serving": serving,
     "pool": pool,
     "replication": replication,

@@ -21,10 +21,11 @@ watermark, chained fingerprint — see
 
 All three paths emit the same rows the uncached evaluators produce:
 the per-window kernel is shared with ``parallel_sweep``
-(:func:`repro.core.columnar_sweep.window_rows`) and stitching heals
-exactly the artificial seams.  Uncacheable inputs — relations without
-the protocol, unregistered aggregate instances, empty relations — fall
-through to the plain columnar sweep.
+(:func:`repro.core.columnar_sweep.window_rows`, whose answer columns
+become the cache parts) and stitching heals exactly the artificial
+seams.  Uncacheable inputs — relations without the protocol,
+unregistered aggregate instances, empty relations — fall through to
+the plain columnar sweep.
 
 ``REPRO_CHECK_INVARIANTS=1`` adds a sampled-shard audit on every pure
 hit: one cached window is re-swept from the live relation and compared
@@ -33,8 +34,7 @@ row for row (:func:`repro.analysis.invariants.verify_cached_shards`).
 
 from __future__ import annotations
 
-from array import array
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 from repro.analysis import invariants as _invariants
 from repro.core.base import Evaluator, Triple, coerce_aggregate
@@ -46,7 +46,7 @@ from repro.core.columnar_sweep import (
 from repro.core.columns import ColumnSet
 from repro.core.parallel import registered_instance
 from repro.core.partition import available_workers, seam_merges, shard_bounds
-from repro.core.result import TemporalAggregateResult
+from repro.core.result import Columns, TemporalAggregateResult
 from repro.exec.validation import validate_shards
 from repro.cache.store import (
     CachedEntry,
@@ -193,7 +193,7 @@ def _pool_sweep(
     aggregate: "Aggregate",
     counters: "OperationCounters",
     deadline: "Optional[Deadline]",
-) -> Optional[List[Tuple[List[tuple], int]]]:
+) -> Optional[List[Tuple[Columns, int]]]:
     """Sweep ``sweep_windows`` on the resident pool, if it applies.
 
     Engages for identified column snapshots at or above the
@@ -204,9 +204,9 @@ def _pool_sweep(
     mid-query, where a lazy first-touch fork would fork a
     multi-threaded process at an arbitrary point, and
     ``ServerConfig(pool_workers=0)`` promises statements evaluate
-    in-process.  Returns per-window ``(rows, events)`` (worker counter
-    deltas already merged into ``counters``) or None for the serial
-    in-process path.
+    in-process.  Returns per-window ``(columns, events)`` (worker
+    counter deltas already merged into ``counters``) or None for the
+    serial in-process path.
     """
     if columns is None or len(sweep_windows) <= 1:
         return None
@@ -237,11 +237,40 @@ def _pool_sweep(
     return outcome[0]
 
 
-def _part(rows: Sequence[Tuple[int, int, Any]]) -> ColumnSet:
-    """One window's kernel rows (never empty: an empty window yields
-    one identity row) transposed into exactly-sized columns."""
-    starts, ends, values = zip(*rows)
-    return ColumnSet(array("q", starts), array("q", ends), list(values))
+def _sweep_parts(
+    columns: Any,
+    starts: Any,
+    ends: Any,
+    values: Any,
+    sweep_windows: List[Tuple[int, int]],
+    aggregate: "Aggregate",
+    counters: "OperationCounters",
+    deadline: "Optional[Deadline]",
+) -> Tuple[List[ColumnSet], List[int]]:
+    """Sweep ``sweep_windows`` (on the resident pool when it applies)
+    into cache parts, plus the events each window processed.
+
+    A part is its window's answer columns copied by slicing: the
+    kernels' appended columns over-allocate, and the cache charges the
+    allocated bytes, so it stores exactly-sized copies.
+    """
+    swept = _pool_sweep(
+        columns, starts, ends, values, sweep_windows, aggregate, counters,
+        deadline,
+    )
+    if swept is None:
+        swept = []
+        for index, (lo, hi) in enumerate(sweep_windows):
+            if deadline is not None:
+                deadline.check(
+                    completed_shards=index, total_shards=len(sweep_windows)
+                )
+            swept.append(window_rows(starts, ends, values, aggregate, lo, hi))
+    parts = [
+        ColumnSet(part_starts[:], part_ends[:], part_values[:])
+        for (part_starts, part_ends, part_values), _events in swept
+    ]
+    return parts, [events for _answer, events in swept]
 
 
 def _finish(
@@ -277,42 +306,30 @@ def _refresh_append(
     store.  Readers holding the old object keep a consistent row set
     for the version they pinned.
     """
-    delta = relation.triples_since(entry.row_count, attribute)
-    windows = entry.windows
-    dirty = sorted(
-        {
-            index
-            for index, (lo, hi) in enumerate(windows)
-            for start, end, _value in delta
-            if start <= hi and end >= lo
-        }
-    )
     # Uncharge the stale entry up front; the refreshed entry re-admits
     # (and re-applies the byte budget) through the normal store path.
     cache.discard(key)
     starts, ends, values, columns = _scan_columns(relation, attribute, counters)
+    # The appended rows are the columns' tail past the entry's rows.
+    appended_starts = starts[entry.row_count :]
+    appended_ends = ends[entry.row_count :]
+    windows = entry.windows
+    dirty = [
+        index
+        for index, (lo, hi) in enumerate(windows)
+        if any(
+            start <= hi and end >= lo
+            for start, end in zip(appended_starts, appended_ends)
+        )
+    ]
     parts = list(entry.parts)
-    events_by_shard: List[int] = []
-    dirty_windows = [windows[index] for index in dirty]
-    pooled = _pool_sweep(
-        columns, starts, ends, values, dirty_windows, aggregate, counters, deadline
+    swept, events_by_shard = _sweep_parts(
+        columns, starts, ends, values, [windows[index] for index in dirty],
+        aggregate, counters, deadline,
     )
-    if pooled is not None:
-        for index, (rows, events) in zip(dirty, pooled):
-            parts[index] = _part(rows)
-            events_by_shard.append(events)
-    else:
-        for position, index in enumerate(dirty):
-            if deadline is not None:
-                deadline.check(completed_shards=position, total_shards=len(dirty))
-            lo, hi = windows[index]
-            rows, events = window_rows(starts, ends, values, aggregate, lo, hi)
-            parts[index] = _part(rows)
-            events_by_shard.append(events)
-    counters.tuples += len(delta)
-    # The delta itself arrives as a short list of per-row tuples (it
-    # drives dirty-window detection); the re-sweep runs on columns.
-    counters.tuple_materializations += len(delta)
+    for index, part in zip(dirty, swept):
+        parts[index] = part
+    counters.tuples += len(appended_starts)
     counters.node_visits += sum(events_by_shard)
     counters.aggregate_updates += sum(events_by_shard)
     counters.cache_hits += 1
@@ -348,22 +365,9 @@ def _recompute(
     cache.discard(key)
     starts, ends, values, columns = _scan_columns(relation, attribute, counters)
     windows = shard_bounds(starts, ends, shard_count)
-    parts: List[ColumnSet] = []
-    events_by_shard: List[int] = []
-    pooled = _pool_sweep(
+    parts, events_by_shard = _sweep_parts(
         columns, starts, ends, values, windows, aggregate, counters, deadline
     )
-    if pooled is not None:
-        for rows, events in pooled:
-            parts.append(_part(rows))
-            events_by_shard.append(events)
-    else:
-        for index, (lo, hi) in enumerate(windows):
-            if deadline is not None:
-                deadline.check(completed_shards=index, total_shards=len(windows))
-            rows, events = window_rows(starts, ends, values, aggregate, lo, hi)
-            parts.append(_part(rows))
-            events_by_shard.append(events)
     counters.tuples += len(starts)
     counters.node_visits += sum(events_by_shard)
     counters.aggregate_updates += sum(events_by_shard)

@@ -34,11 +34,12 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from array import array
 from collections import OrderedDict
 from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.columns import ColumnSet
+from repro.core.partition import stitch_columns
+from repro.core.result import Columns
 from repro.metrics.counters import OperationCounters
 
 __all__ = [
@@ -149,26 +150,9 @@ class CachedEntry:
         """Rows of the stitched answer."""
         return sum(len(part) for part in self.parts) - sum(self.merges)
 
-    def columns(self) -> Tuple["array[int]", "array[int]", List[Any]]:
+    def columns(self) -> Columns:
         """The stitched answer as fresh ``(starts, ends, values)`` columns."""
-        starts: "array[int]" = array("q")
-        ends: "array[int]" = array("q")
-        values: List[Any] = []
-        for part, merged in zip(self.parts, self.merges):
-            part_values = part.values
-            assert part_values is not None  # cached parts carry values
-            if merged:
-                # The seam is artificial and the values agree: the
-                # previous row runs on to this part's first row's end.
-                ends[-1] = part.ends[0]
-                starts += part.starts[1:]
-                ends += part.ends[1:]
-                values += part_values[1:]
-            else:
-                starts += part.starts
-                ends += part.ends
-                values += part_values
-        return starts, ends, values
+        return stitch_columns(self.parts, self.merges)
 
 
 class ShardResultCache:

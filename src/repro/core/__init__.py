@@ -31,12 +31,6 @@ from repro.core.calendar import (
     CalendarError,
     calendar_span_aggregate,
 )
-from repro.core.cost_model import (
-    COSTED_STRATEGIES,
-    estimate_peak_nodes,
-    estimate_work,
-    rank_strategies,
-)
 from repro.core.distinct import (
     distinct_temporal_aggregate,
     distinct_triples,
@@ -92,7 +86,6 @@ from repro.core.partition import (
     clip_triples,
     partition_triples,
     shard_bounds,
-    stitch_rows,
 )
 from repro.core.ordering import (
     displacement_histogram,
@@ -104,7 +97,6 @@ from repro.core.ordering import (
 from repro.core.planner import (
     PlannerDecision,
     choose_strategy,
-    choose_strategy_cost_based,
     estimate_ktree_bytes,
     estimate_list_bytes,
     estimate_tree_bytes,
@@ -177,7 +169,6 @@ __all__ = [
     # planner and engine
     "PlannerDecision",
     "choose_strategy",
-    "choose_strategy_cost_based",
     "estimate_tree_bytes",
     "estimate_list_bytes",
     "estimate_ktree_bytes",
@@ -211,7 +202,6 @@ __all__ = [
     "shard_bounds",
     "clip_triples",
     "partition_triples",
-    "stitch_rows",
     "time_weighted_mean",
     "time_weighted_total",
     "duration_where",
@@ -219,10 +209,6 @@ __all__ = [
     "allen_relation",
     "holds",
     "inverse",
-    "COSTED_STRATEGIES",
-    "estimate_work",
-    "estimate_peak_nodes",
-    "rank_strategies",
     "GranularityError",
     "conversion_factor",
     "coarsen",

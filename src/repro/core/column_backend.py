@@ -6,8 +6,10 @@ importable, the COUNT/SUM/AVG sweeps collapse into a handful of array
 primitives instead: stable argsort over the event times, segment
 boundaries via a shifted comparison, per-time deltas reduced with
 ``add.reduceat``, and a cumulative sum giving the running aggregate
-after each distinct event time.  Row assembly is then a pair of
-``searchsorted`` calls against the ``[lo, hi]`` window.
+after each distinct event time.  The answer's start and end columns
+are then a pair of ``searchsorted`` calls against the ``[lo, hi]``
+window, copied into ``array('q')`` columns like the Python kernels
+emit.
 
 numpy is deliberately bound as ``Any`` (loaded through
 :func:`importlib.import_module`) so the strict typing gate on
@@ -28,15 +30,17 @@ accordingly for float data.
 from __future__ import annotations
 
 import importlib
+from array import array
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.interval import FOREVER
+from repro.core.result import Columns
 
 __all__ = ["numpy_available", "numpy_kernel"]
 
 _Kernel = Callable[
     [Sequence[int], Sequence[int], Optional[Sequence[Any]], int, int],
-    List[Tuple[int, int, Any]],
+    Columns,
 ]
 
 _numpy: Any = None
@@ -113,28 +117,29 @@ def _event_columns(
     return uniq, live_net, weight_net
 
 
-def _assemble_rows(
+def _assemble_columns(
     np: Any,
     uniq: Any,
     lo: int,
     hi: int,
-    running: Any,
     value_at: Callable[[int], Any],
-) -> List[Tuple[int, int, Any]]:
-    """Rows partitioning ``[lo, hi]`` from per-time running state.
+) -> Columns:
+    """Answer columns partitioning ``[lo, hi]`` from per-time state.
 
-    ``running[k]`` is the state after all events at ``uniq[k]``;
-    ``value_at(k)`` finalizes it (``k == -1`` means "before every
-    event").  Events at or before ``lo`` fold into the first row,
-    matching the cursor kernels.
+    ``value_at(k)`` finalizes the running state after all events at
+    ``uniq[k]`` (``k == -1`` means "before every event").  Events at or
+    before ``lo`` fold into the first row, matching the cursor kernels.
     """
     first = int(np.searchsorted(uniq, lo, side="right"))
     inside = int(np.searchsorted(uniq, hi, side="right"))
-    cuts = uniq[first:inside].tolist()
-    row_starts = [lo] + cuts
-    row_ends = [c - 1 for c in cuts] + [hi]
-    row_values = [value_at(k) for k in range(first - 1, inside)]
-    return list(zip(row_starts, row_ends, row_values))
+    cuts = uniq[first:inside]
+    starts = array("q", (lo,))
+    starts.frombytes(cuts.tobytes())
+    ends = array("q")
+    ends.frombytes((cuts - 1).tobytes())
+    ends.append(hi)
+    values: List[Any] = [value_at(k) for k in range(first - 1, inside)]
+    return starts, ends, values
 
 
 def numpy_kernel(name: str) -> Optional[_Kernel]:
@@ -157,15 +162,14 @@ def numpy_kernel(name: str) -> Optional[_Kernel]:
             values: Optional[Sequence[Any]],
             lo: int,
             hi: int,
-        ) -> List[Tuple[int, int, Any]]:
+        ) -> Columns:
             uniq, live_net, _ = _event_columns(np, starts, ends, None)
-            running = np.cumsum(live_net)
-            counts = running.tolist()
+            counts = np.cumsum(live_net).tolist()
 
             def value_at(k: int) -> Any:
                 return counts[k] if k >= 0 else 0
 
-            return _assemble_rows(np, uniq, lo, hi, running, value_at)
+            return _assemble_columns(np, uniq, lo, hi, value_at)
 
         return count_kernel
 
@@ -175,7 +179,7 @@ def numpy_kernel(name: str) -> Optional[_Kernel]:
         values: Optional[Sequence[Any]],
         lo: int,
         hi: int,
-    ) -> List[Tuple[int, int, Any]]:
+    ) -> Columns:
         assert values is not None
         uniq, live_net, weight_net = _event_columns(np, starts, ends, values)
         lives = np.cumsum(live_net).tolist()
@@ -195,6 +199,6 @@ def numpy_kernel(name: str) -> Optional[_Kernel]:
                     return None
                 return totals[k] / lives[k]
 
-        return _assemble_rows(np, uniq, lo, hi, None, value_at)
+        return _assemble_columns(np, uniq, lo, hi, value_at)
 
     return total_kernel

@@ -14,18 +14,19 @@ merges the two sorted streams with a pair of cursors:
 * COUNT — one running integer, no value column at all;
 * SUM / AVG — a running total (plus live count), inlined arithmetic
   instead of absorb/retract calls;
-* MIN / MAX — the lazy-deletion heap with its methods hoisted to
-  locals;
+* MIN / MAX — a lazy-deletion heap of bare keys, inlined (MAX runs
+  over negated numbers; other values heap in 1-tuples);
 * anything else — the generic absorb/retract walk (or the heap walk
   for non-invertible aggregates), bound methods hoisted out of the
   loop.
 
 :func:`make_kernel` builds the matching closure once per evaluation, so
 the inner loops carry **no per-event dispatch** — no ``isinstance``, no
-method lookup, no aggregate-protocol indirection.  Result rows are
-accumulated as plain 3-tuples and batch-converted to
-:class:`~repro.core.result.ConstantInterval` at the end; between the
-page bytes and those emitted rows the pipeline materializes zero
+method lookup, no aggregate-protocol indirection.  Kernels emit the
+answer as columns too: ``array('q')`` starts and ends plus a value
+list, which the evaluator adopts through
+:meth:`~repro.core.result.TemporalAggregateResult.from_columns`.
+Between the page bytes and the caller the pipeline materializes zero
 per-row or per-event tuple objects, which
 :attr:`~repro.metrics.counters.OperationCounters.tuple_materializations`
 makes checkable.
@@ -46,9 +47,10 @@ lazy-deletion heap.
 from __future__ import annotations
 
 import os
-from itertools import repeat
-from operator import le
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from heapq import heappop, heappush
+from operator import itemgetter, le, neg
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import (
     Aggregate,
@@ -62,8 +64,8 @@ from repro.core.base import Evaluator, Triple
 from repro.core.columns import ColumnSet
 from repro.core.interval import FOREVER, ORIGIN
 from repro.core.partition import clip_columns
-from repro.core.result import ConstantInterval, TemporalAggregateResult
-from repro.core.sweep import _LazyHeap
+from repro.core.result import Columns, TemporalAggregateResult
+from repro.core.sweep import _Reversed
 
 __all__ = [
     "ColumnarSweepEvaluator",
@@ -80,10 +82,10 @@ _AFTER_FOREVER = FOREVER + 2
 #: Environment knob selecting the vectorized kernel backend.
 COLUMN_BACKEND_ENV = "REPRO_COLUMN_BACKEND"
 
-#: A specialized sweep kernel: whole columns in, plain-tuple rows out.
+#: A specialized sweep kernel: whole columns in, answer columns out.
 Kernel = Callable[
     [Sequence[int], Sequence[int], Optional[Sequence[Any]], int, int],
-    List[Tuple[int, int, Any]],
+    Columns,
 ]
 
 
@@ -99,12 +101,25 @@ def validate_columns(starts: Sequence[int], ends: Sequence[int]) -> None:
         Evaluator._check_triple(start, end)
 
 
+def _answer_columns() -> Tuple[
+    Columns,
+    Callable[[int], None],
+    Callable[[int], None],
+    Callable[[Any], None],
+]:
+    """Empty answer columns plus their bound ``append`` methods, which
+    the walks hoist so their loops carry no attribute lookups."""
+    starts: "array[int]" = array("q")
+    ends: "array[int]" = array("q")
+    values: List[Any] = []
+    return (starts, ends, values), starts.append, ends.append, values.append
+
+
 def _walk_count(
     ss: List[int], bb: List[int], lo: int, hi: int, count: int
-) -> List[Tuple[int, int, Any]]:
+) -> Columns:
     """COUNT kernel walk: two sorted int columns, one running integer."""
-    out: List[Tuple[int, int, Any]] = []
-    append = out.append
+    out, append_start, append_end, append_value = _answer_columns()
     i = j = 0
     ni = len(ss)
     nj = len(bb)
@@ -117,7 +132,9 @@ def _walk_count(
         if t > hi:
             break
         if t > cursor:
-            append((cursor, t - 1, count))
+            append_start(cursor)
+            append_end(t - 1)
+            append_value(count)
             cursor = t
         while i < ni and ss[i] == t:
             count += 1
@@ -125,7 +142,9 @@ def _walk_count(
         while j < nj and bb[j] == t:
             count -= 1
             j += 1
-    append((cursor, hi, count))
+    append_start(cursor)
+    append_end(hi)
+    append_value(count)
     return out
 
 
@@ -136,7 +155,7 @@ def _walk_sum(
     b_values: List[Any],
     lo: int,
     hi: int,
-) -> List[Tuple[int, int, Any]]:
+) -> Columns:
     """SUM kernel walk: a running total, arithmetic inlined.
 
     Emits ``None`` over empty stretches (SQL's NULL over an empty
@@ -144,8 +163,7 @@ def _walk_sum(
     float drift never leaks across an empty gap — exactly the object
     sweep's identity-reset convention.
     """
-    out: List[Tuple[int, int, Any]] = []
-    append = out.append
+    out, append_start, append_end, append_value = _answer_columns()
     i = j = 0
     ni = len(s_times)
     nj = len(b_times)
@@ -160,7 +178,9 @@ def _walk_sum(
         if t > hi:
             break
         if t > cursor:
-            append((cursor, t - 1, total if live else None))
+            append_start(cursor)
+            append_end(t - 1)
+            append_value(total if live else None)
             cursor = t
         while i < ni and s_times[i] == t:
             total += s_values[i]
@@ -173,7 +193,9 @@ def _walk_sum(
             else:
                 total = 0
             j += 1
-    append((cursor, hi, total if live else None))
+    append_start(cursor)
+    append_end(hi)
+    append_value(total if live else None)
     return out
 
 
@@ -184,10 +206,9 @@ def _walk_avg(
     b_values: List[Any],
     lo: int,
     hi: int,
-) -> List[Tuple[int, int, Any]]:
+) -> Columns:
     """AVG kernel walk: running (total, live) pair, division at emit."""
-    out: List[Tuple[int, int, Any]] = []
-    append = out.append
+    out, append_start, append_end, append_value = _answer_columns()
     i = j = 0
     ni = len(s_times)
     nj = len(b_times)
@@ -202,7 +223,9 @@ def _walk_avg(
         if t > hi:
             break
         if t > cursor:
-            append((cursor, t - 1, total / live if live else None))
+            append_start(cursor)
+            append_end(t - 1)
+            append_value(total / live if live else None)
             cursor = t
         while i < ni and s_times[i] == t:
             total += s_values[i]
@@ -215,7 +238,9 @@ def _walk_avg(
             else:
                 total = 0
             j += 1
-    append((cursor, hi, total / live if live else None))
+    append_start(cursor)
+    append_end(hi)
+    append_value(total / live if live else None)
     return out
 
 
@@ -229,7 +254,7 @@ def _walk_invertible(
     hi: int,
     state: Any,
     live: int,
-) -> List[Tuple[int, int, Any]]:
+) -> Columns:
     """Generic absorb/retract walk for invertible value aggregates.
 
     The fallback for aggregates without a specialized kernel; the
@@ -241,8 +266,7 @@ def _walk_invertible(
     finalize = aggregate.finalize
     identity = aggregate.identity
     empty_value = finalize(identity())
-    out: List[Tuple[int, int, Any]] = []
-    append = out.append
+    out, append_start, append_end, append_value = _answer_columns()
     i = j = 0
     ni = len(s_times)
     nj = len(b_times)
@@ -255,7 +279,9 @@ def _walk_invertible(
         if t > hi:
             break
         if t > cursor:
-            append((cursor, t - 1, empty_value if live == 0 else finalize(state)))
+            append_start(cursor)
+            append_end(t - 1)
+            append_value(empty_value if live == 0 else finalize(state))
             cursor = t
         while i < ni and s_times[i] == t:
             state = absorb(state, s_values[i])
@@ -265,29 +291,32 @@ def _walk_invertible(
             live -= 1
             state = identity() if live == 0 else retract(state, b_values[j])
             j += 1
-    append((cursor, hi, empty_value if live == 0 else finalize(state)))
+    append_start(cursor)
+    append_end(hi)
+    append_value(empty_value if live == 0 else finalize(state))
     return out
 
 
 def _walk_extremal(
     s_times: List[int],
-    s_values: List[Any],
+    s_keys: List[Any],
     b_times: List[int],
-    b_values: List[Any],
-    largest: bool,
+    b_keys: List[Any],
     lo: int,
     hi: int,
-    initial: Sequence[Any] = (),
-) -> List[Tuple[int, int, Any]]:
-    """Lazy-deletion-heap walk for MIN/MAX (non-invertible aggregates)."""
-    heap = _LazyHeap(largest_first=largest)
-    for value in initial:
-        heap.push(value)
-    top = heap.top
-    push = heap.push
-    discard = heap.discard
-    out: List[Tuple[int, int, Any]] = []
-    append = out.append
+) -> Columns:
+    """MIN walk: the smallest live key per row (None while none live).
+
+    The keys sit bare in a ``heapq`` list; a retraction only counts its
+    key as dead, and dead keys leave the heap when they reach the top
+    (lazy deletion).  MAX runs this walk over order-reversed keys.
+    """
+    heap: List[Any] = []
+    dead: Dict[Any, int] = {}
+    dead_get = dead.get
+    push = heappush
+    pop = heappop
+    out, append_start, append_end, append_value = _answer_columns()
     i = j = 0
     ni = len(s_times)
     nj = len(b_times)
@@ -300,16 +329,64 @@ def _walk_extremal(
         if t > hi:
             break
         if t > cursor:
-            append((cursor, t - 1, top()))
+            while heap:  # ta: hot
+                top = heap[0]
+                remaining = dead_get(top, 0)
+                if not remaining:
+                    break
+                pop(heap)
+                if remaining == 1:
+                    del dead[top]
+                else:
+                    dead[top] = remaining - 1
+            append_start(cursor)
+            append_end(t - 1)
+            append_value(heap[0] if heap else None)
             cursor = t
         while i < ni and s_times[i] == t:
-            push(s_values[i])
+            push(heap, s_keys[i])
             i += 1
         while j < nj and b_times[j] == t:
-            discard(b_values[j])
+            key = b_keys[j]
+            dead[key] = dead_get(key, 0) + 1
             j += 1
-    append((cursor, hi, top()))
+    while heap and dead_get(heap[0], 0):
+        top = pop(heap)
+        dead[top] -= 1
+    append_start(cursor)
+    append_end(hi)
+    append_value(heap[0] if heap else None)
     return out
+
+
+def _boxed(value: Any) -> Tuple[Any]:
+    return (value,)
+
+
+def _boxed_reversed(value: Any) -> Tuple[_Reversed]:
+    return (_Reversed(value),)
+
+
+def _unbox_reversed(key: Tuple[_Reversed]) -> Any:
+    return key[0].value
+
+
+def _heap_keys(
+    values: Sequence[Any], largest: bool
+) -> Optional[Tuple[Callable[[Any], Any], Callable[[Any], Any]]]:
+    """``(to_key, from_key)`` for :func:`_walk_extremal`'s min-heap, or
+    None when the values are their own keys (MIN over numbers).
+
+    MAX over numbers negates.  Other values go in 1-tuples, as the
+    object sweep's heap entries do: tuples test equal elements with
+    ``==`` before ``<``, so equal values that do not order (``None``)
+    still heap, and MAX reverses the order inside the tuple.
+    """
+    if set(map(type, values)) <= {int, float}:
+        return (neg, neg) if largest else None
+    if largest:
+        return _boxed_reversed, _unbox_reversed
+    return _boxed, itemgetter(0)
 
 
 def _sorted_events(
@@ -366,7 +443,7 @@ def make_kernel(aggregate: Aggregate) -> Kernel:
             values: Optional[Sequence[Any]],
             lo: int,
             hi: int,
-        ) -> List[Tuple[int, int, Any]]:
+        ) -> Columns:
             ss = sorted(starts)
             bb = sorted([e + 1 for e in ends if e < FOREVER])
             return _walk_count(ss, bb, lo, hi, 0)
@@ -382,7 +459,7 @@ def make_kernel(aggregate: Aggregate) -> Kernel:
             values: Optional[Sequence[Any]],
             lo: int,
             hi: int,
-        ) -> List[Tuple[int, int, Any]]:
+        ) -> Columns:
             assert values is not None  # needs_value aggregates get a column
             s_times, s_values, b_times, b_values = _sorted_events(
                 starts, ends, values
@@ -400,13 +477,29 @@ def make_kernel(aggregate: Aggregate) -> Kernel:
             values: Optional[Sequence[Any]],
             lo: int,
             hi: int,
-        ) -> List[Tuple[int, int, Any]]:
+        ) -> Columns:
             assert values is not None
             s_times, s_values, b_times, b_values = _sorted_events(
                 starts, ends, values
             )
-            return _walk_extremal(
-                s_times, s_values, b_times, b_values, largest, lo, hi
+            keys = _heap_keys(s_values, largest)
+            if keys is None:
+                return _walk_extremal(
+                    s_times, s_values, b_times, b_values, lo, hi
+                )
+            to_key, from_key = keys
+            out_starts, out_ends, found = _walk_extremal(
+                s_times,
+                list(map(to_key, s_values)),
+                b_times,
+                list(map(to_key, b_values)),
+                lo,
+                hi,
+            )
+            return (
+                out_starts,
+                out_ends,
+                [None if key is None else from_key(key) for key in found],
             )
 
         return extremal_kernel
@@ -417,7 +510,7 @@ def make_kernel(aggregate: Aggregate) -> Kernel:
         values: Optional[Sequence[Any]],
         lo: int,
         hi: int,
-    ) -> List[Tuple[int, int, Any]]:
+    ) -> Columns:
         assert values is not None
         s_times, s_values, b_times, b_values = _sorted_events(
             starts, ends, values
@@ -430,6 +523,16 @@ def make_kernel(aggregate: Aggregate) -> Kernel:
     return generic_kernel
 
 
+def identity_columns(aggregate: Aggregate, lo: int, hi: int) -> Columns:
+    """The one-row answer over an empty window: the aggregate's
+    finalized identity across ``[lo, hi]``."""
+    return (
+        array("q", (lo,)),
+        array("q", (hi,)),
+        [aggregate.finalize(aggregate.identity())],
+    )
+
+
 def columnar_rows(
     starts: Sequence[int],
     ends: Sequence[int],
@@ -437,8 +540,8 @@ def columnar_rows(
     aggregate: Aggregate,
     lo: int = ORIGIN,
     hi: int = FOREVER,
-) -> List[Tuple[int, int, Any]]:
-    """Plain ``(start, end, value)`` rows partitioning ``[lo, hi]``.
+) -> Columns:
+    """The answer over ``[lo, hi]`` as ``(starts, ends, values)`` columns.
 
     The shard-level workhorse.  Events before the window fold into the
     running state before the first row is cut; events past it are never
@@ -447,7 +550,7 @@ def columnar_rows(
     ``values=None`` is accepted for value-less aggregates (COUNT).
     """
     if not len(starts):
-        return [(lo, hi, aggregate.finalize(aggregate.identity()))]
+        return identity_columns(aggregate, lo, hi)
     if values is None and type(aggregate) is not CountAggregate:
         # Every kernel but COUNT's subscripts the value column.  A
         # value-less feed under a value aggregate is a caller bug —
@@ -470,26 +573,25 @@ def window_rows(
     aggregate: Aggregate,
     lo: int,
     hi: int,
-) -> Tuple[List[Tuple[int, int, Any]], int]:
-    """One time window's rows from whole-relation columns.
+) -> Tuple[Columns, int]:
+    """One time window's answer columns from whole-relation columns.
 
     The per-shard unit of work shared by the parallel sweep and the
     shard-result cache: clip the columns (staying in column layout —
     :func:`repro.core.partition.clip_columns` builds no row tuples),
     run the specialized kernel over the clipped slice, and fall back to
     a single identity row for an empty window.  Returns
-    ``(rows, events_processed)``.
+    ``((starts, ends, values), events_processed)``.
     """
     clipped_starts, clipped_ends, clipped_values = clip_columns(
         starts, ends, values, lo, hi
     )
     if not len(clipped_starts):
-        empty = aggregate.finalize(aggregate.identity())
-        return [(lo, hi, empty)], 0
-    rows = columnar_rows(
+        return identity_columns(aggregate, lo, hi), 0
+    answer = columnar_rows(
         clipped_starts, clipped_ends, clipped_values, aggregate, lo, hi
     )
-    return rows, event_count(clipped_starts, clipped_ends)
+    return answer, event_count(clipped_starts, clipped_ends)
 
 
 class ColumnarSweepEvaluator(Evaluator):
@@ -533,11 +635,9 @@ class ColumnarSweepEvaluator(Evaluator):
         return self.evaluate(relation.scan_triples(attribute))
 
     def _empty_result(self) -> TemporalAggregateResult:
-        aggregate = self.aggregate
         self.counters.emitted += 1
-        value = aggregate.finalize(aggregate.identity())
-        return TemporalAggregateResult(
-            [ConstantInterval(ORIGIN, FOREVER, value)], check=False
+        return TemporalAggregateResult.from_columns(
+            *identity_columns(self.aggregate, ORIGIN, FOREVER)
         )
 
     def _evaluate_columns(
@@ -554,16 +654,15 @@ class ColumnarSweepEvaluator(Evaluator):
             self.deadline.check(tuples_consumed=0)
         counters = self.counters
         validate_columns(starts, ends)
-        raw = columnar_rows(starts, ends, values, self.aggregate)
+        answer = columnar_rows(starts, ends, values, self.aggregate)
         # Bulk accounting mirroring the object sweep's totals: one visit
         # and one state update per event, one allocation per event.
         events = event_count(starts, ends)
         counters.tuples += len(starts)
         counters.node_visits += events
         counters.aggregate_updates += events
-        counters.emitted += len(raw)
+        counters.emitted += len(answer[0])
         counters.column_batches += batches
         self.space.allocate(events)
         self.space.free(events)
-        rows = list(map(tuple.__new__, repeat(ConstantInterval), raw))
-        return TemporalAggregateResult(rows, check=False)
+        return TemporalAggregateResult.from_columns(*answer)

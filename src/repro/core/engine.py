@@ -214,9 +214,8 @@ def temporal_aggregate(
         Which explicit attribute feeds the aggregate (required for
         value aggregates).
     strategy:
-        An evaluator name, ``"auto"`` to let the Section 6.3 rule-based
-        planner choose from the relation's statistics, or
-        ``"auto_cost"`` for the cost-model-based variant.
+        An evaluator name, or ``"auto"`` to let the planner choose
+        from the relation's statistics (:mod:`repro.core.planner`).
     shards:
         Time-domain shard count for ``strategy="parallel_sweep"``
         (default: one per available core).
@@ -254,6 +253,13 @@ def temporal_aggregate(
         raise ValueError(
             f"aggregate {aggregate.name!r} needs an attribute to aggregate"
         )
+    if not aggregate.needs_value and attribute is not None:
+        # COUNT(name), COUNT(salary) and COUNT(*) read no values: one
+        # timestamps-only column snapshot and one cache key serve them
+        # all, and the process pool can map that snapshot.  The name
+        # must still be an attribute.
+        relation.schema.position_of(attribute)
+        attribute = None
 
     if strategy == "auto":
         # Repeat detection: the default cache remembers recent query
@@ -275,14 +281,6 @@ def temporal_aggregate(
             aggregate=aggregate,
             memory_budget_bytes=memory_budget_bytes,
             repeat_observed=repeat_observed,
-        )
-    elif strategy == "auto_cost":
-        from repro.core.planner import choose_strategy_cost_based
-
-        decision = choose_strategy_cost_based(
-            relation.statistics(),
-            aggregate=aggregate,
-            memory_budget_bytes=memory_budget_bytes,
         )
     else:
         decision = PlannerDecision(

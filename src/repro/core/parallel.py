@@ -7,8 +7,8 @@ Two parallel plans live here, one per partitioning axis:
   clip tuples into the windows they overlap
   (:mod:`repro.core.partition`), run the columnar sweep kernel
   (:mod:`repro.core.columnar_sweep`) per window on a
-  ``ProcessPoolExecutor``, and stitch the per-window rows back
-  together.  Exact for *every* decomposable aggregate (clipping
+  ``ProcessPoolExecutor``, and stitch the per-window answer columns
+  back together.  Exact for *every* decomposable aggregate (clipping
   preserves the per-instant valid multiset), including AVG and the
   non-invertible MIN/MAX.  Falls back to the same in-process shard
   functions for small inputs, a single shard, unregistered custom
@@ -28,7 +28,7 @@ Two parallel plans live here, one per partitioning axis:
 The process pool is created per evaluation with the ``fork`` start
 method *after* the parent publishes the input columns in module
 globals, so workers inherit the data copy-on-write and nothing but the
-tiny window descriptors and the flat result rows crosses the pipe.
+tiny window descriptors and the flat answer columns crosses the pipe.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import multiprocessing
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import AGGREGATES, Aggregate, get_aggregate
@@ -46,16 +45,17 @@ from repro.core.columnar_sweep import (
     validate_columns,
     window_rows,
 )
+from repro.core.columns import ColumnSet
 from repro.core.partition import (
     available_workers,
+    seam_merges,
     shard_bounds,
-    stitch_rows,
+    stitch_columns,
 )
-from repro.core.result import ConstantInterval, TemporalAggregateResult
+from repro.core.result import Columns, ConstantInterval, TemporalAggregateResult
 from repro.exec.errors import InvalidInput
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.columns import ColumnSet
     from repro.metrics.counters import OperationCounters
     from repro.metrics.space import SpaceTracker
 from repro.exec.faults import current_fault_plan
@@ -156,10 +156,10 @@ def _resolve_shard_aggregate() -> Aggregate:
     return get_aggregate(spec) if isinstance(spec, str) else spec
 
 
-def _shard_worker(window: Tuple[int, int]) -> Tuple[List[tuple], int]:
+def _shard_worker(window: Tuple[int, int]) -> Tuple[Columns, int]:
     """Evaluate one time window against the inherited columns.
 
-    Returns the window's plain-tuple rows plus the number of events the
+    Returns the window's answer columns plus the number of events the
     shard processed (for the parent's counter aggregation).
     """
     lo, hi = window
@@ -170,7 +170,7 @@ def _shard_worker(window: Tuple[int, int]) -> Tuple[List[tuple], int]:
     )
 
 
-def _shard_task(args: Tuple[Tuple[int, int], int, int, bool]) -> Tuple[List[tuple], int]:
+def _shard_task(args: Tuple[Tuple[int, int], int, int, bool]) -> Tuple[Columns, int]:
     """Supervised entry point: one shard attempt, in or out of the pool.
 
     ``args`` is ``(window, shard_index, attempt, in_pool)``.  Injected
@@ -306,7 +306,7 @@ class ParallelSweepEvaluator(Evaluator):
         The zero-tuple hot path: shard workers receive column slices
         (clipped by :func:`repro.core.partition.clip_columns`) and no
         per-row tuples exist anywhere between the input columns and the
-        stitched result rows.
+        stitched answer columns.
         """
         shards = self.shards if self.shards is not None else available_workers()
         if not len(columns) or shards <= 1:
@@ -335,13 +335,13 @@ class ParallelSweepEvaluator(Evaluator):
         values: Optional[Sequence[Any]],
         windows: Sequence[Tuple[int, int]],
         columns: "Optional[ColumnSet]",
-    ) -> Optional[List[Tuple[List[tuple], int]]]:
+    ) -> Optional[List[Tuple[Columns, int]]]:
         """Try the resident shared-memory backend for this fan-out.
 
         Engages only for an *identified* snapshot (a ColumnSet stamped
         with its relation uid/version — anonymous columns could alias a
         stale publication) whose columns map to int64 segments.
-        Returns per-window ``(rows, events)`` results with worker
+        Returns per-window ``(columns, events)`` results with worker
         counter deltas already merged, or None to use the legacy
         fork-per-evaluation path.
         """
@@ -454,33 +454,31 @@ class ParallelSweepEvaluator(Evaluator):
 
     def _fold_shard_results(
         self,
-        shard_results: List[Tuple[List[tuple], int]],
+        shard_results: List[Tuple[Columns, int]],
         starts: Sequence[int],
         ends: Sequence[int],
         batches: int,
     ) -> TemporalAggregateResult:
-        """Stitch per-window rows and fold shard events into counters.
+        """Stitch per-window columns and fold shard events into counters.
 
         Shared by the resident and legacy backends, so both produce
         identical rows *and* identical counter shapes (worker-private
         deltas like ``pool_shards`` are merged separately by the
         resident backend before this fold).
         """
-        raw = stitch_rows(
-            [rows for rows, _events in shard_results], set(starts), set(ends)
-        )
+        parts = [ColumnSet(*answer) for answer, _events in shard_results]
+        answer = stitch_columns(parts, seam_merges(parts, starts, ends))
         counters = self.counters
         counters.tuples += len(starts)
         counters.column_batches += batches
-        for _rows, events in shard_results:
+        for _answer, events in shard_results:
             counters.node_visits += events
             counters.aggregate_updates += events
-        counters.emitted += len(raw)
+        counters.emitted += len(answer[0])
         self.space.absorb_concurrent(
-            [events for _rows, events in shard_results]
+            [events for _answer, events in shard_results]
         )
-        rows = list(map(tuple.__new__, repeat(ConstantInterval), raw))
-        return TemporalAggregateResult(rows, check=False)
+        return TemporalAggregateResult.from_columns(*answer)
 
 
 # ---------------------------------------------------------------------------

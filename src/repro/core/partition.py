@@ -13,10 +13,11 @@ merge cannot reconstruct AVG.
 
 The one artefact clipping introduces is the shard seam itself: a cut
 instant ``c`` forces a row boundary at ``c`` even when no tuple starts
-at ``c`` or ends at ``c - 1``.  :func:`stitch_rows` removes exactly
-those *artificial* seams (the aggregate value is provably identical on
-both sides, because the valid tuple multiset is), restoring the same
-row boundaries a single-shard evaluation emits.
+at ``c`` or ends at ``c - 1``.  :func:`seam_merges` finds exactly those
+*artificial* seams (the aggregate value is provably identical on both
+sides, because the valid tuple multiset is) and :func:`stitch_columns`
+heals them, restoring the same row boundaries a single-shard
+evaluation emits.
 
 Everything here is pure and deterministic, which is what the property
 tests lean on; the process fan-out lives in :mod:`repro.core.parallel`.
@@ -30,6 +31,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.columns import ColumnSet
 from repro.core.interval import FOREVER, ORIGIN
+from repro.core.result import Columns
 
 __all__ = [
     "available_workers",
@@ -39,7 +41,7 @@ __all__ = [
     "partition_triples",
     "is_real_boundary",
     "seam_merges",
-    "stitch_rows",
+    "stitch_columns",
 ]
 
 #: Hard cap on the shard fan-out; beyond this the per-shard clip and
@@ -155,47 +157,20 @@ def is_real_boundary(cut: int, start_instants: Set[int], end_instants: Set[int])
     return cut in start_instants or (cut - 1) in end_instants
 
 
-def stitch_rows(
-    parts: Sequence[Sequence[Tuple[int, int, Any]]],
-    start_instants: Set[int],
-    end_instants: Set[int],
-) -> List[Tuple[int, int, Any]]:
-    """Concatenate per-window row lists, healing artificial seams.
-
-    ``parts`` hold ``(start, end, value)`` rows of consecutive windows.
-    At each seam, the last row of the left window and the first row of
-    the right are merged when the seam is artificial and the values
-    agree — exactly the rows a single evaluation would never have split.
-    Real boundaries are left alone even when values coincide, matching
-    the reference evaluator's (and every core evaluator's) output.
-    """
-    out: List[Tuple[int, int, Any]] = []
-    for rows in parts:
-        if not rows:
-            continue
-        if out:
-            first = rows[0]
-            cut = first[0]
-            if not is_real_boundary(cut, start_instants, end_instants):
-                last = out[-1]
-                if last[2] == first[2]:
-                    out[-1] = (last[0], first[1], last[2])
-                    rows = rows[1:]
-        out.extend(rows)
-    return out
-
-
 def seam_merges(
     parts: Sequence[ColumnSet], starts: Iterable[int], ends: Iterable[int]
 ) -> List[bool]:
-    """The column-layout counterpart of :func:`stitch_rows`.
+    """Which seams between per-window answers are artificial.
 
     ``parts`` hold the rows of consecutive windows as columns;
     ``starts`` and ``ends`` are the relation's interval endpoints.
     Returns one flag per part: True when the part's first row heals
-    into the previous row across an artificial seam, by exactly
-    :func:`stitch_rows`'s rule.  Only the seam instants are looked up,
-    so no set of every endpoint is built.
+    into the previous non-empty part's last row — the seam is
+    artificial and the values agree, so a single evaluation would never
+    have split them.  Real boundaries stay split even when values
+    coincide, matching the reference evaluator's (and every core
+    evaluator's) output.  Only the seam instants are looked up, so no
+    set of every endpoint is built.
     """
     cuts = [part.starts[0] for part in parts[1:] if len(part)]
     starting = set(cuts).intersection(starts)
@@ -215,3 +190,25 @@ def seam_merges(
         )
         previous = values
     return merges
+
+
+def stitch_columns(parts: Sequence[ColumnSet], merges: Sequence[bool]) -> Columns:
+    """Concatenate per-window answer columns into fresh columns,
+    healing the seams :func:`seam_merges` flagged."""
+    starts: "array[int]" = array("q")
+    ends: "array[int]" = array("q")
+    values: List[Any] = []
+    for part, merged in zip(parts, merges):
+        part_values = part.values
+        assert part_values is not None  # answer parts carry values
+        if merged:
+            # The previous row runs on to this part's first row's end.
+            ends[-1] = part.ends[0]
+            starts += part.starts[1:]
+            ends += part.ends[1:]
+            values += part_values[1:]
+        else:
+            starts += part.starts
+            ends += part.ends
+            values += part_values
+    return starts, ends, values

@@ -1,22 +1,34 @@
-"""Query-optimizer strategy selection (paper Section 6.3).
+"""Query-optimizer strategy selection (paper Section 6.3, re-measured).
 
-The empirical study ends with guidance for a query analyzer, which this
-module encodes as an inspectable decision procedure:
+The paper ends its empirical study with rules for a query analyzer,
+derived by timing its own evaluators.  This module keeps that shape —
+an inspectable decision procedure over relation statistics — with the
+rules re-derived the same way on this implementation:
+``python -m repro.bench planner`` times every plan below over the
+Section 6 generator and writes ``results/BENCH_planner.json``, and a
+tier-1 test checks that every pick is within 1.25x of the fastest plan
+in every cell of that table.
 
-* **sorted** (or declared retroactively bounded, which is k-ordered for
-  the corresponding ``k``) → the k-ordered aggregation tree, k = 1 (or
-  the declared ``k``), no sort needed;
-* **nearly sorted** (small measured k) → the k-ordered tree with the
-  measured ``k``;
-* **unsorted and large, invertible aggregate** → the columnar event
-  sweep, time-sharded across cores when the machine has them (a
-  post-paper extension; see :mod:`repro.core.parallel`);
-* **unsorted, memory cheaper than the disk I/O a sort would cost** →
-  the plain aggregation tree;
-* **unsorted, memory tight** → the paper's "simplest strategy": sort,
-  then the k-ordered tree with k = 1;
+* **declared retroactively bounded** → the k-ordered tree with the
+  declared ``k``, no measurement needed;
+* **repeated query over a large relation** → the shard-result cache
+  (:mod:`repro.cache`, a post-paper extension);
 * **very few constant intervals expected** (few unique timestamps) →
-  the linked list is adequate and smallest.
+  the linked list is adequate and smallest;
+* **the sweep's event columns fit in memory** → the columnar event
+  sweep, whatever the order: it beat every tree on sorted, nearly
+  sorted and unsorted input at every measured size.  The time-sharded
+  sweep (:mod:`repro.core.parallel`) takes over from
+  :data:`PARALLEL_MIN_TUPLES` tuples on a multi-core host, where the
+  table shows it tying or beating the single sweep — for every
+  aggregate but COUNT over sorted or nearly sorted input, where it was
+  slower;
+* **memory is constrained** (a budget the event columns do not fit, or
+  memory dearer than I/O) → the paper's rules, over the Section 6.2
+  byte estimates: sorted → the k-ordered tree with k = 1; nearly sorted
+  → the k-ordered tree with the measured k; otherwise the aggregation
+  tree when it fits, else the paper's "simplest strategy": sort, then
+  the k-ordered tree with k = 1.
 
 The estimators quantify "memory" under the Section 6.2 node model so a
 budget in bytes can be compared against the structures directly.
@@ -38,7 +50,6 @@ from repro.metrics.space import NODE_OVERHEAD_BYTES
 __all__ = [
     "PlannerDecision",
     "choose_strategy",
-    "choose_strategy_cost_based",
     "estimate_tree_bytes",
     "estimate_list_bytes",
     "estimate_ktree_bytes",
@@ -53,8 +64,14 @@ FEW_INTERVALS_FRACTION = 0.01
 #: sorted" — the window would retain most of the relation anyway.
 NEARLY_SORTED_FRACTION = 0.05
 
-#: Unsorted relations at least this large are worth the columnar /
-#: sharded sweep; below it the per-node evaluators win on constants.
+#: From this size on, with more than one core, the time-sharded sweep
+#: runs every aggregate but COUNT over sorted or nearly sorted input.
+#: From ``results/BENCH_planner.json``: below it the shards run in
+#: process (see :func:`repro.exec.pool.pool_min_tuples`) and lose; from
+#: it on, two shards tied or beat one sweep, up to 1.7x — except for
+#: COUNT over ordered input, whose two plain int sorts run in
+#: near-linear time and whose walk carries no values, so the fan-out's
+#: fixed costs made it up to 1.5x slower there.
 PARALLEL_MIN_TUPLES = 32_768
 
 #: Repeatedly queried relations at least this large are worth routing
@@ -190,67 +207,70 @@ def choose_strategy(
             estimated_bytes=list_bytes,
         )
 
+    inflation = _budget_inflation()
+
+    def fits(estimated_bytes: int) -> bool:
+        return (
+            memory_budget_bytes is None
+            or estimated_bytes * inflation <= memory_budget_bytes
+        )
+
+    nearly_sorted = n > 0 and statistics.k <= max(
+        1, NEARLY_SORTED_FRACTION * n
+    )
+    event_bytes = 2 * n * EVENT_BYTES
+    if memory_cheaper_than_io and fits(event_bytes):
+        workers = available_workers()
+        value_less = aggregate is None or not aggregate.needs_value
+        if (
+            workers > 1
+            and n >= PARALLEL_MIN_TUPLES
+            and not (value_less and nearly_sorted)
+        ):
+            return PlannerDecision(
+                strategy="parallel_sweep",
+                shards=workers,
+                reason=f"large input and {workers} cores: time-domain "
+                "shards over the columnar sweep",
+                estimated_bytes=event_bytes,
+            )
+        return PlannerDecision(
+            strategy="columnar_sweep",
+            reason="the sweep's event columns fit in memory: the columnar "
+            "event sweep is fastest at any order",
+            estimated_bytes=event_bytes,
+        )
+
+    # Memory is constrained: the paper's Section 6.3 rules, over the
+    # Section 6.2 estimates.
     if statistics.is_totally_ordered:
         return PlannerDecision(
             strategy="kordered_tree",
             k=1,
-            reason="relation already sorted; k-ordered tree with k=1 is "
-            "fastest with minimal memory",
+            reason="relation already sorted and memory constrained; the "
+            "k-ordered tree with k=1 keeps a minimal window",
             estimated_bytes=estimate_ktree_bytes(
                 1, statistics.long_lived_fraction, n, aggregate
             ),
         )
 
-    if n and statistics.k <= max(1, NEARLY_SORTED_FRACTION * n):
+    if nearly_sorted:
         k = max(1, statistics.k)
         return PlannerDecision(
             strategy="kordered_tree",
             k=k,
-            reason=f"relation is {k}-ordered (nearly sorted); garbage "
-            "collection keeps the tree small",
+            reason=f"relation is {k}-ordered (nearly sorted) and memory "
+            "constrained; garbage collection keeps the tree small",
             estimated_bytes=estimate_ktree_bytes(
                 k, statistics.long_lived_fraction, n, aggregate
             ),
         )
 
-    # Unsorted and genuinely large: the columnar event sweep beats the
-    # per-node structures on constants, and its time-domain shards
-    # spread across cores when the machine has them.  Needs an
-    # invertible aggregate (MIN/MAX would drag a lazy heap through
-    # every shard; the tree strategies handle them as well per event).
-    invertible = aggregate.invertible if aggregate is not None else True
-    inflation = _budget_inflation()
-    event_bytes = 2 * n * EVENT_BYTES
-    sweep_fits = (
-        memory_budget_bytes is None
-        or event_bytes * inflation <= memory_budget_bytes
-    )
-    if n >= PARALLEL_MIN_TUPLES and invertible and sweep_fits:
-        workers = available_workers()
-        if workers > 1:
-            return PlannerDecision(
-                strategy="parallel_sweep",
-                shards=workers,
-                reason=f"large unordered input and {workers} cores: "
-                "time-domain shards over the columnar sweep",
-                estimated_bytes=event_bytes,
-            )
-        return PlannerDecision(
-            strategy="columnar_sweep",
-            reason="large unordered input on one core: the columnar "
-            "event sweep has the smallest constants",
-            estimated_bytes=event_bytes,
-        )
-
-    within_budget = (
-        memory_budget_bytes is None
-        or tree_bytes * inflation <= memory_budget_bytes
-    )
-    if memory_cheaper_than_io and within_budget:
+    if memory_cheaper_than_io and fits(tree_bytes):
         return PlannerDecision(
             strategy="aggregation_tree",
-            reason="unordered input and memory is cheap: the aggregation "
-            "tree is fastest",
+            reason="unordered input; the sweep's event columns exceed the "
+            "budget but the aggregation tree fits",
             estimated_bytes=tree_bytes,
         )
 
@@ -263,61 +283,4 @@ def choose_strategy(
         estimated_bytes=estimate_ktree_bytes(
             1, statistics.long_lived_fraction, n, aggregate
         ),
-    )
-
-
-def choose_strategy_cost_based(
-    statistics: "RelationStatistics",
-    *,
-    aggregate: Optional[Aggregate] = None,
-    memory_budget_bytes: Optional[int] = None,
-    candidates: "tuple[str, ...]" = ("linked_list", "aggregation_tree", "kordered_tree"),
-) -> PlannerDecision:
-    """Pick the cheapest plan by the analytic cost model.
-
-    Where :func:`choose_strategy` encodes Section 6.3's *rules*, this
-    variant prices the candidate strategies with
-    :mod:`repro.core.cost_model` and takes the cheapest whose estimated
-    structure fits the memory budget — a conventional cost-based
-    optimizer over the same statistics.  Falls back to the rule-based
-    sort-then-ktree plan when nothing fits the budget.
-    """
-    from repro.core.cost_model import estimate_peak_nodes, estimate_work
-
-    node_bytes = _node_bytes(aggregate)
-    inflation = _budget_inflation()
-    k = max(1, statistics.k)
-    priced = []
-    for strategy in candidates:
-        work = estimate_work(strategy, statistics, k=k)
-        structure_bytes = int(
-            estimate_peak_nodes(strategy, statistics, k=k) * node_bytes
-        )
-        if (
-            memory_budget_bytes is not None
-            and structure_bytes * inflation > memory_budget_bytes
-        ):
-            continue
-        priced.append((work, strategy, structure_bytes))
-    if not priced:
-        decision = choose_strategy(
-            statistics,
-            aggregate=aggregate,
-            memory_budget_bytes=memory_budget_bytes,
-            memory_cheaper_than_io=False,
-        )
-        return PlannerDecision(
-            strategy=decision.strategy,
-            k=decision.k,
-            sort_first=decision.sort_first,
-            reason="no candidate fits the memory budget; " + decision.reason,
-            estimated_bytes=decision.estimated_bytes,
-        )
-    work, strategy, structure_bytes = min(priced)
-    return PlannerDecision(
-        strategy=strategy,
-        k=k if strategy == "kordered_tree" else None,
-        reason=f"cost-based: cheapest estimated work ({work:,.0f} ops) "
-        f"within the memory budget",
-        estimated_bytes=structure_bytes,
     )

@@ -68,10 +68,12 @@ class TemporalAggregateResult:
 
     A result holds its answer either as rows (what the object
     evaluators emit) or as three columns (:meth:`from_columns`, what
-    the shard-result cache hands out): ``array('q')`` starts and ends
-    plus a plain value list.  Each layout is built from the other at
-    most once, and only when a caller reads it — a cache hit shaped
-    column-wise never builds a :class:`ConstantInterval`.
+    the sweep evaluators and the shard-result cache hand out):
+    ``array('q')`` starts and ends plus a plain value list.  Each
+    layout is built from the other at most once, and only when a
+    caller reads it — an answer shaped column-wise never builds a
+    :class:`ConstantInterval`.  Iterating a column-backed result
+    streams its rows without storing them; :attr:`rows` stores them.
     """
 
     def __init__(
@@ -135,7 +137,10 @@ class TemporalAggregateResult:
         return len(self.columns()[0])
 
     def __iter__(self) -> Iterator[ConstantInterval]:
-        return iter(self.rows)
+        rows = self._rows
+        if rows is not None:
+            return iter(rows)
+        return map(tuple.__new__, repeat(ConstantInterval), zip(*self.columns()))
 
     def __getitem__(self, index: int) -> ConstantInterval:
         return self.rows[index]
@@ -185,7 +190,7 @@ class TemporalAggregateResult:
         post-pass.
         """
         merged: List[ConstantInterval] = []
-        for row in self.rows:
+        for row in self:
             if (
                 merged
                 and merged[-1].value == row.value
@@ -203,15 +208,13 @@ class TemporalAggregateResult:
         ``drop_value(0)`` removes empty groups for COUNT, matching the
         presentation of Table 1.
         """
-        kept = [
-            row for row in self.rows if not any(row.value == v for v in values)
-        ]
+        kept = [row for row in self if not any(row.value == v for v in values)]
         return TemporalAggregateResult(kept, check=False)
 
     def restrict(self, window: Interval) -> "TemporalAggregateResult":
         """Clip the result to ``window`` (rows partially overlapping are cut)."""
         clipped: List[ConstantInterval] = []
-        for row in self.rows:
+        for row in self:
             piece = row.interval.intersect(window)
             if piece is not None:
                 clipped.append(ConstantInterval(piece.start, piece.end, row.value))

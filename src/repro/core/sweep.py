@@ -50,6 +50,9 @@ class _Reversed:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and other.value == self.value
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
 
 class _LazyHeap:
     """Min-heap with deferred deletions, for the MIN/MAX sweep."""

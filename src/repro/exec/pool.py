@@ -14,10 +14,10 @@ once:
 
 * **Workers fork once**, at pool start, and then live across queries
   (:class:`ResidentWorkerPool`).  A query sends each worker a few
-  hundred bytes of job descriptor over a pipe and reads rows back; no
-  interpreter start, no module re-import, no column pickling.  The
-  ``pool_forks`` counter proves the shape: it equals the worker count
-  (plus crash respawns), never the statement count.
+  hundred bytes of job descriptor over a pipe and reads answer columns
+  back; no interpreter start, no module re-import, no column pickling.
+  The ``pool_forks`` counter proves the shape: it equals the worker
+  count (plus crash respawns), never the statement count.
 
 * **Columns publish once per (relation uid, version)** into named
   ``multiprocessing.shared_memory`` segments (:class:`SegmentStore`).
@@ -49,8 +49,8 @@ construction) and fires inside the worker exactly as before.
 
 Cross-process metrics stay exact: each worker tallies its own
 per-job counter deltas (shard sweeps run, tuples materialized — zero
-on this columnar path, which is the PR 6 proof the pool must not
-regress) and returns them with the rows; the parent merges them into
+on this columnar path, which the pool must not regress) and returns
+them with the answer columns; the parent merges them into
 the caller's :class:`~repro.metrics.counters.OperationCounters`.
 """
 
@@ -622,7 +622,7 @@ def _run_sweep_job(
 ) -> Tuple[str, Any]:
     """Execute one sweep job inside a worker; returns the reply tuple.
 
-    Replies are ``("ok", (rows, events, deltas))`` or
+    Replies are ``("ok", (columns, events, deltas))`` or
     ``("err", (type_name, message))``.  ``deltas`` carries the worker's
     counter increments for this job (see :data:`WORKER_DELTA_FIELDS`).
     """
@@ -643,14 +643,14 @@ def _run_sweep_job(
         else None
     )
     aggregate = get_aggregate(spec["aggregate"])
-    rows, events = window_rows(
+    answer, events = window_rows(
         starts, ends, values, aggregate, spec["lo"], spec["hi"]
     )
     # The worker's own counter deltas: the sweep ran here, and — the
-    # hot-path proof — it materialized zero intermediate row tuples
-    # (columns in, result rows out, nothing between).
+    # hot-path proof — it materialized zero row tuples (columns in,
+    # answer columns out: the arrays pickle as raw bytes).
     deltas = {"pool_shards": 1, "tuple_materializations": 0}
-    return ("ok", (rows, events, deltas))
+    return ("ok", (answer, events, deltas))
 
 
 def _pool_worker(conn: Any) -> None:
@@ -772,7 +772,7 @@ class ResidentPoolSupervisor:
         fallback: Any,
         counters: Optional[OperationCounters] = None,
     ) -> List[Any]:
-        """Run every job spec; returns ``(rows, events, deltas)`` per job.
+        """Run every job spec; returns ``(columns, events, deltas)`` per job.
 
         ``fallback(spec)`` computes one job in-process (exact, faults
         exempt) after retries are exhausted or when no worker remains.
@@ -1093,7 +1093,7 @@ class ResidentWorkerPool:
         """Fan ``windows`` out over the resident workers.
 
         Returns ``(shard_results, supervisor)`` with one
-        ``(rows, events)`` pair per window (worker counter deltas
+        ``(columns, events)`` pair per window (worker counter deltas
         already merged into ``counters``), or None when the resident
         backend cannot serve this input — unidentified snapshot
         (no uid/version), unshareable values, fork unavailable — and
@@ -1142,10 +1142,10 @@ class ResidentWorkerPool:
             aggregate = get_aggregate(aggregate_name)
 
             def fallback(spec: Dict[str, Any]) -> Tuple[Any, int, Dict[str, int]]:
-                rows, events = window_rows(
+                answer, events = window_rows(
                     starts, ends, values, aggregate, spec["lo"], spec["hi"]
                 )
-                return (rows, events, {})
+                return (answer, events, {})
 
             supervisor = ResidentPoolSupervisor(
                 self,

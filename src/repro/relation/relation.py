@@ -13,15 +13,18 @@ Two design points mirror the paper:
   scans so tests and benches can assert the 1-scan/2-scan distinction.
 * **Order statistics.**  The choice of algorithm depends on whether the
   relation is sorted and, if nearly sorted, on its k-orderedness
-  (Sections 5.2, 6.3).  :meth:`TemporalRelation.statistics` computes the
-  numbers the query optimizer needs.
+  (Sections 5.2, 6.3).  :func:`statistics_from_columns` computes the
+  numbers the query optimizer needs from a relation's start and end
+  columns; :meth:`TemporalRelation.statistics` caches them per version.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from hashlib import blake2b
+from operator import add, ge, sub
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -38,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columns import ColumnSet
 
 from repro.core.interval import FOREVER, Interval, InvalidIntervalError
-from repro.core.ordering import k_ordered_percentage, k_orderedness
 from repro.exec.errors import InvalidInput
 from repro.relation.schema import Schema
 from repro.relation.tuples import TemporalTuple, timestamp_sort_key
@@ -48,6 +50,7 @@ __all__ = [
     "RelationStatistics",
     "next_relation_uid",
     "fingerprint_rows",
+    "statistics_from_columns",
 ]
 
 #: Process-wide uid source shared by every cacheable relation container
@@ -148,6 +151,46 @@ class RelationStatistics:
         return self.long_lived_count / self.tuple_count
 
 
+def statistics_from_columns(
+    starts: Sequence[int], ends: Sequence[int]
+) -> RelationStatistics:
+    """Planner statistics from a relation's start and end columns.
+
+    Every field but ``k`` is one or two C-speed passes over the arrays.
+    ``k`` and the k-ordered-percentage (Section 5.2) measure each row's
+    distance from its place in the stable sort by ``(start, end)``;
+    that order is one C sort of the row indices by start, preceded by a
+    sort by end only when two rows share a start.
+    """
+    n = len(starts)
+    if not n:
+        return RelationStatistics(0, 0, 0, None, True, 0, 0.0)
+    lifespan = Interval(min(starts), max(ends))
+    # A long-lived tuple lasts at least 20% of the lifespan (Section 6).
+    durations = map(add, map(sub, ends, starts), itertools.repeat(1))
+    threshold = itertools.repeat(0.2 * lifespan.duration)
+    long_lived = sum(map(ge, durations, threshold))
+    stamps = set(starts)
+    distinct_starts = len(stamps)
+    stamps.update(ends)
+    stamps.discard(FOREVER)
+    order = list(range(n))
+    if distinct_starts < n:
+        order.sort(key=ends.__getitem__)
+    order.sort(key=starts.__getitem__)
+    displacements = list(map(abs, map(sub, order, range(n))))
+    k = max(displacements)
+    return RelationStatistics(
+        tuple_count=n,
+        unique_timestamps=len(stamps),
+        long_lived_count=long_lived,
+        lifespan=lifespan,
+        is_totally_ordered=(k == 0),
+        k=k,
+        k_ordered_percentage=sum(displacements) / (k * n) if k else 0.0,
+    )
+
+
 class TemporalRelation:
     """An ordered, in-memory bag of temporal tuples over one schema."""
 
@@ -178,6 +221,11 @@ class TemporalRelation:
         #: timestamps only); served until the next mutation bumps
         #: :attr:`version`.
         self._columns_cache: dict = {}
+        #: The version's start/end arrays, which every column snapshot
+        #: and the statistics of that version share.
+        self._timestamps_cache: Optional[
+            Tuple[int, "array[int]", "array[int]"]
+        ] = None
         #: Set by ``read_csv(on_error="quarantine")`` to the load's
         #: :class:`~repro.relation.io.QuarantineReport`; None otherwise.
         self.quarantine: Optional[Any] = None
@@ -341,6 +389,18 @@ class TemporalRelation:
         position = self.schema.position_of(attribute)
         return lambda row: row.values[position]
 
+    def _timestamps(self) -> Tuple["array[int]", "array[int]"]:
+        """This version's start and end columns (uncounted: a column
+        snapshot counts its scan, statistics count none)."""
+        cached = self._timestamps_cache
+        if cached is not None and cached[0] == self.version:
+            return cached[1], cached[2]
+        rows = self._rows
+        starts = array("q", [row.start for row in rows])
+        ends = array("q", [row.end for row in rows])
+        self._timestamps_cache = (self.version, starts, ends)
+        return starts, ends
+
     def columns(self, attribute: Optional[str] = None) -> "ColumnSet":
         """A version-keyed flat-column snapshot of the relation.
 
@@ -349,11 +409,10 @@ class TemporalRelation:
         (``None`` keeps the snapshot timestamps-only for COUNT).
         Building the snapshot counts as one scan; repeat queries at the
         same version share it without rescanning — the column-layout
-        analogue of the cached :meth:`statistics`.  Callers must treat
-        the snapshot as read-only.
+        analogue of the cached :meth:`statistics`.  Every snapshot of
+        one version shares the same start/end arrays.  Callers must
+        treat the snapshot as read-only.
         """
-        from array import array
-
         from repro.core.columns import ColumnSet
 
         cached = self._columns_cache.get(attribute)
@@ -361,24 +420,11 @@ class TemporalRelation:
             snapshot: ColumnSet = cached[1]
             return snapshot
         self.scan_count += 1
-        starts = array("q")
-        ends = array("q")
-        append_start = starts.append
-        append_end = ends.append
-        values: Optional[List[Any]]
-        if attribute is None:
-            for row in self._rows:
-                append_start(row.start)
-                append_end(row.end)
-            values = None
-        else:
+        starts, ends = self._timestamps()
+        values: Optional[List[Any]] = None
+        if attribute is not None:
             position = self.schema.position_of(attribute)
-            values = []
-            append_value = values.append
-            for row in self._rows:
-                append_start(row.start)
-                append_end(row.end)
-                append_value(row.values[position])
+            values = [row.values[position] for row in self._rows]
         snapshot = ColumnSet(
             starts,
             ends,
@@ -527,34 +573,18 @@ class TemporalRelation:
     def statistics(self) -> RelationStatistics:
         """Summary statistics used by the query planner (Section 6.3).
 
-        Computing these double-scans the relation, and every
-        ``strategy="auto"`` evaluation asks for them, so the (frozen)
-        result is cached keyed by :attr:`version` — any mutation
-        (insert, extend, or in-place reorder) moves the version and
-        invalidates, even if a future mutation path forgets to clear
-        the cache explicitly.
+        Computed from the version's start/end columns
+        (:func:`statistics_from_columns`) without counting a scan, and
+        cached keyed by :attr:`version` — any mutation (insert, extend,
+        or in-place reorder) moves the version and invalidates, even if
+        a future mutation path forgets to clear the cache explicitly.
         """
         if (
             self._statistics_cache is not None
             and self._statistics_cache[0] == self.version
         ):
             return self._statistics_cache[1]
-        span = self.lifespan
-        span_length = span.duration if span is not None else 0
-        long_lived = sum(
-            1 for row in self._rows if span_length and row.is_long_lived(span_length)
-        )
-        starts = [timestamp_sort_key(row) for row in self._rows]
-        k = k_orderedness(starts)
-        statistics = RelationStatistics(
-            tuple_count=len(self._rows),
-            unique_timestamps=self.unique_timestamps(),
-            long_lived_count=long_lived,
-            lifespan=span,
-            is_totally_ordered=(k == 0),
-            k=k,
-            k_ordered_percentage=k_ordered_percentage(starts, k) if k else 0.0,
-        )
+        statistics = statistics_from_columns(*self._timestamps())
         self._statistics_cache = (self.version, statistics)
         return statistics
 

@@ -19,13 +19,12 @@ from array import array
 from typing import Any, BinaryIO, Iterator, List, Optional, Tuple
 
 from repro.core.columns import ColumnSet
-from repro.core.interval import FOREVER, Interval
-from repro.core.ordering import k_ordered_percentage, k_orderedness
 from repro.relation.relation import (
     RelationStatistics,
     TemporalRelation,
     fingerprint_rows,
     next_relation_uid,
+    statistics_from_columns,
 )
 from repro.relation.schema import Schema
 from repro.relation.tuples import TemporalTuple
@@ -266,10 +265,11 @@ class HeapFile:
     # ------------------------------------------------------------------
 
     def statistics(self) -> RelationStatistics:
-        """Planner statistics from one timestamps-only scan.
+        """Planner statistics from the timestamps-only column snapshot.
 
-        Matches :meth:`TemporalRelation.statistics` field for field, so
-        a heap file can feed ``strategy="auto"`` directly.  Cached by
+        Matches :meth:`TemporalRelation.statistics` field for field (one
+        :func:`~repro.relation.relation.statistics_from_columns`), so a
+        heap file can feed ``strategy="auto"`` directly.  Cached by
         :attr:`version` — appends and declared in-place rewrites
         (:meth:`mark_mutated`) invalidate, rescans do not.  (The old
         tuple-count key went stale on equal-cardinality reorders, and a
@@ -280,34 +280,8 @@ class HeapFile:
             and self._statistics_cache[0] == self.version
         ):
             return self._statistics_cache[1]
-        starts = []
-        stamps = set()
-        lo = FOREVER
-        hi = 0
-        for start, end, _ in self.scan_triples():
-            starts.append((start, end))
-            stamps.add(start)
-            stamps.add(end)
-            lo = min(lo, start)
-            hi = max(hi, end)
-        stamps.discard(FOREVER)
-        span = Interval(lo, hi) if starts else None
-        span_length = span.duration if span is not None else 0
-        long_lived = sum(
-            1
-            for start, end in starts
-            if span_length and (end - start + 1) >= 0.2 * span_length
-        )
-        k = k_orderedness(starts)
-        stats = RelationStatistics(
-            tuple_count=len(starts),
-            unique_timestamps=len(stamps),
-            long_lived_count=long_lived,
-            lifespan=span,
-            is_totally_ordered=(k == 0),
-            k=k,
-            k_ordered_percentage=k_ordered_percentage(starts, k) if k else 0.0,
-        )
+        columns = self.columns()
+        stats = statistics_from_columns(columns.starts, columns.ends)
         self._statistics_cache = (self.version, stats)
         return stats
 

@@ -68,6 +68,7 @@ class TestFigureDrivers:
             "cache",
             "columnar",
             "durability",
+            "planner",
             "serving",
             "pool",
             "replication",
@@ -106,6 +107,27 @@ class TestFigureDrivers:
         for row in work_report.rows:
             assert row[sweep_index] == row[columnar_index]
         assert len(speed_report.rows) == 2
+
+
+    def test_planner_driver_shape(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.bench import planner as planner_module
+        from repro.bench.__main__ import _write_planner_json
+        from repro.bench.planner import PLANS, planner
+
+        # One run per plan, and no full collection before each: the
+        # test process holds far more objects than a bench run.
+        monkeypatch.setattr(planner_module, "RUNS", 1)
+        monkeypatch.setattr(planner_module.gc, "collect", lambda: 0)
+        reports = planner(sizes=[64])
+        (report,) = reports
+        assert len(report.rows) == 5 * 3 * 2
+        payload = json.loads(open(_write_planner_json(reports, str(tmp_path))).read())
+        assert {"cpu_count", "python", "git_sha"} <= set(payload["host"])
+        for cell in payload["cells"]:
+            assert set(cell["seconds"]) == set(PLANS)
+            assert cell["regret"] >= 1.0
 
 
 class TestCli:

@@ -168,3 +168,65 @@ def test_value_less_feed_matches_object_sweep_behavior(name):
         # kernel-specific (TypeError vs ValueError) and not contractual.
         with pytest.raises((TypeError, ValueError)):
             evaluator.evaluate_relation(heap, None)
+
+
+@pytest.fixture(scope="module")
+def resident_pool():
+    """The process-default resident pool, started for this module."""
+    from repro.exec import pool as pool_module
+
+    pool = pool_module.default_pool(2)
+    if pool is None:
+        pytest.skip("the resident pool needs the fork start method")
+    pool.start()
+    yield pool
+    pool_module.shutdown_default_pool()
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=["random", "pages", "gaps"])
+@pytest.mark.parametrize("name", AGGREGATES)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_every_sweep_entry_point_returns_reference_rows(
+    resident_pool, name, shape, data
+):
+    """Columnar, parallel (in process and on the resident pool) and
+    cached (miss, pure hit, append delta) answers equal the reference,
+    and none of them materializes a row tuple."""
+    rows = data.draw(shape)
+    split = data.draw(st.integers(min_value=1, max_value=len(rows)))
+    relation = TemporalRelation(EMPLOYED_SCHEMA, rows[:split])
+    attribute = None if name == "count" else "salary"
+    aggregate = get_aggregate(name)
+    expected = _reference_rows(rows[:split], name)
+    for label, evaluator in (
+        ("columnar", ColumnarSweepEvaluator(aggregate)),
+        ("in-process shards", ParallelSweepEvaluator(
+            aggregate, shards=4, use_processes=False
+        )),
+        ("pooled shards", ParallelSweepEvaluator(
+            aggregate, shards=2, use_processes=True
+        )),
+    ):
+        result = evaluator.evaluate_relation(relation, attribute)
+        assert _rows_of(result) == expected, label
+        assert evaluator.counters.tuple_materializations == 0, label
+
+    cache = ShardResultCache()
+    for label in ("miss", "hit"):
+        counters = OperationCounters()
+        result = evaluate_cached(
+            relation, name, attribute, shards=4, cache=cache, counters=counters
+        )
+        assert _rows_of(result) == expected, label
+        assert counters.tuple_materializations == 0, label
+    assert counters.cache_hits == 1
+
+    relation.extend(rows[split:])
+    counters = OperationCounters()
+    result = evaluate_cached(
+        relation, name, attribute, shards=4, cache=cache, counters=counters
+    )
+    assert _rows_of(result) == _reference_rows(rows, name)
+    assert counters.cache_hits == 1 and counters.cache_misses == 0
+    assert counters.tuple_materializations == 0

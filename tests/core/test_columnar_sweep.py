@@ -103,13 +103,15 @@ class TestAccounting:
 class TestWindowedKernel:
     def test_window_rows_partition_the_window(self):
         aggregate = get_aggregate("count")
-        rows = columnar_rows([10, 20], [15, 25], [None, None], aggregate, 12, 22)
-        assert rows[0][0] == 12
-        assert rows[-1][1] == 22
-        for left, right in zip(rows, rows[1:]):
-            assert right[0] == left[1] + 1
+        starts, ends, _values = columnar_rows(
+            [10, 20], [15, 25], [None, None], aggregate, 12, 22
+        )
+        assert starts[0] == 12
+        assert ends[-1] == 22
+        for left_end, right_start in zip(ends, starts[1:]):
+            assert right_start == left_end + 1
 
     def test_empty_window_emits_identity_row(self):
         aggregate = get_aggregate("sum")
-        rows = columnar_rows([], [], [], aggregate, 5, 10)
-        assert rows == [(5, 10, None)]
+        starts, ends, values = columnar_rows([], [], [], aggregate, 5, 10)
+        assert (list(starts), list(ends), values) == ([5], [10], [None])

@@ -132,16 +132,6 @@ class TestTemporalAggregate:
         for strategy, rows in results.items():
             assert rows == baseline, f"{strategy} disagrees with the oracle"
 
-    def test_auto_cost_strategy(self, small_random_relation):
-        result, decision = temporal_aggregate(
-            small_random_relation, "count", strategy="auto_cost", explain=True
-        )
-        assert "cost-based" in decision.reason or "no candidate" in decision.reason
-        baseline = temporal_aggregate(
-            small_random_relation, "count", strategy="reference"
-        )
-        assert result.rows == baseline.rows
-
     def test_memory_budget_forces_sort_plan(self, small_random_relation):
         _result, decision = temporal_aggregate(
             small_random_relation,
@@ -151,3 +141,77 @@ class TestTemporalAggregate:
         )
         assert decision.sort_first
         assert decision.strategy == "kordered_tree"
+
+
+class TestCountReadsNoValues:
+    """COUNT evaluates timestamps-only whatever attribute it names, so
+    every COUNT shares one column snapshot and one cache key."""
+
+    def relation(self):
+        from repro.workload.generator import WorkloadParameters, generate_relation
+
+        return generate_relation(WorkloadParameters(tuples=300, seed=3))
+
+    def test_count_of_a_string_attribute_runs_on_the_resident_pool(
+        self, monkeypatch
+    ):
+        import os
+
+        from repro.exec import pool as pool_module
+
+        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+        relation = self.relation()
+        assert len(relation) >= pool_module.pool_min_tuples()
+        pool = pool_module.default_pool(2)
+        if pool is None:
+            pytest.skip("the resident pool needs the fork start method")
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        counters = OperationCounters()
+        try:
+            pool.start()
+            monkeypatch.setattr(os, "fork", counting_fork)
+            result = temporal_aggregate(
+                relation, "count", "name",
+                strategy="parallel_sweep", shards=2, counters=counters,
+            )
+        finally:
+            monkeypatch.setattr(os, "fork", real_fork)
+            pool_module.shutdown_default_pool()
+        assert forks == []
+        assert counters.pool_shards == 2
+        assert result == temporal_aggregate(relation, "count", strategy="reference")
+
+    def test_count_of_any_attribute_shares_one_cache_entry(self):
+        from repro.cache.store import ShardResultCache, set_default_cache
+
+        relation = self.relation()
+        set_default_cache(ShardResultCache())
+        try:
+            first = OperationCounters()
+            temporal_aggregate(
+                relation, "count", "name", strategy="cached_sweep",
+                counters=first,
+            )
+            second = OperationCounters()
+            temporal_aggregate(
+                relation, "count", "salary", strategy="cached_sweep",
+                counters=second,
+            )
+        finally:
+            set_default_cache(None)
+        assert first.cache_misses == 1
+        assert second.cache_hits == 1
+        assert second.cache_misses == 0
+        assert second.cache_dirty_shards == 0
+
+    def test_count_still_checks_the_attribute_name(self, employed):
+        from repro.relation.schema import SchemaError
+
+        with pytest.raises(SchemaError):
+            temporal_aggregate(employed, "count", "bonus")

@@ -13,7 +13,7 @@ from repro.core.partition import (
     partition_triples,
     seam_merges,
     shard_bounds,
-    stitch_rows,
+    stitch_columns,
 )
 
 
@@ -77,17 +77,29 @@ class TestStitching:
     START_SET = {0, 10}
     END_SET = {9, 30}
 
-    def merges(self, parts):
-        """:func:`seam_merges` over the same parts in column layout."""
-        columns = [
+    def parts(self, rows_per_window):
+        return [
             ColumnSet(
                 array("q", [row[0] for row in rows]),
                 array("q", [row[1] for row in rows]),
                 [row[2] for row in rows],
             )
-            for rows in parts
+            for rows in rows_per_window
         ]
-        return seam_merges(columns, sorted(self.START_SET), sorted(self.END_SET))
+
+    def merges(self, rows_per_window):
+        """:func:`seam_merges` over the windows' rows in column layout."""
+        return seam_merges(
+            self.parts(rows_per_window),
+            sorted(self.START_SET),
+            sorted(self.END_SET),
+        )
+
+    def stitched(self, rows_per_window):
+        """The rows :func:`stitch_columns` heals the windows into."""
+        parts = self.parts(rows_per_window)
+        merges = self.merges(rows_per_window)
+        return list(zip(*stitch_columns(parts, merges)))
 
     def test_real_boundary_detection(self):
         assert is_real_boundary(10, self.START_SET, self.END_SET)
@@ -96,28 +108,22 @@ class TestStitching:
 
     def test_artificial_seam_with_equal_values_merges(self):
         parts = [[(0, 14, 2)], [(15, 30, 2)]]
-        assert stitch_rows(parts, self.START_SET, self.END_SET) == [(0, 30, 2)]
+        assert self.stitched(parts) == [(0, 30, 2)]
         assert self.merges(parts) == [False, True]
 
     def test_real_seam_stays_split_even_when_values_agree(self):
         parts = [[(0, 9, 2)], [(10, 30, 2)]]
-        assert stitch_rows(parts, self.START_SET, self.END_SET) == [
-            (0, 9, 2),
-            (10, 30, 2),
-        ]
+        assert self.stitched(parts) == [(0, 9, 2), (10, 30, 2)]
         assert self.merges(parts) == [False, False]
 
     def test_artificial_seam_with_unequal_values_stays_split(self):
         parts = [[(0, 14, 2)], [(15, 30, 3)]]
-        assert stitch_rows(parts, self.START_SET, self.END_SET) == [
-            (0, 14, 2),
-            (15, 30, 3),
-        ]
+        assert self.stitched(parts) == [(0, 14, 2), (15, 30, 3)]
         assert self.merges(parts) == [False, False]
 
     def test_empty_parts_are_skipped(self):
         parts = [[(0, 14, 1)], [], [(15, 30, 1)]]
-        assert stitch_rows(parts, self.START_SET, self.END_SET) == [(0, 30, 1)]
+        assert self.stitched(parts) == [(0, 30, 1)]
         assert self.merges(parts) == [False, False, True]
 
 

@@ -1,4 +1,5 @@
-"""Tests of the Section 6.3 optimizer rules."""
+"""Tests of the planner's rules: the sweep when its event columns fit,
+the Section 6.3 rules under a memory constraint."""
 
 import pytest
 
@@ -53,22 +54,46 @@ class TestEstimators:
         assert heavy > 10 * lean
 
 
+#: Below the 16,000 bytes of event columns a 1,000-tuple relation's
+#: sweep needs, so the memory-constrained rules apply.
+TIGHT_BUDGET = 10_000
+
+
 class TestDecisions:
     def test_sorted_relation_gets_ktree_k1(self):
-        decision = choose_strategy(stats(ordered=True))
+        decision = choose_strategy(
+            stats(ordered=True), memory_budget_bytes=TIGHT_BUDGET
+        )
         assert decision.strategy == "kordered_tree"
         assert decision.k == 1
         assert not decision.sort_first
 
     def test_nearly_sorted_uses_measured_k(self):
-        decision = choose_strategy(stats(k=12, percentage=0.1))
+        decision = choose_strategy(
+            stats(k=12, percentage=0.1), memory_budget_bytes=TIGHT_BUDGET
+        )
         assert decision.strategy == "kordered_tree"
         assert decision.k == 12
 
-    def test_unordered_with_cheap_memory_gets_tree(self):
+    def test_unordered_without_a_budget_gets_columnar_sweep(self):
         decision = choose_strategy(stats())
+        assert decision.strategy == "columnar_sweep"
+        assert not decision.sort_first
+
+    def test_unordered_with_cheap_memory_gets_tree(self):
+        # 300 unique timestamps: the tree (12,020 B) fits a budget the
+        # sweep's 16,000 B of event columns do not.
+        decision = choose_strategy(stats(unique=300), memory_budget_bytes=15_000)
         assert decision.strategy == "aggregation_tree"
         assert not decision.sort_first
+
+    @pytest.mark.parametrize(
+        "statistics", [stats(ordered=True), stats(k=12, percentage=0.1)]
+    )
+    def test_ordered_input_gets_columnar_sweep_when_it_fits(self, statistics):
+        decision = choose_strategy(statistics)
+        assert decision.strategy == "columnar_sweep"
+        assert decision.k is None
 
     def test_unordered_with_budget_gets_sort_plus_ktree(self):
         decision = choose_strategy(stats(), memory_budget_bytes=100)
@@ -97,8 +122,10 @@ class TestDecisions:
         assert decision.k == 1
 
     def test_budget_within_tree_size_keeps_tree(self):
-        generous = estimate_tree_bytes(1800) + 1
-        decision = choose_strategy(stats(), memory_budget_bytes=generous)
+        # 300 unique timestamps: the tree (12,020 B) is smaller than the
+        # sweep's 16,000 B of event columns.
+        budget = estimate_tree_bytes(300) + 1
+        decision = choose_strategy(stats(unique=300), memory_budget_bytes=budget)
         assert decision.strategy == "aggregation_tree"
 
     def test_describe_mentions_plan_shape(self):
@@ -117,11 +144,12 @@ class TestDecisions:
 
 
 class TestParallelRule:
-    """The post-paper rule: large + unsorted + invertible → sweep."""
+    """From ``PARALLEL_MIN_TUPLES`` on more than one core, sharding pays
+    for every plan but COUNT over sorted or nearly sorted input."""
 
-    def big_stats(self):
+    def big_stats(self, **overrides):
         # k is half of n: nowhere near "nearly sorted".
-        return stats(n=100_000, unique=150_000, k=50_000)
+        return stats(**{"n": 100_000, "unique": 150_000, "k": 50_000, **overrides})
 
     def test_multicore_gets_parallel_sweep(self, monkeypatch):
         monkeypatch.setattr(
@@ -146,15 +174,49 @@ class TestParallelRule:
         monkeypatch.setattr(
             "repro.core.planner.available_workers", lambda: 4
         )
-        decision = choose_strategy(self.big_stats(), aggregate=MaxAggregate())
+        # A budget that fits the tree over 20,000 unique timestamps but
+        # not the sweep's 1.6 MB of event columns.
+        budget = estimate_tree_bytes(20_000, MaxAggregate()) + 1
+        decision = choose_strategy(
+            self.big_stats(unique=20_000),
+            aggregate=MaxAggregate(),
+            memory_budget_bytes=budget,
+        )
         assert decision.strategy == "aggregation_tree"
+
+    @pytest.mark.parametrize("aggregate", ["sum", "max"])
+    def test_value_aggregate_over_ordered_input_gets_parallel_sweep(
+        self, monkeypatch, aggregate
+    ):
+        from repro.core.aggregates import get_aggregate
+
+        monkeypatch.setattr(
+            "repro.core.planner.available_workers", lambda: 4
+        )
+        decision = choose_strategy(
+            self.big_stats(ordered=True), aggregate=get_aggregate(aggregate)
+        )
+        assert decision.strategy == "parallel_sweep"
 
     def test_small_input_falls_through_to_tree(self, monkeypatch):
         monkeypatch.setattr(
             "repro.core.planner.available_workers", lambda: 4
         )
-        decision = choose_strategy(stats(), aggregate=CountAggregate())
+        decision = choose_strategy(
+            stats(unique=300),
+            aggregate=CountAggregate(),
+            memory_budget_bytes=15_000,
+        )
         assert decision.strategy == "aggregation_tree"
+
+    def test_small_input_stays_on_the_single_sweep(self, monkeypatch):
+        from repro.core.aggregates import MinAggregate
+
+        monkeypatch.setattr(
+            "repro.core.planner.available_workers", lambda: 4
+        )
+        decision = choose_strategy(stats(), aggregate=MinAggregate())
+        assert decision.strategy == "columnar_sweep"
 
     def test_tight_budget_falls_through_to_sort_plan(self, monkeypatch):
         monkeypatch.setattr(
@@ -169,61 +231,25 @@ class TestParallelRule:
         assert decision.sort_first
 
     def test_sorted_input_never_takes_parallel_path(self, monkeypatch):
+        """COUNT over sorted input keeps the single sweep (MIN/MAX, SUM
+        and AVG shard at any order)."""
         monkeypatch.setattr(
             "repro.core.planner.available_workers", lambda: 4
         )
         decision = choose_strategy(
-            stats(n=100_000, unique=150_000, ordered=True),
-            aggregate=CountAggregate(),
+            self.big_stats(ordered=True), aggregate=CountAggregate()
         )
-        assert decision.strategy == "kordered_tree"
-        assert decision.k == 1
+        assert decision.strategy == "columnar_sweep"
+        assert decision.shards is None
 
-
-class TestCostBasedPlanner:
-    def test_sorted_relation_priced_to_ktree(self):
-        from repro.core.planner import choose_strategy_cost_based
-
-        decision = choose_strategy_cost_based(stats(ordered=True))
-        assert decision.strategy == "kordered_tree"
-        assert decision.k == 1
-        assert "cost-based" in decision.reason
-
-    def test_budget_excludes_hungry_strategies(self):
-        from repro.core.planner import choose_strategy_cost_based
-
-        generous = choose_strategy_cost_based(stats())
-        tight = choose_strategy_cost_based(stats(), memory_budget_bytes=5_000)
-        # The tight budget must pick something whose estimate fits.
-        assert tight.estimated_bytes <= 5_000 or tight.sort_first
-        assert generous.strategy in (
-            "aggregation_tree",
-            "kordered_tree",
-            "linked_list",
+    def test_nearly_sorted_count_stays_on_the_single_sweep(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.core.planner.available_workers", lambda: 4
         )
-
-    def test_impossible_budget_falls_back_to_sort_plan(self):
-        from repro.core.planner import choose_strategy_cost_based
-
-        decision = choose_strategy_cost_based(stats(), memory_budget_bytes=1)
-        assert "no candidate fits" in decision.reason
-        assert decision.sort_first
-
-    def test_agrees_with_measurement_on_real_relations(
-        self, small_random_relation
-    ):
-        from repro.bench.measure import measure_strategy
-        from repro.core.planner import choose_strategy_cost_based
-
-        for relation in (small_random_relation, small_random_relation.sorted_by_time()):
-            statistics = relation.statistics()
-            decision = choose_strategy_cost_based(statistics)
-            triples = list(relation.scan_triples())
-            chosen = measure_strategy(
-                decision.strategy, triples, k=decision.k
-            ).work
-            naive = measure_strategy("linked_list", triples).work
-            assert chosen <= naive
+        decision = choose_strategy(
+            self.big_stats(k=12, percentage=0.1), aggregate=CountAggregate()
+        )
+        assert decision.strategy == "columnar_sweep"
 
 
 class TestDecisionsMatchMeasurement:
@@ -232,8 +258,8 @@ class TestDecisionsMatchMeasurement:
     @pytest.mark.parametrize(
         "make_input,expected",
         [
-            (lambda rel: rel, "aggregation_tree"),
-            (lambda rel: rel.sorted_by_time(), "kordered_tree"),
+            (lambda rel: rel, "columnar_sweep"),
+            (lambda rel: rel.sorted_by_time(), "columnar_sweep"),
         ],
     )
     def test_choice_is_no_worse_than_alternatives(

@@ -38,17 +38,25 @@ class TestExecution:
         result = db.execute("EXPLAIN SELECT COUNT(Name) FROM Employed")
         assert result.columns == ("property", "value")
         plan = plan_of(result)
-        assert plan["strategy"] in (
-            "aggregation_tree",
-            "kordered_tree",
-            "linked_list",
-        )
+        assert plan["strategy"] == "columnar_sweep"
         assert plan["qualifying tuples"] == 4
         assert plan["unique timestamps"] == 6
 
-    def test_unordered_relation_plans_tree(self, db):
+    def test_unordered_relation_plans_columnar_sweep(self, db):
         plan = plan_of(db.execute("EXPLAIN SELECT COUNT(name) FROM Big"))
-        assert plan["strategy"] == "aggregation_tree"
+        assert plan["strategy"] == "columnar_sweep"
+        assert plan["estimated structure bytes"] > 0
+
+    def test_unordered_relation_plans_tree(self, db):
+        # Under a budget the sweep's 4,096 bytes of event columns do not
+        # fit: the paper's sort + k-ordered tree.
+        plan = plan_of(
+            db.execute(
+                "EXPLAIN SELECT COUNT(name) FROM Big", memory_budget_bytes=1024
+            )
+        )
+        assert plan["strategy"] == "kordered_tree"
+        assert plan["sort first"] == "yes"
         assert plan["estimated structure bytes"] > 0
 
     def test_where_clause_affects_statistics(self, db):
@@ -89,8 +97,9 @@ class TestExecution:
 
 class TestPlanMatchesEngine:
     """EXPLAIN reports the plan ``temporal_aggregate`` runs: the
-    planner sees the first call's aggregate (MIN is not invertible, so
-    it never gets the sweep strategies COUNT gets)."""
+    planner sees the first call's aggregate (MIN's heap walk gets the
+    sharded sweep on a multi-core host where COUNT keeps the single
+    sweep)."""
 
     @pytest.mark.parametrize(
         "function, argument", [("MIN", "salary"), ("COUNT", "name")]

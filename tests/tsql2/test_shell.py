@@ -39,7 +39,7 @@ class TestMetaCommands:
 
     def test_plan(self):
         out, _ = run_shell("\\seed", "\\plan SELECT COUNT(Name) FROM Employed")
-        assert "aggregation_tree" in out
+        assert "columnar_sweep" in out
 
     def test_plan_is_what_explain_reports(self):
         out, _ = run_shell(
