@@ -4,9 +4,10 @@ The columnar kernel re-runs the endpoint sweep over flat (starts,
 ends, values) columns: plain-int endpoint sorts at C speed, no
 per-event tuples, rows batch-converted at the end.  ``parallel_sweep``
 cuts the timeline into shards, clips tuples to each window, runs the
-columnar kernel per shard (in-process, or in a fork pool when the
-input is big enough and the host has >1 CPU), and stitches the
-per-shard rows back together.
+columnar kernel per shard, and stitches the per-shard rows back
+together.  These cells feed raw triples, which carry no relation
+identity for the resident pool to key shared memory on, so their
+shards run in process at every size.
 
 Timed cells record seconds for ``python -m repro.bench parallel`` to
 report; the *asserted* facts are deterministic — identical rows and

@@ -63,9 +63,7 @@ from repro.core import (
     k_ordered_percentage,
     k_orderedness,
     make_evaluator,
-    merge_results,
     moving_window_aggregate,
-    partitioned_aggregate,
     span_aggregate,
     temporal_aggregate,
 )
@@ -154,8 +152,6 @@ __all__ = [
     "Calendar",
     "calendar_span_aggregate",
     "moving_window_aggregate",
-    "merge_results",
-    "partitioned_aggregate",
     "STRATEGIES",
     "UnknownStrategyError",
     "make_evaluator",

@@ -30,14 +30,15 @@ def _write_parallel_json(reports, csv_dir) -> str:
     acceptance checks can read the numbers without scraping tables.
     """
     from repro.bench.config import bench_seeds, bench_sizes
-    from repro.core.parallel import POOL_MIN_TUPLES
-    from repro.core.partition import available_workers
+    from repro.bench.planner import host_header
+    from repro.core.partition import PARALLEL_MIN_TUPLES, available_workers
 
     payload = {
         "generated_by": "python -m repro.bench parallel",
+        "host": host_header(),
         "cpu_count": os.cpu_count(),
         "available_workers": available_workers(),
-        "pool_min_tuples": POOL_MIN_TUPLES,
+        "pool_min_tuples": PARALLEL_MIN_TUPLES,
         "sizes": bench_sizes(),
         "seeds": bench_seeds(),
         "reports": [report.to_dict() for report in reports],
@@ -191,7 +192,7 @@ def _write_pool_json(reports, csv_dir) -> str:
         ROUNDS_PER_CLIENT,
         _resolved_pool_workers,
     )
-    from repro.exec.pool import pool_min_tuples
+    from repro.core.partition import PARALLEL_MIN_TUPLES
 
     payload = {
         "generated_by": "python -m repro.bench pool",
@@ -199,9 +200,8 @@ def _write_pool_json(reports, csv_dir) -> str:
         "clients": CLIENTS,
         "rounds_per_client": ROUNDS_PER_CLIENT,
         "pool_workers": _resolved_pool_workers(),
-        "pool_min_tuples": pool_min_tuples(),
+        "pool_min_tuples": PARALLEL_MIN_TUPLES,
         "env": {
-            "REPRO_POOL_MIN_TUPLES": os.environ.get("REPRO_POOL_MIN_TUPLES"),
             "REPRO_POOL_WORKERS": os.environ.get("REPRO_POOL_WORKERS"),
         },
         "sizes": bench_sizes(),

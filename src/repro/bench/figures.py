@@ -505,13 +505,13 @@ def parallel(
     parallel rule targets.  Three reports: wall-clock seconds, abstract
     work (identical across the three sweeps by construction — the check
     that the columnar layout changes constants, not the algorithm), and
-    the speedup ratios the acceptance criteria quote.  The process pool
-    only engages at ``POOL_MIN_TUPLES`` tuples and with >1 CPU; below
-    that ``parallel_sweep`` runs its shards in-process.
+    the speedup ratios the acceptance criteria quote.  The cells feed
+    raw triples, which carry no relation identity for the resident pool
+    to key its shared-memory columns on, so ``parallel_sweep`` runs its
+    shards in process at every size: the cells time clipping, the
+    per-shard sweeps and stitching, not a process fan-out.
     """
     import os
-
-    from repro.core.parallel import POOL_MIN_TUPLES
 
     sizes = list(sizes) if sizes is not None else bench_sizes()
     seeds = list(seeds) if seeds is not None else bench_seeds()
@@ -551,9 +551,9 @@ def parallel(
         )
     note = (
         f"os.cpu_count()={os.cpu_count()}; seeds={seeds}; seconds are "
-        f"best-of-3 per seed; process pool engages at n>={POOL_MIN_TUPLES} "
-        f"with >1 shard (in-process below); on a single-CPU host sharding "
-        f"adds clipping overhead and cannot win"
+        f"best-of-3 per seed; raw-triple input, so parallel_sweep runs its "
+        f"shards in process at every size: the cells time clipping, "
+        f"per-shard sweeps and stitching on one core, not a process fan-out"
     )
     for report in (time_report, work_report, speed_report):
         report.add_note(note)

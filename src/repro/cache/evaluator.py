@@ -38,15 +38,11 @@ from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Tuple
 
 from repro.analysis import invariants as _invariants
 from repro.core.base import Evaluator, Triple, coerce_aggregate
-from repro.core.columnar_sweep import (
-    ColumnarSweepEvaluator,
-    validate_columns,
-    window_rows,
-)
+from repro.core.columnar_sweep import ColumnarSweepEvaluator, validate_columns
 from repro.core.columns import ColumnSet
-from repro.core.parallel import registered_instance
+from repro.core.parallel import registered_instance, sweep_windows
 from repro.core.partition import available_workers, seam_merges, shard_bounds
-from repro.core.result import Columns, TemporalAggregateResult
+from repro.core.result import TemporalAggregateResult
 from repro.exec.validation import validate_shards
 from repro.cache.store import (
     CachedEntry,
@@ -184,88 +180,28 @@ def _scan_columns(
     return starts, ends, values, columns
 
 
-def _pool_sweep(
-    columns: Any,
-    starts: Any,
-    ends: Any,
-    values: Any,
-    sweep_windows: List[Tuple[int, int]],
-    aggregate: "Aggregate",
-    counters: "OperationCounters",
-    deadline: "Optional[Deadline]",
-) -> Optional[List[Tuple[Columns, int]]]:
-    """Sweep ``sweep_windows`` on the resident pool, if it applies.
-
-    Engages for identified column snapshots at or above the
-    ``REPRO_POOL_MIN_TUPLES`` threshold with more than one window to
-    sweep — and only when a resident pool is *already running*
-    (:func:`repro.exec.pool.active_pool`).  The cache evaluator never
-    creates the pool itself: it runs on server executor threads
-    mid-query, where a lazy first-touch fork would fork a
-    multi-threaded process at an arbitrary point, and
-    ``ServerConfig(pool_workers=0)`` promises statements evaluate
-    in-process.  Returns per-window ``(columns, events)`` (worker
-    counter deltas already merged into ``counters``) or None for the
-    serial in-process path.
-    """
-    if columns is None or len(sweep_windows) <= 1:
-        return None
-    if getattr(columns, "uid", None) is None or columns.version is None:
-        return None
-    from repro.exec.pool import active_pool, pool_min_tuples
-
-    if len(starts) < pool_min_tuples():
-        return None
-    pool = active_pool()
-    if pool is None:
-        return None
-    outcome = pool.sweep_columns(
-        starts,
-        ends,
-        values,
-        sweep_windows,
-        aggregate.name,
-        uid=columns.uid,
-        version=columns.version,
-        column_key=columns.column_key,
-        owner=columns,
-        deadline=deadline,
-        counters=counters,
-    )
-    if outcome is None:
-        return None
-    return outcome[0]
-
-
 def _sweep_parts(
     columns: Any,
     starts: Any,
     ends: Any,
     values: Any,
-    sweep_windows: List[Tuple[int, int]],
+    windows: List[Tuple[int, int]],
     aggregate: "Aggregate",
     counters: "OperationCounters",
     deadline: "Optional[Deadline]",
 ) -> Tuple[List[ColumnSet], List[int]]:
-    """Sweep ``sweep_windows`` (on the resident pool when it applies)
-    into cache parts, plus the events each window processed.
+    """Sweep ``windows`` (through :func:`repro.core.parallel.
+    sweep_windows`, so on the resident pool when it applies) into cache
+    parts, plus the events each window processed.
 
     A part is its window's answer columns copied by slicing: the
     kernels' appended columns over-allocate, and the cache charges the
     allocated bytes, so it stores exactly-sized copies.
     """
-    swept = _pool_sweep(
-        columns, starts, ends, values, sweep_windows, aggregate, counters,
-        deadline,
+    swept, _report = sweep_windows(
+        starts, ends, values, windows, aggregate,
+        columns=columns, deadline=deadline, counters=counters,
     )
-    if swept is None:
-        swept = []
-        for index, (lo, hi) in enumerate(sweep_windows):
-            if deadline is not None:
-                deadline.check(
-                    completed_shards=index, total_shards=len(sweep_windows)
-                )
-            swept.append(window_rows(starts, ends, values, aggregate, lo, hi))
     parts = [
         ColumnSet(part_starts[:], part_ends[:], part_values[:])
         for (part_starts, part_ends, part_values), _events in swept

@@ -75,12 +75,7 @@ from repro.core.paged_tree import (
     PagedAggregationTreeEvaluator,
     SpillMetrics,
 )
-from repro.core.parallel import (
-    MERGEABLE_AGGREGATES,
-    ParallelSweepEvaluator,
-    merge_results,
-    partitioned_aggregate,
-)
+from repro.core.parallel import ParallelSweepEvaluator
 from repro.core.partition import (
     available_workers,
     clip_triples,
@@ -195,9 +190,6 @@ __all__ = [
     "event_span_aggregate",
     "event_window_aggregate",
     "TemporalAggregateIndex",
-    "MERGEABLE_AGGREGATES",
-    "merge_results",
-    "partitioned_aggregate",
     "available_workers",
     "shard_bounds",
     "clip_triples",

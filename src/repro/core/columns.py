@@ -25,8 +25,8 @@ at, and the attribute the value column came from.  They are optional
 (anonymous column sets still evaluate everywhere) but required for the
 resident execution backend (:mod:`repro.exec.pool`) — a shared-memory
 publication is keyed by exactly this triple, so an unidentified
-ColumnSet can never be published (and silently falls back to the
-copy-on-write path) rather than risking a stale-snapshot reuse.
+ColumnSet can never be published (its shards sweep in process) rather
+than risking a stale-snapshot reuse.
 """
 
 from __future__ import annotations

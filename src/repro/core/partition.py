@@ -7,9 +7,8 @@ every tuple into the windows it overlaps, evaluate each window
 independently, and concatenate.  Clipping preserves the multiset of
 tuples valid at every instant inside a window, so *any* aggregate —
 COUNT, SUM, MIN, MAX, AVG, and every other decomposable aggregate —
-stays exact, unlike tuple-set partitioning (see
-:func:`repro.core.parallel.partitioned_aggregate`), whose value-level
-merge cannot reconstruct AVG.
+stays exact, unlike tuple-set partitioning, whose value-level merge
+cannot reconstruct AVG.
 
 The one artefact clipping introduces is the shard seam itself: a cut
 instant ``c`` forces a row boundary at ``c`` even when no tuple starts
@@ -20,7 +19,7 @@ heals them, restoring the same row boundaries a single-shard
 evaluation emits.
 
 Everything here is pure and deterministic, which is what the property
-tests lean on; the process fan-out lives in :mod:`repro.core.parallel`.
+tests lean on; the fan-out lives in :mod:`repro.core.parallel`.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from repro.core.interval import FOREVER, ORIGIN
 from repro.core.result import Columns
 
 __all__ = [
+    "PARALLEL_MIN_TUPLES",
     "available_workers",
     "shard_bounds",
     "clip_triples",
@@ -47,6 +47,13 @@ __all__ = [
 #: Hard cap on the shard fan-out; beyond this the per-shard clip and
 #: stitch overhead outgrows any realistic core count.
 MAX_SHARDS = 8
+
+#: From this many tuples on, sharded work fans out: the planner picks
+#: ``parallel_sweep`` on a multi-core host, and sharded sweeps run on
+#: the resident worker pool (:mod:`repro.exec.pool`).  Below it the
+#: fan-out's fixed costs outweigh the sweep and shards run in process
+#: (measured in ``results/BENCH_planner.json``).
+PARALLEL_MIN_TUPLES = 32_768
 
 
 def available_workers(cap: int = MAX_SHARDS) -> int:

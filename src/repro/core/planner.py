@@ -19,10 +19,10 @@ in every cell of that table.
   sweep, whatever the order: it beat every tree on sorted, nearly
   sorted and unsorted input at every measured size.  The time-sharded
   sweep (:mod:`repro.core.parallel`) takes over from
-  :data:`PARALLEL_MIN_TUPLES` tuples on a multi-core host, where the
-  table shows it tying or beating the single sweep — for every
-  aggregate but COUNT over sorted or nearly sorted input, where it was
-  slower;
+  :data:`~repro.core.partition.PARALLEL_MIN_TUPLES` tuples on a
+  multi-core host, where the table shows it tying or beating the
+  single sweep — for every aggregate but COUNT over sorted or nearly
+  sorted input, where it was slower;
 * **memory is constrained** (a budget the event columns do not fit, or
   memory dearer than I/O) → the paper's rules, over the Section 6.2
   byte estimates: sorted → the k-ordered tree with k = 1; nearly sorted
@@ -43,6 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.relation.relation import RelationStatistics
 
 from repro.core.aggregates import Aggregate, CountAggregate
+from repro.core import partition
 from repro.core.partition import available_workers
 from repro.exec.faults import current_fault_plan
 from repro.metrics.space import NODE_OVERHEAD_BYTES
@@ -63,16 +64,6 @@ FEW_INTERVALS_FRACTION = 0.01
 #: Measured k above this fraction of n no longer counts as "nearly
 #: sorted" — the window would retain most of the relation anyway.
 NEARLY_SORTED_FRACTION = 0.05
-
-#: From this size on, with more than one core, the time-sharded sweep
-#: runs every aggregate but COUNT over sorted or nearly sorted input.
-#: From ``results/BENCH_planner.json``: below it the shards run in
-#: process (see :func:`repro.exec.pool.pool_min_tuples`) and lose; from
-#: it on, two shards tied or beat one sweep, up to 1.7x — except for
-#: COUNT over ordered input, whose two plain int sorts run in
-#: near-linear time and whose walk carries no values, so the fan-out's
-#: fixed costs made it up to 1.5x slower there.
-PARALLEL_MIN_TUPLES = 32_768
 
 #: Repeatedly queried relations at least this large are worth routing
 #: through the shard-result cache: below it even a full sweep is cheap
@@ -222,9 +213,14 @@ def choose_strategy(
     if memory_cheaper_than_io and fits(event_bytes):
         workers = available_workers()
         value_less = aggregate is None or not aggregate.needs_value
+        # From PARALLEL_MIN_TUPLES on, results/BENCH_planner.json has
+        # two shards tying or beating one sweep, up to 1.7x — except
+        # for COUNT over ordered input, whose two plain int sorts run
+        # in near-linear time and whose walk carries no values, so the
+        # fan-out's fixed costs made it up to 1.5x slower there.
         if (
             workers > 1
-            and n >= PARALLEL_MIN_TUPLES
+            and n >= partition.PARALLEL_MIN_TUPLES
             and not (value_less and nearly_sorted)
         ):
             return PlannerDecision(

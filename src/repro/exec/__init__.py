@@ -15,10 +15,13 @@ touching the algorithms' semantics:
   checkpoints;
 * :mod:`repro.exec.budget` — runtime memory-budget enforcement with
   mid-flight degradation to the spilling paged tree;
-* :mod:`repro.exec.supervision` — per-shard retries with jittered
-  backoff, shard timeouts, pool rebuilds, and an in-process fallback
+* :mod:`repro.exec.supervision` — the retry policy (jittered
+  backoff) and the report of a supervised shard fan-out;
+* :mod:`repro.exec.pool` — the resident worker pool: shared-memory
+  columns, worker respawns, shard timeouts, and an in-process fallback
   that keeps :class:`~repro.core.parallel.ParallelSweepEvaluator`
-  exact even when the whole pool dies;
+  exact even when every worker dies (imported on first use, not
+  re-exported here);
 * :mod:`repro.exec.faults` — a deterministic fault-injection harness
   (:class:`FaultPlan`) the workers, planner, and budget guard consult
   through an injectable hook, so every recovery path is testable.
@@ -49,11 +52,7 @@ from repro.exec.faults import (
     install_fault_plan,
     wrap_handle,
 )
-from repro.exec.supervision import (
-    RetryPolicy,
-    ShardSupervisor,
-    SupervisionReport,
-)
+from repro.exec.supervision import RetryPolicy, SupervisionReport
 from repro.exec.validation import (
     check_triple,
     validate_shards,
@@ -77,7 +76,6 @@ __all__ = [
     "evaluate_with_degradation",
     # supervision
     "RetryPolicy",
-    "ShardSupervisor",
     "SupervisionReport",
     # faults
     "FaultPlan",

@@ -8,22 +8,21 @@ process-global hook (:func:`install_fault_plan` or the
 :func:`fault_plan` context manager); the shard workers, the planner,
 and the memory guard consult it through :func:`current_fault_plan`.
 
-Because the parallel plan forks its workers *after* the plan is
-installed, pool workers inherit the active plan copy-on-write — no
-pipes, no environment variables, no racing.  Faults fire **only inside
-pool workers** (the worker task carries an ``in_pool`` flag): the
-in-process fallback path is exempt by construction, which is exactly
-what makes "kill every worker, still get the exact answer" a provable
-property rather than a hope.
+The resident pool's workers fork once, before any plan is installed,
+so the pool ships the active plan inside each job descriptor
+(:mod:`repro.exec.pool`).  Faults fire **only inside pool workers**:
+the in-process fallback never consults the plan, so it is exempt by
+construction, which is exactly what makes "kill every worker, still
+get the exact answer" a provable property rather than a hope.
 
 Supported fault kinds:
 
 ``kill``
-    The worker process exits hard (``os._exit``), breaking the pool —
-    the parent sees ``BrokenProcessPool`` and must rebuild.
+    The worker process exits hard (``os._exit``) — the parent sees
+    the worker's pipe close and must respawn it.
 ``raise``
     The worker raises :class:`InjectedFault` — an ordinary remote
-    exception, retryable without a pool rebuild.
+    exception, retryable without a respawn.
 ``delay``
     The worker sleeps ``delay_seconds`` before computing, driving the
     shard past its timeout.

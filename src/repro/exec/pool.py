@@ -1,9 +1,10 @@
 """Resident worker pool over shared-memory column segments.
 
-Before this module, every parallel evaluation paid a fresh ``fork`` of
-a whole process pool plus a copy-on-write republish of the input
-columns (:mod:`repro.core.parallel` builds a ``ProcessPoolExecutor``
-per evaluation).  That amortizes to nothing under a query *server*: the
+The engine's one process backend: every sharded sweep that leaves the
+calling process — ``parallel_sweep`` and the shard-result cache's
+re-sweeps, both through :func:`repro.core.parallel.sweep_windows` —
+runs here.  Forking a pool and shipping the input columns per
+evaluation would amortize to nothing under a query *server*: the
 north-star workload is many clients issuing repeated and overlapping
 statements against slowly-changing relations, where the columns are
 identical from one statement to the next and only the tiny window
@@ -34,18 +35,17 @@ once:
 
 Worker lifecycle is supervised (:class:`ResidentPoolSupervisor`): a
 worker that dies mid-job (OOM killer, injected ``kill`` fault) is
-detected by pipe EOF, respawned, and the job retried under the same
-:class:`~repro.exec.supervision.RetryPolicy` discipline as the legacy
-per-evaluation pool; jobs that exhaust their attempts fall back to an
-exact in-process evaluation, so the caller sees identical rows no
-matter how many workers die.  Deadlines bound every pipe wait.
+detected by pipe EOF, respawned, and the job retried under a
+:class:`~repro.exec.supervision.RetryPolicy`; jobs that exhaust their
+attempts fall back to an exact in-process evaluation, so the caller
+sees identical rows no matter how many workers die.  Deadlines bound
+every pipe wait.
 
-Fault injection differs from the legacy pool in one deliberate way:
-resident workers fork *before* any test installs a
-:class:`~repro.exec.faults.FaultPlan`, so plans cannot ride in
-copy-on-write globals.  Instead the active plan travels inside each
-job descriptor (plans are small frozen dataclasses, picklable by
-construction) and fires inside the worker exactly as before.
+Resident workers fork *before* any test installs a
+:class:`~repro.exec.faults.FaultPlan`, so the active plan travels
+inside each job descriptor (plans are small frozen dataclasses,
+picklable by construction) and fires inside the worker; the
+in-process fallback never consults it.
 
 Cross-process metrics stay exact: each worker tallies its own
 per-job counter deltas (shard sweeps run, tuples materialized — zero
@@ -82,7 +82,6 @@ __all__ = [
     "PublishedSnapshot",
     "ResidentWorkerPool",
     "ResidentPoolSupervisor",
-    "pool_min_tuples",
     "pool_workers_from_env",
     "default_pool",
     "active_pool",
@@ -92,29 +91,10 @@ __all__ = [
     "default_segment_store",
 ]
 
-#: Default minimum input size before the resident pool pays for itself;
-#: overridable through ``REPRO_POOL_MIN_TUPLES``.
-DEFAULT_POOL_MIN_TUPLES = 32_768
-
 #: Counter-delta fields a worker may report back with a job result.
 #: A fixed allowlist: the parent merges blindly, so the protocol — not
 #: the worker — decides which counters can cross the process boundary.
 WORKER_DELTA_FIELDS = ("pool_shards", "tuple_materializations")
-
-
-def pool_min_tuples() -> int:
-    """Minimum tuple count before sharded work engages a process pool.
-
-    Reads ``REPRO_POOL_MIN_TUPLES`` (the knob replacing the old
-    hard-coded constant); invalid or missing values fall back to
-    :data:`DEFAULT_POOL_MIN_TUPLES`.
-    """
-    raw = os.environ.get("REPRO_POOL_MIN_TUPLES", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_POOL_MIN_TUPLES
-    return value if value >= 0 else DEFAULT_POOL_MIN_TUPLES
 
 
 def pool_workers_from_env() -> Optional[int]:
@@ -141,8 +121,8 @@ def _shareable_values(values: Optional[Sequence[Any]]) -> Optional[array]:
 
     Only ``array('q')``-compatible values (plain ints in int64 range)
     lay out directly in a shared segment; floats, Decimals, strings and
-    mixed columns return None and the caller falls back to the legacy
-    copy-on-write path, which handles arbitrary Python values.
+    mixed columns return None and the caller sweeps in process, which
+    handles arbitrary Python values.
     """
     if values is None:
         return None
@@ -301,8 +281,8 @@ class SegmentStore:
     ) -> Optional[PublishedSnapshot]:
         """Ensure (uid, version, column_key) is resident.
 
-        Returns None — caller falls back to the legacy path — for
-        empty columns or a value column that does not map to int64.
+        Returns None — the caller sweeps in process — for empty
+        columns or a value column that does not map to int64.
         Idempotent: a second publish of a live snapshot returns the
         existing one without touching shared memory, except that a
         value-less snapshot grows a values segment the first time a
@@ -731,12 +711,11 @@ class _Worker:
 class ResidentPoolSupervisor:
     """Distribute sweep jobs over resident workers; recover crashes.
 
-    The resident analogue of :class:`~repro.exec.supervision.
-    ShardSupervisor`: the same retry policy and exact in-process
-    fallback, but detection works on pipes — a dead worker is an
-    ``EOFError``/closed pipe on recv, a hung one a ``poll`` timeout —
-    and recovery respawns the *one* worker instead of rebuilding a
-    whole executor.  ``report.respawns`` counts those.
+    Bounded retries under a :class:`~repro.exec.supervision.
+    RetryPolicy` and an exact in-process fallback; detection works on
+    pipes — a dead worker is an ``EOFError``/closed pipe on recv, a
+    hung one a ``poll`` timeout — and recovery respawns the *one*
+    worker.  ``report.respawns`` counts those.
     """
 
     def __init__(
@@ -944,9 +923,8 @@ class ResidentWorkerPool:
     ``workers=None`` sizes from ``REPRO_POOL_WORKERS`` then the core
     count (via :func:`repro.core.partition.available_workers`).  The
     pool owns a :class:`SegmentStore` for its snapshots and a single
-    submission lock: one sweep fan-out at a time (matching the legacy
-    pool's module-global serialization), with workers surviving in
-    between — that survival is the entire point.
+    submission lock: one sweep fan-out at a time, with workers
+    surviving in between — that survival is the entire point.
     """
 
     def __init__(
@@ -973,6 +951,8 @@ class ResidentWorkerPool:
         self._started = False  # ta: guarded-by(self._lock)
         self._closed = False  # ta: guarded-by(self._lock)
         self.forks_total = 0  # ta: guarded-by(self._lock)
+        #: Shard sweeps whose accepted result came from a worker.
+        self.shards_total = 0  # ta: guarded-by(self._lock)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -1097,8 +1077,8 @@ class ResidentWorkerPool:
         already merged into ``counters``), or None when the resident
         backend cannot serve this input — unidentified snapshot
         (no uid/version), unshareable values, fork unavailable — and
-        the caller should use its legacy path.  Exactly one fan-out
-        runs at a time; the columns publish at most once per snapshot.
+        the caller should sweep in process.  Exactly one fan-out runs
+        at a time; the columns publish at most once per snapshot.
         """
         if uid is None or version is None or not self.usable():
             return None
@@ -1155,6 +1135,7 @@ class ResidentWorkerPool:
             )
             with self._lock:
                 job_results = supervisor.run(specs, fallback, counters)
+                self.shards_total += supervisor.report.pooled_shards
             if counters is not None:
                 for result in job_results:
                     deltas = result[2]
@@ -1216,14 +1197,14 @@ def default_pool(workers: Optional[int] = None) -> Optional[ResidentWorkerPool]:
 def active_pool() -> Optional[ResidentWorkerPool]:
     """The default pool only if it is *already running*; never creates.
 
-    The opt-in gate for evaluation paths that must not fork lazily:
-    the cached evaluator runs on server executor threads mid-query
-    (forking a multi-threaded process at an arbitrary point), and
-    ``ServerConfig`` documents ``pool_workers=0`` as "no resident
-    execution".  Whoever wants resident execution starts the pool
-    explicitly — the server's ``start()``, a ``with`` block, a bench
-    driver — and this returns it; otherwise None and the caller stays
-    on its in-process path.
+    The gate for evaluation paths that must not fork lazily: sweeps on
+    server executor threads run mid-query (forking a multi-threaded
+    process at an arbitrary point), and ``ServerConfig`` documents
+    ``pool_workers=0`` as "no resident execution".  A multi-threaded
+    process gets resident execution by starting the pool explicitly —
+    the server's ``start()``, a ``with`` block, a bench driver — and
+    this returns it; otherwise None and the caller stays in process
+    (see :func:`repro.core.parallel.sweep_windows`).
     """
     with _DEFAULT_LOCK:
         pool = _DEFAULT_POOL

@@ -1,24 +1,17 @@
-"""Shard supervision: retries, timeouts, pool rebuilds, fallback.
+"""Shard supervision vocabulary: the retry policy and the run report.
 
-The parallel plan fans one task per time shard out to a
-``ProcessPoolExecutor``.  Before this module, a single killed worker
-(OOM killer, segfault), hung shard, or unpicklable result aborted the
-whole query with a raw ``BrokenProcessPool``.  The
-:class:`ShardSupervisor` turns those into bounded, observable recovery:
+The resident pool (:class:`repro.exec.pool.ResidentPoolSupervisor`)
+turns a killed worker (OOM killer, segfault), a hung shard, or an
+unpicklable result into bounded, observable recovery, and the serve
+and replicate clients retry refused requests the same way:
 
-* every shard gets up to :attr:`RetryPolicy.max_attempts` pool
-  attempts, separated by exponential backoff with **deterministic**
-  jitter (seeded from the shard index and attempt number — reproducible
-  runs, but concurrent retries still decorrelate);
-* a per-shard wall-clock timeout bounds hung workers; a broken pool is
-  rebuilt a limited number of times;
-* a shard that exhausts its attempts falls back to an **in-process**
-  evaluation of the same pure task — the fault-injection hook only
-  fires inside pool workers, and the task functions are deterministic,
-  so the fallback provably returns the exact shard answer;
-* the active :class:`~repro.exec.deadline.Deadline` is checked at every
-  shard boundary, with completed/total shard counts as the
-  partial-progress metrics.
+* every attempt is separated from the next by exponential backoff with
+  **deterministic** jitter (seeded from the shard index and attempt
+  number — reproducible runs, but concurrent retries still
+  decorrelate), for at most :attr:`RetryPolicy.max_attempts` attempts;
+* :class:`SupervisionReport` records what one supervised fan-out
+  actually did: retries, timeouts, worker respawns, and the shards
+  recovered by the exact in-process fallback.
 
 The result is the invariant the engine advertises: ``parallel_sweep``
 returns byte-identical answers whether zero, some, or all of its
@@ -27,17 +20,12 @@ workers die — only slower.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import List
 
-from repro.exec.deadline import Deadline
-from repro.exec.errors import DeadlineExceeded, ShardFailure
+from repro.exec.errors import ShardFailure
 
-__all__ = ["RetryPolicy", "SupervisionReport", "ShardSupervisor"]
+__all__ = ["RetryPolicy", "SupervisionReport"]
 
 
 @dataclass(frozen=True)
@@ -77,205 +65,11 @@ class SupervisionReport:
     inprocess_shards: int = 0  # shards recovered by the in-process fallback
     retries: int = 0
     timeouts: int = 0
-    pool_rebuilds: int = 0
-    #: Resident workers replaced after a crash or hang — the resident
-    #: backend's (:mod:`repro.exec.pool`) analogue of a pool rebuild,
-    #: scoped to the one dead worker instead of the whole executor.
+    #: Resident workers replaced after a crash or hang.
     respawns: int = 0
     failures: List[ShardFailure] = field(default_factory=list)
 
     @property
     def degraded(self) -> bool:
-        """Did any shard need recovery (retry, rebuild, or fallback)?"""
-        return bool(
-            self.retries
-            or self.pool_rebuilds
-            or self.inprocess_shards
-            or self.respawns
-        )
-
-
-class ShardSupervisor:
-    """Run one picklable task per window with retries and fallback.
-
-    ``task`` receives ``(window, shard_index, attempt, in_pool)`` and
-    must be a module-level function (it crosses the process boundary).
-    It must be pure: the supervisor may run the same shard several
-    times and keeps only the accepted result.
-    """
-
-    def __init__(
-        self,
-        task: Callable[[Tuple[Any, int, int, bool]], Any],
-        windows: Sequence[Any],
-        *,
-        mp_context: Optional[Any] = None,
-        use_pool: bool = True,
-        retry: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
-        deadline: Optional[Deadline] = None,
-        max_pool_rebuilds: int = 2,
-    ) -> None:
-        self.task = task
-        self.windows = list(windows)
-        self.mp_context = mp_context
-        self.use_pool = use_pool
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.shard_timeout = shard_timeout
-        self.deadline = deadline
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.report = SupervisionReport(total_shards=len(self.windows))
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _check_deadline(self, completed: int) -> None:
-        if self.deadline is not None:
-            self.deadline.check(
-                completed_shards=completed,
-                total_shards=len(self.windows),
-            )
-
-    def _result_timeout(self) -> Optional[float]:
-        """Per-future wait: the shard timeout capped by the deadline."""
-        timeout = self.shard_timeout
-        if self.deadline is not None:
-            remaining = self.deadline.remaining_seconds()
-            timeout = remaining if timeout is None else min(timeout, remaining)
-        return timeout
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=max(1, len(self.windows)), mp_context=self.mp_context
-        )
-
-    def _shutdown(self, pool: Optional[ProcessPoolExecutor]) -> None:
-        if pool is None:
-            return
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except (OSError, RuntimeError):
-            # A broken pool (BrokenProcessPool is a RuntimeError) or a
-            # dead pipe may refuse even shutdown; the workers are gone
-            # either way, so there is nothing left to release.
-            pass
-
-    def _run_in_process(self, index: int, attempt: int) -> Any:
-        """The exact fallback: same pure task, faults disabled."""
-        self.report.inprocess_shards += 1
-        return self.task((self.windows[index], index, attempt, False))
-
-    # ------------------------------------------------------------------
-    # The supervision loop
-    # ------------------------------------------------------------------
-
-    def run(self) -> List[Any]:
-        """Evaluate every window; returns results in window order."""
-        n = len(self.windows)
-        results: List[Any] = [None] * n
-        completed = 0
-        attempts = [0] * n
-        pending = list(range(n))
-        pool = self._make_pool() if (self.use_pool and n) else None
-        rebuilds_left = self.max_pool_rebuilds
-        try:
-            while pending:
-                self._check_deadline(completed)
-                if pool is None:
-                    # No usable pool: drain the remainder in-process,
-                    # still honoring the deadline between shards.
-                    for index in pending:
-                        self._check_deadline(completed)
-                        results[index] = self._run_in_process(
-                            index, attempts[index] + 1
-                        )
-                        completed += 1
-                    pending = []
-                    break
-
-                futures = {}
-                pool_broken = False
-                for index in pending:
-                    attempts[index] += 1
-                    try:
-                        futures[index] = pool.submit(
-                            self.task,
-                            (self.windows[index], index, attempts[index], True),
-                        )
-                    except BrokenProcessPool:
-                        pool_broken = True
-                        break
-                    except RuntimeError:
-                        # shutdown/broken executors raise RuntimeError
-                        pool_broken = True
-                        break
-
-                failed: List[Tuple[int, Optional[BaseException]]] = []
-                for index in pending:
-                    future = futures.get(index)
-                    if future is None:
-                        failed.append((index, None))
-                        continue
-                    try:
-                        results[index] = future.result(
-                            timeout=self._result_timeout()
-                        )
-                        self.report.pooled_shards += 1
-                        completed += 1
-                    except FuturesTimeoutError as exc:
-                        self.report.timeouts += 1
-                        future.cancel()
-                        failed.append((index, exc))
-                    except DeadlineExceeded:
-                        raise
-                    except BaseException as exc:
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broken = True
-                        failed.append((index, exc))
-                    self._check_deadline(completed)
-
-                if pool_broken:
-                    self._shutdown(pool)
-                    if rebuilds_left > 0:
-                        rebuilds_left -= 1
-                        self.report.pool_rebuilds += 1
-                        pool = self._make_pool()
-                    else:
-                        pool = None
-
-                next_round: List[int] = []
-                for index, cause in failed:
-                    if attempts[index] >= self.retry.max_attempts:
-                        self.report.failures.append(
-                            ShardFailure(
-                                f"shard {index} failed {attempts[index]} "
-                                f"pool attempts; recovering in-process",
-                                shard=index,
-                                window=self.windows[index],
-                                attempts=attempts[index],
-                                cause=cause,
-                            )
-                        )
-                        self._check_deadline(completed)
-                        results[index] = self._run_in_process(
-                            index, attempts[index]
-                        )
-                        completed += 1
-                    else:
-                        self.report.retries += 1
-                        next_round.append(index)
-
-                if next_round and pool is not None:
-                    delay = max(
-                        self.retry.backoff(index, attempts[index])
-                        for index in next_round
-                    )
-                    if self.deadline is not None:
-                        delay = min(delay, self.deadline.remaining_seconds())
-                    if delay > 0:
-                        time.sleep(delay)
-                pending = next_round
-            return results
-        finally:
-            self._shutdown(pool)
+        """Did any shard need recovery (retry, respawn, or fallback)?"""
+        return bool(self.retries or self.inprocess_shards or self.respawns)

@@ -65,8 +65,8 @@ def validated_triples(
         yield triple
 
 
-def validate_shards(shards: Optional[Any], *, what: str = "shards") -> Optional[int]:
-    """Validate a shard/partition count (None means "pick a default").
+def validate_shards(shards: Optional[Any]) -> Optional[int]:
+    """Validate a shard count (None means "pick a default").
 
     Returns the validated count so call sites can write
     ``shards = validate_shards(shards)``.
@@ -75,8 +75,8 @@ def validate_shards(shards: Optional[Any], *, what: str = "shards") -> Optional[
         return None
     if type(shards) is not int:
         raise InvalidInput(
-            f"{what} must be a plain integer or None, got {shards!r}"
+            f"shards must be a plain integer or None, got {shards!r}"
         )
     if shards < 1:
-        raise InvalidInput(f"need at least one {what.rstrip('s')}, got {shards}")
+        raise InvalidInput(f"need at least one shard, got {shards}")
     return shards

@@ -637,10 +637,13 @@ class QueryServer:
         """The ``pool`` section of the stats frame."""
         pool = self._pool
         if pool is None:
-            return {"workers": 0, "forks": 0, "live_segments": 0}
+            return {
+                "workers": 0, "forks": 0, "pool_shards": 0, "live_segments": 0,
+            }
         return {
             "workers": pool.worker_count,
             "forks": pool.forks_total,
+            "pool_shards": pool.shards_total,
             "live_segments": len(pool.store.live_segment_names()),
             "segments_published": pool.store.published_total,
             "segments_reclaimed": pool.store.reclaimed_total,

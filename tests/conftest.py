@@ -70,6 +70,35 @@ def random_triples(seed: int, n: int, max_instant: int = 100, values: bool = Tru
     return triples
 
 
+def triples_relation(triples) -> TemporalRelation:
+    """An identified Employed-schema relation holding ``triples`` as
+    (start, end, salary), the input the resident pool sweeps."""
+    relation = TemporalRelation(EMPLOYED_SCHEMA, name="triples")
+    relation.append_batch(
+        [
+            ((f"e{index}", value), start, end)
+            for index, (start, end, value) in enumerate(triples)
+        ]
+    )
+    return relation
+
+
+@pytest.fixture
+def started_pool():
+    """The process-default resident pool (2 workers), started for one
+    test and shut down after it."""
+    from repro.exec import pool as pool_module
+
+    pool = pool_module.default_pool(2)
+    if pool is None:
+        pytest.skip("the resident pool needs the fork start method")
+    pool.start()
+    try:
+        yield pool
+    finally:
+        pool_module.shutdown_default_pool()
+
+
 def tiny_relation(rows) -> TemporalRelation:
     """Build an Employed-schema relation from (name, salary, start, end)."""
     relation = TemporalRelation(EMPLOYED_SCHEMA, name="tiny")

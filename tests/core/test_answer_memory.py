@@ -38,7 +38,7 @@ MAX_BYTES_PER_ROW = 64
 EVALUATORS = {
     "columnar_sweep": lambda aggregate: ColumnarSweepEvaluator(aggregate),
     "parallel_sweep": lambda aggregate: ParallelSweepEvaluator(
-        aggregate, shards=4, use_processes=False
+        aggregate, shards=4
     ),
 }
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.cache.evaluator import evaluate_cached
 from repro.cache.store import ShardResultCache
 from repro.core.aggregates import get_aggregate
+from repro.core import partition
 from repro.core.columnar_sweep import ColumnarSweepEvaluator
 from repro.core.interval import FOREVER
 from repro.core.parallel import ParallelSweepEvaluator
@@ -115,9 +116,7 @@ def test_serial_columnar_over_heap_matches_reference(name, shape, data):
 def test_parallel_columnar_matches_reference(name, shape, data):
     rows = data.draw(shape)
     relation = TemporalRelation(EMPLOYED_SCHEMA, rows)
-    evaluator = ParallelSweepEvaluator(
-        get_aggregate(name), shards=4, use_processes=False
-    )
+    evaluator = ParallelSweepEvaluator(get_aggregate(name), shards=4)
     result = evaluator.evaluate_relation(relation, "salary")
     assert _rows_of(result) == _reference_rows(rows, name)
     assert evaluator.counters.tuple_materializations == 0
@@ -199,18 +198,25 @@ def test_every_sweep_entry_point_returns_reference_rows(
     attribute = None if name == "count" else "salary"
     aggregate = get_aggregate(name)
     expected = _reference_rows(rows[:split], name)
-    for label, evaluator in (
-        ("columnar", ColumnarSweepEvaluator(aggregate)),
-        ("in-process shards", ParallelSweepEvaluator(
-            aggregate, shards=4, use_processes=False
-        )),
-        ("pooled shards", ParallelSweepEvaluator(
-            aggregate, shards=2, use_processes=True
-        )),
+    # Below PARALLEL_MIN_TUPLES the shards run in process; with the
+    # threshold at zero they run on the started pool.
+    pooled = ParallelSweepEvaluator(aggregate, shards=2)
+    for label, evaluator, min_tuples in (
+        ("columnar", ColumnarSweepEvaluator(aggregate), None),
+        ("in-process shards", ParallelSweepEvaluator(aggregate, shards=4), None),
+        ("pooled shards", pooled, 0),
     ):
-        result = evaluator.evaluate_relation(relation, attribute)
+        with pytest.MonkeyPatch.context() as patch:
+            if min_tuples is not None:
+                patch.setattr(partition, "PARALLEL_MIN_TUPLES", min_tuples)
+            result = evaluator.evaluate_relation(relation, attribute)
         assert _rows_of(result) == expected, label
         assert evaluator.counters.tuple_materializations == 0, label
+    columns = relation.columns(attribute)
+    windows = partition.shard_bounds(columns.starts, columns.ends, 2)
+    assert pooled.counters.pool_shards == (
+        len(windows) if len(windows) > 1 else 0
+    )
 
     cache = ShardResultCache()
     for label in ("miss", "hit"):

@@ -157,11 +157,12 @@ class TestCountReadsNoValues:
     ):
         import os
 
+        from repro.core import partition
         from repro.exec import pool as pool_module
 
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+        monkeypatch.setattr(partition, "PARALLEL_MIN_TUPLES", 64)
         relation = self.relation()
-        assert len(relation) >= pool_module.pool_min_tuples()
+        assert len(relation) >= partition.PARALLEL_MIN_TUPLES
         pool = pool_module.default_pool(2)
         if pool is None:
             pytest.skip("the resident pool needs the fork start method")

@@ -11,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import partition
+from repro.core.aggregates import get_aggregate
 from repro.core.engine import temporal_aggregate
 from repro.core.interval import FOREVER
-from repro.core.parallel import ParallelSweepEvaluator, POOL_MIN_TUPLES
-from repro.core.columnar_sweep import ColumnarSweepEvaluator
+from repro.core.parallel import ParallelSweepEvaluator, sweep_windows
+from repro.core.columnar_sweep import ColumnarSweepEvaluator, window_rows
 from repro.core.reference import ReferenceEvaluator
+from repro.exec.deadline import Deadline
+from repro.exec.errors import DeadlineExceeded
 from repro.metrics.counters import OperationCounters
-from tests.conftest import random_triples
+from tests.conftest import random_triples, triples_relation
 
 AGGREGATES = ["count", "sum", "min", "max", "avg"]
 SHARD_COUNTS = [1, 2, 3, 7]
@@ -88,29 +92,53 @@ class TestRandomCorpora:
             assert result.rows == expected
 
 
+def pooled_sweep(aggregate, relation, shards):
+    """``parallel_sweep`` over ``relation``: its rows and counters."""
+    counters = OperationCounters()
+    attribute = None if aggregate == "count" else "salary"
+    result = ParallelSweepEvaluator(
+        aggregate, shards=shards, counters=counters
+    ).evaluate_relation(relation, attribute)
+    return result, counters
+
+
 class TestProcessPool:
-    """The real fork/pickle path, forced on despite small inputs."""
+    """The resident pool path, forced on despite small inputs."""
 
     @pytest.mark.parametrize("aggregate", AGGREGATES)
-    def test_pool_matches_reference(self, aggregate):
+    def test_pool_matches_reference(self, started_pool, monkeypatch, aggregate):
+        monkeypatch.setattr(partition, "PARALLEL_MIN_TUPLES", 0)
         triples = random_triples(seed=5, n=400)
         expected = reference_rows(aggregate, triples)
-        result = ParallelSweepEvaluator(
-            aggregate, shards=4, use_processes=True
-        ).evaluate(list(triples))
+        result, counters = pooled_sweep(aggregate, triples_relation(triples), 4)
         assert result.rows == expected
+        assert counters.pool_shards == 4
+        assert counters.tuple_materializations == 0
 
-    def test_pool_auto_off_below_threshold(self):
-        triples = random_triples(seed=5, n=50)
-        evaluator = ParallelSweepEvaluator("count", shards=2)
-        assert not evaluator._pool_usable(len(triples), 2)
-        assert evaluator._pool_usable(POOL_MIN_TUPLES, 2) == (
-            "fork" in __import__("multiprocessing").get_all_start_methods()
-        )
+    def test_pool_auto_off_below_threshold(self, started_pool, monkeypatch):
+        relation = triples_relation(random_triples(seed=5, n=50))
+        _result, below = pooled_sweep("count", relation, 2)
+        assert below.pool_shards == 0
+        monkeypatch.setattr(partition, "PARALLEL_MIN_TUPLES", len(relation))
+        _result, at = pooled_sweep("count", relation, 2)
+        assert at.pool_shards == 2
+
+    def test_raw_triples_shard_in_process(self, started_pool, monkeypatch):
+        """Triples carry no relation identity to key shared memory on."""
+        monkeypatch.setattr(partition, "PARALLEL_MIN_TUPLES", 0)
+        triples = random_triples(seed=6, n=200)
+        counters = OperationCounters()
+        evaluator = ParallelSweepEvaluator("sum", shards=2, counters=counters)
+        result = evaluator.evaluate(list(triples))
+        assert result.rows == reference_rows("sum", triples)
+        assert counters.pool_shards == 0
+        assert evaluator.last_supervision is None
 
 
 class TestCustomAggregates:
-    def test_unregistered_aggregate_runs_in_process(self):
+    def test_unregistered_aggregate_runs_in_process(
+        self, started_pool, monkeypatch
+    ):
         from repro.core.aggregates import SumAggregate
 
         class DoubledSum(SumAggregate):
@@ -120,12 +148,66 @@ class TestCustomAggregates:
             def finalize(self, state):
                 return None if state is None else 2 * state
 
+        monkeypatch.setattr(partition, "PARALLEL_MIN_TUPLES", 0)
         triples = random_triples(seed=9, n=120)
-        evaluator = ParallelSweepEvaluator(DoubledSum(), shards=3)
-        assert not evaluator._pool_usable(10**6, 3)
-        result = evaluator.evaluate(list(triples))
+        counters = OperationCounters()
+        evaluator = ParallelSweepEvaluator(
+            DoubledSum(), shards=3, counters=counters
+        )
+        result = evaluator.evaluate_relation(
+            triples_relation(triples), "salary"
+        )
         expected = ReferenceEvaluator(DoubledSum()).evaluate(list(triples))
         assert result.rows == expected.rows
+        assert counters.pool_shards == 0
+
+
+class TestSweepWindows:
+    """The in-process side of the one fan-out helper."""
+
+    def test_results_arrive_in_window_order(self):
+        starts, ends, values = zip(*random_triples(seed=3, n=150))
+        windows = partition.shard_bounds(starts, ends, 5)
+        aggregate = get_aggregate("sum")
+        swept, report = sweep_windows(starts, ends, values, windows, aggregate)
+        assert swept == [
+            window_rows(starts, ends, values, aggregate, lo, hi)
+            for lo, hi in windows
+        ]
+        assert report is None
+
+    def test_deadline_checked_between_shards(self):
+        starts, ends, values = zip(*random_triples(seed=3, n=150))
+        windows = partition.shard_bounds(starts, ends, 3)
+        with pytest.raises(DeadlineExceeded) as info:
+            sweep_windows(
+                starts, ends, values, windows, get_aggregate("count"),
+                deadline=Deadline(0.0001),
+            )
+        assert info.value.progress["total_shards"] == len(windows)
+
+    def test_faults_never_fire_in_process(self):
+        """Fault plans fire only inside pool workers, so the in-process
+        path (and the pool's fallback) computes the exact answer."""
+        from repro.exec.faults import FaultPlan, ShardFault, fault_plan
+
+        starts, ends, values = zip(*random_triples(seed=3, n=150))
+        windows = partition.shard_bounds(starts, ends, 3)
+        aggregate = get_aggregate("min")
+        plan = FaultPlan(
+            shard_faults=tuple(
+                ShardFault(i, "kill", attempts=99) for i in range(len(windows))
+            )
+        )
+        with fault_plan(plan):
+            swept, report = sweep_windows(
+                starts, ends, values, windows, aggregate
+            )
+        assert report is None
+        assert swept == [
+            window_rows(starts, ends, values, aggregate, lo, hi)
+            for lo, hi in windows
+        ]
 
 
 class TestEngineIntegration:

@@ -1,9 +1,10 @@
 """Deterministic fault-injection suite: every recovery path, exact results.
 
-These tests force pool workers to die, hang, and poison their results,
-then assert the engine still returns byte-identical rows to the
-brute-force oracle for all five aggregates.  They are marked
-``faults`` so CI can run them as a dedicated job
+These tests force resident pool workers to die, hang, and poison their
+results while ``parallel_sweep`` fans an identified relation out over
+the started pool, then assert the engine still returns byte-identical
+rows to the brute-force oracle for all five aggregates.  They are
+marked ``faults`` so CI can run them as a dedicated job
 (``pytest -m faults``); they also run in the default suite.
 """
 
@@ -23,13 +24,13 @@ from repro.exec.faults import (
     install_fault_plan,
 )
 from repro.exec.supervision import RetryPolicy
-from tests.conftest import random_triples
+from tests.conftest import random_triples, triples_relation
 
 pytestmark = pytest.mark.faults
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process-pool faults need the fork start method",
+    reason="resident pool faults need the fork start method",
 )
 
 AGGREGATES = ["count", "sum", "min", "max", "avg"]
@@ -42,17 +43,28 @@ def corpus(seed=7, n=500):
     return random_triples(seed, n, max_instant=300)
 
 
+@pytest.fixture()
+def pooled(started_pool, monkeypatch):
+    """Every sharded sweep over a relation runs on the started pool."""
+    monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 0)
+    return started_pool
+
+
 def evaluate_under(plan, aggregate, data, **kwargs):
+    relation = triples_relation(data)
+    attribute = None if aggregate == "count" else "salary"
     with fault_plan(plan):
         evaluator = ParallelSweepEvaluator(
             aggregate,
             shards=4,
-            use_processes=True,
             retry=kwargs.pop("retry", FAST_RETRY),
             **kwargs,
         )
-        result = evaluator.evaluate(data)
-    return result, evaluator.last_supervision
+        result = evaluator.evaluate_relation(relation, attribute)
+    report = evaluator.last_supervision
+    assert report is not None, "the shards did not run on the pool"
+    assert report.total_shards == 4
+    return result, report
 
 
 class TestPlanMechanics:
@@ -89,8 +101,9 @@ class TestPlanMechanics:
 
 
 @needs_fork
+@pytest.mark.usefixtures("pooled")
 class TestKilledShards:
-    """The acceptance scenario: kill 2 of 4 workers, answers unchanged."""
+    """The acceptance scenario: kill 2 of 4 shards, answers unchanged."""
 
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_two_killed_shards_exact_for_all_aggregates(self, aggregate):
@@ -103,7 +116,7 @@ class TestKilledShards:
         result, report = evaluate_under(plan, aggregate, data)
         assert result.rows == reference.rows
         assert report.degraded  # the kills really happened
-        assert report.pool_rebuilds >= 1
+        assert report.respawns >= 1
 
     def test_injected_raise_is_retried_not_fatal(self):
         data = corpus(seed=8)
@@ -112,10 +125,11 @@ class TestKilledShards:
         result, report = evaluate_under(plan, "sum", data)
         assert result.rows == reference.rows
         assert report.retries >= 1
-        assert report.pool_rebuilds == 0  # plain exception, pool intact
+        assert report.respawns == 0  # plain exception, workers intact
 
 
 @needs_fork
+@pytest.mark.usefixtures("pooled")
 class TestPoolWideDeath:
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_every_worker_dying_falls_back_in_process(self, aggregate):
@@ -137,6 +151,7 @@ class TestPoolWideDeath:
 
 
 @needs_fork
+@pytest.mark.usefixtures("pooled")
 class TestPoisonedResults:
     def test_unpicklable_result_is_retried(self):
         data = corpus(seed=10)
@@ -156,6 +171,7 @@ class TestPoisonedResults:
 
 
 @needs_fork
+@pytest.mark.usefixtures("pooled")
 class TestHungShards:
     def test_delayed_worker_times_out_and_retry_succeeds(self):
         data = corpus(seed=12)

@@ -9,8 +9,12 @@ garbage collection, and shutdown.
 """
 
 import gc
+import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 from array import array
 
 import pytest
@@ -28,14 +32,13 @@ from repro.exec.pool import (
     SegmentStore,
     WORKER_DELTA_FIELDS,
     _shareable_values,
-    pool_min_tuples,
     pool_workers_from_env,
 )
 from repro.exec.supervision import RetryPolicy
 from repro.metrics.counters import OperationCounters
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import EMPLOYED_SCHEMA
-from tests.conftest import random_triples
+from tests.conftest import random_triples, triples_relation
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -91,24 +94,6 @@ def reference_rows(starts, ends, values, aggregate_name, windows):
 
 
 class TestEnvKnobs:
-    def test_min_tuples_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_MIN_TUPLES", raising=False)
-        from repro.exec.pool import DEFAULT_POOL_MIN_TUPLES
-
-        assert pool_min_tuples() == DEFAULT_POOL_MIN_TUPLES
-
-    def test_min_tuples_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "128")
-        assert pool_min_tuples() == 128
-
-    def test_min_tuples_garbage_falls_back(self, monkeypatch):
-        from repro.exec.pool import DEFAULT_POOL_MIN_TUPLES
-
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "not-a-number")
-        assert pool_min_tuples() == DEFAULT_POOL_MIN_TUPLES
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "-5")
-        assert pool_min_tuples() == DEFAULT_POOL_MIN_TUPLES
-
     def test_workers_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_POOL_WORKERS", raising=False)
         assert pool_workers_from_env() is None
@@ -511,7 +496,7 @@ class TestCachedEvaluatorPoolPath:
         serial = evaluate_cached(
             relation, "sum", "salary", shards=4, cache=ShardResultCache()
         )
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
         counters = OperationCounters()
         try:
             pool_module.default_pool(2).start()
@@ -532,7 +517,7 @@ class TestCachedEvaluatorPoolPath:
         assert counters.tuple_materializations == 0
 
     def test_small_inputs_stay_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "1000000")
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 10**6)
         relation = self.relation(n=300)
         counters = OperationCounters()
         evaluate_cached(
@@ -544,20 +529,107 @@ class TestCachedEvaluatorPoolPath:
 
     def test_no_running_pool_means_no_lazy_fork(self, monkeypatch):
         """ServerConfig's pool_workers=0 contract: with no resident
-        pool started, a qualifying sweep stays in-process — the cache
+        pool started, a qualifying sweep in a multi-threaded process
+        (a server's executor thread) stays in process — the cache
         evaluator must never create (and fork) the pool itself."""
         from repro.exec import pool as pool_module
 
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
         pool_module.shutdown_default_pool()  # known-clean slate
         assert pool_module.active_pool() is None
         relation = self.relation()
         counters = OperationCounters()
-        result = evaluate_cached(
-            relation, "sum", "salary", shards=4,
-            cache=ShardResultCache(), counters=counters,
-        )
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, daemon=True)
+        bystander.start()
+        try:
+            result = evaluate_cached(
+                relation, "sum", "salary", shards=4,
+                cache=ShardResultCache(), counters=counters,
+            )
+        finally:
+            release.set()
+            bystander.join()
         assert result.rows
+        assert pool_module.active_pool() is None
+        assert counters.pool_shards == 0
+        assert counters.pool_forks == 0
+
+
+#: Sweeps in a fresh single-threaded interpreter: two parallel_sweep
+#: calls and one cache recompute over a 600-tuple relation, with the
+#: fan-out threshold lowered so it qualifies.
+START_RULE_SCRIPT = """
+import json, os, threading
+from repro.cache.evaluator import evaluate_cached
+from repro.cache.store import ShardResultCache
+from repro.core import partition
+from repro.core.engine import temporal_aggregate
+from repro.metrics.counters import OperationCounters
+from repro.workload.generator import WorkloadParameters, generate_relation
+
+partition.PARALLEL_MIN_TUPLES = 64
+relation = generate_relation(WorkloadParameters(tuples=600, seed=3))
+calls = []
+for _ in range(2):
+    counters = OperationCounters()
+    temporal_aggregate(
+        relation, "sum", "salary", strategy="parallel_sweep", shards=2,
+        counters=counters,
+    )
+    calls.append([counters.pool_shards, counters.pool_forks])
+counters = OperationCounters()
+evaluate_cached(
+    relation, "count", None, shards=2, cache=ShardResultCache(),
+    counters=counters,
+)
+calls.append([counters.pool_shards, counters.pool_forks])
+print(json.dumps(
+    {"pid": os.getpid(), "threads": threading.active_count(), "calls": calls}
+))
+"""
+
+
+class TestStartRule:
+    """Who may start the process-default pool: a single-threaded
+    caller may, a multi-threaded process (a server) may not."""
+
+    def test_single_threaded_caller_starts_the_default_pool(self):
+        src = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..", "..", "src"
+        )
+        env = dict(os.environ, PYTHONPATH=src, REPRO_POOL_WORKERS="2")
+        completed = subprocess.run(
+            [sys.executable, "-c", START_RULE_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        report = json.loads(completed.stdout.strip().splitlines()[-1])
+        assert report["threads"] == 1
+        # pool_shards == shards on every call; the 2 workers fork on
+        # the first call only.
+        assert report["calls"] == [[2, 2], [2, 0], [2, 0]]
+        prefix = f"repro-pool-{report['pid']}-"
+        assert not [name for name in shm_names() if name.startswith(prefix)]
+
+    def test_multi_threaded_caller_never_forks(self, monkeypatch):
+        from repro.core.parallel import ParallelSweepEvaluator
+        from repro.exec import pool as pool_module
+
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
+        pool_module.shutdown_default_pool()  # known-clean slate
+        relation = triples_relation(random_triples(23, 900, max_instant=500))
+        counters = OperationCounters()
+        release = threading.Event()
+        bystander = threading.Thread(target=release.wait, daemon=True)
+        bystander.start()
+        try:
+            ParallelSweepEvaluator(
+                "sum", shards=2, counters=counters
+            ).evaluate_relation(relation, "salary")
+        finally:
+            release.set()
+            bystander.join()
         assert pool_module.active_pool() is None
         assert counters.pool_shards == 0
         assert counters.pool_forks == 0

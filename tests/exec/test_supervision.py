@@ -1,15 +1,8 @@
-"""ShardSupervisor unit behavior (no process pool needed)."""
+"""Retry policy and supervision report behavior (no process pool needed)."""
 
 import pytest
 
-from repro.exec.deadline import Deadline
-from repro.exec.errors import DeadlineExceeded
-from repro.exec.supervision import RetryPolicy, ShardSupervisor, SupervisionReport
-
-
-def square_task(args):
-    window, index, attempt, in_pool = args
-    return window * window
+from repro.exec.supervision import RetryPolicy, SupervisionReport
 
 
 class TestRetryPolicy:
@@ -42,43 +35,9 @@ class TestSupervisionReport:
         assert not SupervisionReport(total_shards=4, pooled_shards=4).degraded
 
     @pytest.mark.parametrize(
-        "field", ["retries", "pool_rebuilds", "inprocess_shards"]
+        "field", ["retries", "respawns", "inprocess_shards"]
     )
     def test_any_recovery_marks_degraded(self, field):
         report = SupervisionReport(total_shards=4)
         setattr(report, field, 1)
         assert report.degraded
-
-
-class TestInProcessSupervision:
-    def test_results_arrive_in_window_order(self):
-        supervisor = ShardSupervisor(
-            square_task, [3, 1, 4, 1, 5], use_pool=False
-        )
-        assert supervisor.run() == [9, 1, 16, 1, 25]
-        assert supervisor.report.inprocess_shards == 5
-        assert supervisor.report.total_shards == 5
-
-    def test_empty_window_list(self):
-        supervisor = ShardSupervisor(square_task, [], use_pool=False)
-        assert supervisor.run() == []
-
-    def test_deadline_checked_between_shards(self):
-        deadline = Deadline(0.0001)
-        supervisor = ShardSupervisor(
-            square_task, [1, 2, 3], use_pool=False, deadline=deadline
-        )
-        with pytest.raises(DeadlineExceeded) as info:
-            supervisor.run()
-        assert info.value.progress["total_shards"] == 3
-
-    def test_fallback_task_sees_in_pool_false(self):
-        seen = []
-
-        def spy(args):
-            seen.append(args)
-            return 0
-
-        ShardSupervisor(spy, ["w"], use_pool=False).run()
-        ((window, index, attempt, in_pool),) = seen
-        assert window == "w" and index == 0 and in_pool is False

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.engine import evaluate_triples, make_evaluator
-from repro.core.parallel import ParallelSweepEvaluator, partitioned_aggregate
+from repro.core.parallel import ParallelSweepEvaluator
 from repro.exec.errors import InvalidInput
 from repro.exec.validation import check_triple, validate_shards, validated_triples
 from repro.relation.relation import TemporalRelation
@@ -105,10 +105,6 @@ class TestShardValidation:
     def test_parallel_evaluator_uses_it(self):
         with pytest.raises(InvalidInput):
             ParallelSweepEvaluator("count", shards=0)
-
-    def test_partitioned_aggregate_uses_it(self):
-        with pytest.raises(InvalidInput, match="partition"):
-            partitioned_aggregate([(0, 1, 1)], "count", partitions=0)
 
     def test_make_evaluator_uses_it(self):
         with pytest.raises(InvalidInput):

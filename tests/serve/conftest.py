@@ -1,9 +1,11 @@
 """Shared fixtures for the serving tests.
 
 Every test gets a fresh process-default cache (the server's shared
-cache is process-global), and ``serve()`` spins up a real
-:class:`QueryServer` on a dedicated event-loop thread for the duration
-of a ``with`` block.
+cache is process-global) and starts and ends with no process-default
+resident pool: a serial replay on the test's own thread may start one
+once the server's threads are gone, and a later server must not
+inherit it.  ``serve()`` spins up a real :class:`QueryServer` on a
+dedicated event-loop thread for the duration of a ``with`` block.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 
 from repro.analysis import racecheck
 from repro.cache.store import set_default_cache
+from repro.exec.pool import shutdown_default_pool
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import EMPLOYED_SCHEMA
 from repro.relation.tuples import TemporalTuple
@@ -21,10 +24,12 @@ from repro.serve import QueryServer, ServerConfig, ServerRunner
 
 
 @pytest.fixture(autouse=True)
-def _fresh_default_cache():
+def _fresh_defaults():
     set_default_cache(None)
+    shutdown_default_pool()
     yield
     set_default_cache(None)
+    shutdown_default_pool()
 
 
 @pytest.fixture(autouse=True)

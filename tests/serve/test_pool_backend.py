@@ -203,7 +203,7 @@ class TestPoolBackedSwarm:
         monkeypatch.setattr(
             "repro.core.planner.available_workers", lambda cap=8: 4
         )
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
 
         def reader(i):
             steps = []
@@ -267,7 +267,7 @@ class TestPoolBackedSwarm:
         monkeypatch.setattr(
             "repro.core.planner.available_workers", lambda cap=8: 4
         )
-        monkeypatch.setenv("REPRO_POOL_MIN_TUPLES", "64")
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
         before = shm_names()
         with serve(
             make_relation(400), workers=4, pool_workers=1, **HIGH_LADDER
@@ -281,3 +281,45 @@ class TestPoolBackedSwarm:
             assert stats["pool"]["forks"] == 1
             assert stats["pool"]["live_segments"] > 0
         assert shm_names() == before
+
+
+class TestPoolOff:
+    def test_pool_workers_zero_never_forks(self, monkeypatch):
+        """The default config (``pool_workers=0``) evaluates in process:
+        neither a planned ``parallel_sweep`` nor a ``cached_sweep``
+        repeat may start the process-default pool from a scheduler
+        thread, and nothing is left in ``/dev/shm`` after stop."""
+        from repro.core.aggregates import get_aggregate
+        from repro.core.planner import choose_strategy
+        from repro.exec import pool as pool_module
+
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
+        monkeypatch.setattr("repro.core.planner.CACHE_MIN_TUPLES", 64)
+        monkeypatch.setattr(
+            "repro.core.planner.available_workers", lambda cap=8: 2
+        )
+        relation = make_relation(400)
+        statistics = relation.statistics()
+        count = get_aggregate("count")
+        first = choose_strategy(statistics, aggregate=count)
+        repeat = choose_strategy(
+            statistics, aggregate=count, repeat_observed=True
+        )
+        assert (first.strategy, first.shards) == ("parallel_sweep", 2)
+        assert (repeat.strategy, repeat.shards) == ("cached_sweep", 2)
+
+        pool_module.shutdown_default_pool()  # known-clean slate
+        prefix = f"repro-pool-{os.getpid()}-"
+        try:
+            with serve(relation, workers=4, **HIGH_LADDER) as runner:
+                with QueryClient(runner.host, runner.port) as client:
+                    planned = client.query(COUNT)  # parallel_sweep
+                    repeated = client.query(COUNT)  # cached_sweep
+                    stats = client.stats()
+            assert planned.rows and repeated.rows == planned.rows
+            assert stats["cache"]["misses"] == 1  # the repeat ran cached
+            assert pool_module.active_pool() is None
+            assert stats["pool"]["forks"] == 0
+            assert not [n for n in shm_names() if n.startswith(prefix)]
+        finally:
+            pool_module.shutdown_default_pool()

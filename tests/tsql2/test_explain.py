@@ -107,7 +107,7 @@ class TestPlanMatchesEngine:
     def test_strategy_matches_temporal_aggregate(
         self, db, monkeypatch, function, argument
     ):
-        monkeypatch.setattr("repro.core.planner.PARALLEL_MIN_TUPLES", 128)
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 128)
         plan = plan_of(
             db.execute(f"EXPLAIN SELECT {function}({argument}) FROM Big")
         )
