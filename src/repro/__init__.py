@@ -93,7 +93,6 @@ from repro.relation import (
     SchemaError,
     TemporalRelation,
     TemporalTuple,
-    coalesce_relation,
 )
 from repro.workload import (
     WorkloadParameters,
@@ -129,7 +128,6 @@ __all__ = [
     "TemporalTuple",
     "TemporalRelation",
     "RelationStatistics",
-    "coalesce_relation",
     # results
     "ConstantInterval",
     "TemporalAggregateResult",

@@ -120,14 +120,12 @@ def _write_columnar_json(reports, csv_dir) -> str:
     """
     from repro.bench.config import bench_seeds, bench_sizes
     from repro.bench.figures import COLUMNAR_DETAIL
-    from repro.core.columnar_sweep import COLUMN_BACKEND_ENV
     from repro.core.partition import available_workers
 
     payload = {
         "generated_by": "python -m repro.bench columnar",
         "cpu_count": os.cpu_count(),
         "available_workers": available_workers(),
-        "column_backend": os.environ.get(COLUMN_BACKEND_ENV, "python"),
         "sizes": bench_sizes(),
         "seeds": bench_seeds(),
         "cells": COLUMNAR_DETAIL.get("cells", []),

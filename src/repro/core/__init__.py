@@ -22,7 +22,6 @@ from repro.core.aggregates import (
     register_aggregate,
 )
 from repro.core.aggregation_tree import AggregationTreeEvaluator, TreeNode
-from repro.core.allen import ALLEN_RELATIONS, allen_relation, holds, inverse
 from repro.core.balanced_tree import BalancedTreeEvaluator
 from repro.core.base import Evaluator, Triple
 from repro.core.columnar_sweep import ColumnarSweepEvaluator, columnar_rows
@@ -49,14 +48,6 @@ from repro.core.events import (
     event_triples,
     event_window_aggregate,
 )
-from repro.core.granularity import (
-    GranularityError,
-    coarsen,
-    coarsen_triples,
-    conversion_factor,
-    refine,
-    refine_triples,
-)
 from repro.core.group_by import GroupedResult, grouped_temporal_aggregate
 from repro.core.index import TemporalAggregateIndex
 from repro.core.interval import (
@@ -76,12 +67,7 @@ from repro.core.paged_tree import (
     SpillMetrics,
 )
 from repro.core.parallel import ParallelSweepEvaluator
-from repro.core.partition import (
-    available_workers,
-    clip_triples,
-    partition_triples,
-    shard_bounds,
-)
+from repro.core.partition import available_workers, shard_bounds
 from repro.core.ordering import (
     displacement_histogram,
     displacements,
@@ -105,11 +91,6 @@ from repro.core.result import (
 from repro.core.span_grouping import span_aggregate, span_boundaries
 from repro.core.sweep import SweepEvaluator
 from repro.core.two_pass import TwoPassEvaluator
-from repro.core.weighted import (
-    duration_where,
-    time_weighted_mean,
-    time_weighted_total,
-)
 
 __all__ = [
     # time model
@@ -192,19 +173,4 @@ __all__ = [
     "TemporalAggregateIndex",
     "available_workers",
     "shard_bounds",
-    "clip_triples",
-    "partition_triples",
-    "time_weighted_mean",
-    "time_weighted_total",
-    "duration_where",
-    "ALLEN_RELATIONS",
-    "allen_relation",
-    "holds",
-    "inverse",
-    "GranularityError",
-    "conversion_factor",
-    "coarsen",
-    "refine",
-    "coarsen_triples",
-    "refine_triples",
 ]

@@ -29,11 +29,9 @@ list, which the evaluator adopts through
 Between the page bytes and the caller the pipeline materializes zero
 per-row or per-event tuple objects, which
 :attr:`~repro.metrics.counters.OperationCounters.tuple_materializations`
-makes checkable.
-
-``REPRO_COLUMN_BACKEND=numpy`` swaps the COUNT/SUM/AVG kernels for the
-vectorized versions in :mod:`repro.core.column_backend` when numpy is
-importable (silently keeping pure Python otherwise).
+makes checkable.  Each aggregate has exactly one kernel, so a resident
+pool worker (:mod:`repro.exec.pool`) sweeping a shard runs the same
+code as the calling process.
 
 The walk functions are module-level and windowed (``lo``/``hi``) so
 :mod:`repro.core.parallel` can run them per time shard; rows outside
@@ -46,7 +44,6 @@ lazy-deletion heap.
 
 from __future__ import annotations
 
-import os
 from array import array
 from heapq import heappop, heappush
 from operator import itemgetter, le, neg
@@ -78,9 +75,6 @@ __all__ = [
 
 #: Sentinel beyond every legal event time (events are <= FOREVER).
 _AFTER_FOREVER = FOREVER + 2
-
-#: Environment knob selecting the vectorized kernel backend.
-COLUMN_BACKEND_ENV = "REPRO_COLUMN_BACKEND"
 
 #: A specialized sweep kernel: whole columns in, answer columns out.
 Kernel = Callable[
@@ -407,11 +401,6 @@ def _sorted_events(
     return s_times, s_values, b_times, b_values
 
 
-def _backend_name() -> str:
-    """The configured kernel backend ('python' unless numpy is asked for)."""
-    return os.environ.get(COLUMN_BACKEND_ENV, "python").strip().lower()
-
-
 def make_kernel(aggregate: Aggregate) -> Kernel:
     """Build the specialized sweep closure for one aggregate.
 
@@ -424,17 +413,6 @@ def make_kernel(aggregate: Aggregate) -> Kernel:
     and therefore its own ``absorb``/``retract`` semantics.
     """
     kind = type(aggregate)
-    if _backend_name() == "numpy" and kind in (
-        CountAggregate,
-        SumAggregate,
-        AvgAggregate,
-    ):
-        from repro.core.column_backend import numpy_kernel
-
-        vectorized = numpy_kernel(aggregate.name)
-        if vectorized is not None:
-            return vectorized
-
     if kind is CountAggregate:
 
         def count_kernel(

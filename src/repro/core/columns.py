@@ -32,9 +32,9 @@ than risking a stale-snapshot reuse.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, List, Optional
 
-__all__ = ["ColumnSet", "columns_from_triples"]
+__all__ = ["ColumnSet"]
 
 
 class ColumnSet:
@@ -94,24 +94,3 @@ class ColumnSet:
             f"batches={self.batches})"
         )
 
-
-def columns_from_triples(
-    triples: Iterable[Tuple[int, int, Any]]
-) -> ColumnSet:
-    """Decompose a triple stream into one ColumnSet (one batch).
-
-    The compatibility shim for producers that still speak per-row
-    tuples; the genuinely zero-tuple producers build their columns
-    directly from page bytes or row storage.
-    """
-    starts = array("q")
-    ends = array("q")
-    values: List[Any] = []
-    append_start = starts.append
-    append_end = ends.append
-    append_value = values.append
-    for start, end, value in triples:
-        append_start(start)
-        append_end(end)
-        append_value(value)
-    return ColumnSet(starts, ends, values, batches=1)

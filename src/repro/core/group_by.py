@@ -4,8 +4,10 @@ TSQL2 aggregates compose a classic GROUP BY with temporal grouping
 (paper Section 2): ``SELECT Dept, AVG(Salary) FROM Employed GROUP BY
 Dept`` returns, for every department, a *time-varying* average.  This
 module implements that composition for instant grouping: the relation
-is partitioned by the grouping attribute in one scan, then each
-partition is evaluated with any of the core algorithms, yielding one
+is partitioned by the grouping attribute in one scan
+(:func:`~repro.relation.relation.partition_relation`, the same split
+the TSQL2 executor's GROUP BY uses), then each partition runs through
+:func:`~repro.core.engine.temporal_aggregate`, yielding one
 :class:`~repro.core.result.TemporalAggregateResult` per group.
 """
 
@@ -15,11 +17,11 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.aggregates import Aggregate
-    from repro.relation.relation import TemporalRelation
 
 from repro.core.base import coerce_aggregate
-from repro.core.engine import make_evaluator
+from repro.core.engine import temporal_aggregate
 from repro.core.result import TemporalAggregateResult
+from repro.relation.relation import TemporalRelation, partition_relation
 
 __all__ = ["GroupedResult", "grouped_temporal_aggregate"]
 
@@ -65,18 +67,19 @@ class GroupedResult:
 
 
 def grouped_temporal_aggregate(
-    relation: "TemporalRelation",
+    relation: TemporalRelation,
     aggregate: "Aggregate | str",
     group_attribute: str,
     value_attribute: Optional[str] = None,
     *,
-    strategy: str = "aggregation_tree",
+    strategy: str = "auto",
     k: Optional[int] = None,
 ) -> GroupedResult:
     """GROUP BY ``group_attribute``, then aggregate each group by instant.
 
-    One counted scan partitions the relation; the chosen strategy then
-    runs once per partition.  Partitioning preserves input order within
+    One counted scan partitions the relation; each partition is a new
+    relation, so it is planned on its own (or runs ``strategy``) and
+    evaluated uncached.  Partitioning preserves input order within
     each group, so a k-ordered relation yields k-ordered partitions and
     the k-ordered tree remains applicable per group.
     """
@@ -85,19 +88,17 @@ def grouped_temporal_aggregate(
         raise ValueError(
             f"aggregate {aggregate.name!r} needs a value attribute"
         )
-
-    group_position = relation.schema.position_of(group_attribute)
-    extract_value = relation.value_extractor(value_attribute)
-
-    partitions: Dict[Any, list] = {}
-    for row in relation.scan():
-        key = row.values[group_position]
-        partitions.setdefault(key, []).append(
-            (row.start, row.end, extract_value(row))
-        )
+    if value_attribute is not None:
+        relation.schema.position_of(value_attribute)
 
     groups = {}
-    for key, triples in partitions.items():
-        evaluator = make_evaluator(strategy, aggregate, k=k)
-        groups[key] = evaluator.evaluate(triples)
+    for (key,), part in partition_relation(relation, [group_attribute]):
+        groups[key] = temporal_aggregate(
+            part,
+            aggregate,
+            value_attribute,
+            strategy=strategy,
+            k=k,
+            use_cache=False,
+        )
     return GroupedResult(groups)

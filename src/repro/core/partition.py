@@ -36,9 +36,7 @@ __all__ = [
     "PARALLEL_MIN_TUPLES",
     "available_workers",
     "shard_bounds",
-    "clip_triples",
     "clip_columns",
-    "partition_triples",
     "is_real_boundary",
     "seam_merges",
     "stitch_columns",
@@ -90,22 +88,6 @@ def shard_bounds(
     return bounds
 
 
-def clip_triples(
-    triples: Iterable[Tuple[int, int, Any]], lo: int, hi: int
-) -> List[Tuple[int, int, Any]]:
-    """Tuples overlapping ``[lo, hi]``, clipped to the window.
-
-    Clipping keeps the per-instant valid multiset inside the window
-    identical to the unclipped relation's, which is the exactness
-    argument for every decomposable aggregate.
-    """
-    return [
-        (start if start > lo else lo, end if end < hi else hi, value)
-        for start, end, value in triples
-        if start <= hi and end >= lo
-    ]
-
-
 def clip_columns(
     starts: Sequence[int],
     ends: Sequence[int],
@@ -115,12 +97,14 @@ def clip_columns(
 ) -> Tuple["array[int]", "array[int]", Optional[List[Any]]]:
     """Column-layout clipping: flat columns in, flat columns out.
 
-    The columnar pipeline's counterpart of :func:`clip_triples` — same
-    per-instant-multiset exactness argument, but the clipped rows land
-    directly in fresh ``array('q')`` columns instead of a list of
-    per-row tuples, so shard workers and cache re-sweeps never
-    materialize row objects.  ``values=None`` (the value-less COUNT
-    feed) clips just the two timestamp columns.
+    Keeps the tuples overlapping ``[lo, hi]``, clipped to the window.
+    Clipping keeps the per-instant valid multiset inside the window
+    identical to the unclipped relation's, which is the exactness
+    argument for every decomposable aggregate.  The clipped rows land
+    directly in fresh ``array('q')`` columns, so shard workers and
+    cache re-sweeps never materialize row objects.  ``values=None``
+    (the value-less COUNT feed) clips just the two timestamp
+    columns.
     """
     clipped_starts = array("q")
     clipped_ends = array("q")
@@ -140,18 +124,6 @@ def clip_columns(
             append_end(end if end < hi else hi)
             append_value(value)
     return clipped_starts, clipped_ends, clipped_values
-
-
-def partition_triples(
-    triples: Sequence[Tuple[int, int, Any]], shards: int
-) -> List[Tuple[int, int, List[Tuple[int, int, Any]]]]:
-    """Split ``triples`` into ``(lo, hi, clipped_triples)`` windows."""
-    starts = [t[0] for t in triples]
-    ends = [t[1] for t in triples]
-    return [
-        (lo, hi, clip_triples(triples, lo, hi))
-        for lo, hi in shard_bounds(starts, ends, shards)
-    ]
 
 
 def is_real_boundary(cut: int, start_instants: Set[int], end_instants: Set[int]) -> bool:

@@ -1,11 +1,5 @@
 """Temporal relation substrate: schemas, tuples, in-memory relations."""
 
-from repro.relation.bitemporal import (
-    BitemporalRelation,
-    BitemporalVersion,
-    TransactionOrderError,
-)
-from repro.relation.coalesce import coalesce_rows, coalesce_relation
 from repro.relation.io import (
     RelationIOError,
     from_csv_text,
@@ -31,14 +25,9 @@ __all__ = [
     "timestamp_sort_key",
     "TemporalRelation",
     "RelationStatistics",
-    "coalesce_rows",
-    "coalesce_relation",
     "read_csv",
     "write_csv",
     "to_csv_text",
     "from_csv_text",
     "RelationIOError",
-    "BitemporalRelation",
-    "BitemporalVersion",
-    "TransactionOrderError",
 ]

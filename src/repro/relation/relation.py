@@ -29,6 +29,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -50,6 +51,7 @@ __all__ = [
     "RelationStatistics",
     "next_relation_uid",
     "fingerprint_rows",
+    "partition_relation",
     "statistics_from_columns",
 ]
 
@@ -608,3 +610,25 @@ class TemporalRelation:
         if len(self._rows) > limit:
             lines.append(f"... ({len(self._rows) - limit} more)")
         return "\n".join(lines)
+
+
+def partition_relation(
+    relation: Any, attributes: Sequence[str]
+) -> Iterator[Tuple[Tuple[Any, ...], TemporalRelation]]:
+    """GROUP BY ``attributes``: one scan, then one new relation per group.
+
+    ``relation`` is anything with a ``schema`` and a ``scan()``, such
+    as a relation or a served snapshot view.  Yields ``(key, part)``
+    with ``key`` the tuple of grouping values, in ``repr`` order of the
+    keys.  Each part keeps its rows in input order, so a k-ordered
+    relation yields k-ordered parts; a part is built only when it is
+    reached.
+    """
+    schema = relation.schema
+    positions = [schema.position_of(name) for name in attributes]
+    parts: Dict[Tuple[Any, ...], List[TemporalTuple]] = {}
+    for row in relation.scan():
+        values = row.values
+        parts.setdefault(tuple([values[p] for p in positions]), []).append(row)
+    for key in sorted(parts, key=repr):
+        yield key, TemporalRelation(schema, parts.pop(key), name="group")

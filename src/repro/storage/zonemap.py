@@ -16,15 +16,16 @@ incrementally, page by page) and then serves:
 * :meth:`scan_window_triples` — a scan that skips every other page
   (skips are counted, so benches can report the saved I/O),
 * :func:`windowed_aggregate` — a convenience that evaluates any core
-  algorithm over just the qualifying tuples and clips the result.
+  algorithm over just the qualifying tuples (through
+  :func:`~repro.core.engine.evaluate_triples`, so the engine's input
+  validation and invariant hook apply) and clips the result.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.base import coerce_aggregate
-from repro.core.engine import make_evaluator
+from repro.core.engine import evaluate_triples
 from repro.core.interval import Interval
 from repro.core.result import TemporalAggregateResult
 from repro.storage.heapfile import HeapFile
@@ -125,8 +126,6 @@ def windowed_aggregate(
     :meth:`~repro.core.result.TemporalAggregateResult.restrict`-ing,
     but touching just the pages the zone map admits.
     """
-    aggregate = coerce_aggregate(aggregate)
     zone_map = zone_map if zone_map is not None else ZoneMap(heap)
     triples = list(zone_map.scan_window_triples(window, attribute))
-    evaluator = make_evaluator(strategy, aggregate)
-    return evaluator.evaluate(triples).restrict(window)
+    return evaluate_triples(triples, aggregate, strategy).restrict(window)

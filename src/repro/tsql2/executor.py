@@ -37,7 +37,7 @@ from repro.core.planner import PlannerDecision, choose_strategy
 from repro.core.result import TemporalAggregateResult
 from repro.core.span_grouping import span_aggregate
 from repro.exec.deadline import Deadline
-from repro.relation.relation import TemporalRelation
+from repro.relation.relation import TemporalRelation, partition_relation
 from repro.tsql2.ast import (
     AggregateCall,
     BinaryOp,
@@ -565,29 +565,23 @@ class Database:
         limits: StatementLimits,
     ) -> QueryResult:
         schema = source.schema
-        positions = [schema.position_of(name) for name in query.group_by.attributes]
-        partitions: Dict[Tuple, List] = {}
-        for row in source.scan():
-            key = tuple(row.values[p] for p in positions)
-            partitions.setdefault(key, []).append(row)
-
-        columns = [schema.attributes[p].name for p in positions] + shaper.columns
+        attributes = query.group_by.attributes
+        columns = [schema.attribute(name).name for name in attributes] + shaper.columns
         data: List[Any] = (
-            [[] for _ in positions]
+            [[] for _ in attributes]
             + [array("q"), array("q")]
             + [[] for _ in shaper.items]
         )
-        for key in sorted(partitions, key=repr):
+        for key, group in partition_relation(source, attributes):
             # Each partition is a new relation, planned on its own and
             # evaluated uncached like a qualifying relation.
-            group = TemporalRelation(schema, partitions[key], name="group")
             shaped = shaper.shape(
                 self._aggregate(query, group, strategy, k, limits, use_cache=False)
             )
             count = len(shaped[0])
             for slot, value in enumerate(key):
                 data[slot].extend(repeat(value, count))
-            for slot, column in enumerate(shaped, len(positions)):
+            for slot, column in enumerate(shaped, len(attributes)):
                 data[slot].extend(column)
         return QueryResult(columns, data)
 

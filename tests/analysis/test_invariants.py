@@ -16,13 +16,16 @@ from repro.analysis.invariants import GCShadow, InvariantViolation
 from repro.core.aggregation_tree import AggregationTreeEvaluator
 from repro.core.base import coerce_aggregate
 from repro.core.engine import STRATEGIES, evaluate_triples, temporal_aggregate
-from repro.core.interval import FOREVER, ORIGIN
+from repro.core.group_by import grouped_temporal_aggregate
+from repro.core.interval import FOREVER, ORIGIN, Interval
 from repro.core.kordered_tree import KOrderedTreeEvaluator
 from repro.core.paged_tree import PagedAggregationTreeEvaluator
 from repro.core.reference import ReferenceEvaluator
 from repro.core.result import ConstantInterval, TemporalAggregateResult
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import EMPLOYED_SCHEMA
+from repro.storage.heapfile import HeapFile
+from repro.storage.zonemap import windowed_aggregate
 from tests.conftest import random_triples
 
 TRIPLES = random_triples(seed=5, n=120, max_instant=200)
@@ -194,8 +197,10 @@ class TestSpaceAccountingCheck:
 
 class TestEngineHook:
     def test_wrong_evaluator_caught_at_the_engine_boundary(
-        self, invariant_checks, monkeypatch
+        self, invariant_checks, monkeypatch, employed
     ):
+        """Every entry point that runs a named strategy — the engine
+        itself and the side operators built on it — is under the hook."""
         class OffByOneEvaluator(ReferenceEvaluator):
             """Correct everywhere except one row."""
 
@@ -214,6 +219,17 @@ class TestEngineHook:
         )
         with pytest.raises(InvariantViolation, match="snapshot disagreement"):
             evaluate_triples(list(TRIPLES), "count", OffByOneEvaluator.name)
+        with pytest.raises(InvariantViolation, match="snapshot disagreement"):
+            grouped_temporal_aggregate(
+                employed, "count", "name", strategy=OffByOneEvaluator.name
+            )
+        with pytest.raises(InvariantViolation, match="snapshot disagreement"):
+            windowed_aggregate(
+                HeapFile.from_relation(employed),
+                "count",
+                Interval(0, 30),
+                strategy=OffByOneEvaluator.name,
+            )
 
     def test_correct_strategies_pass_under_checking(
         self, invariant_checks, employed

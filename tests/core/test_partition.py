@@ -8,9 +8,8 @@ from repro.core.columns import ColumnSet
 from repro.core.interval import FOREVER, ORIGIN
 from repro.core.partition import (
     available_workers,
-    clip_triples,
+    clip_columns,
     is_real_boundary,
-    partition_triples,
     seam_merges,
     shard_bounds,
     stitch_columns,
@@ -46,30 +45,35 @@ class TestShardBounds:
 
 class TestClipping:
     def test_spanning_tuple_lands_in_both_windows(self):
-        triples = [(0, 100, "a")]
-        left = clip_triples(triples, 0, 49)
-        right = clip_triples(triples, 50, 100)
-        assert left == [(0, 49, "a")]
-        assert right == [(50, 100, "a")]
+        starts, ends, values = array("q", [0]), array("q", [100]), ["a"]
+        left = clip_columns(starts, ends, values, 0, 49)
+        right = clip_columns(starts, ends, values, 50, 100)
+        assert left == (array("q", [0]), array("q", [49]), ["a"])
+        assert right == (array("q", [50]), array("q", [100]), ["a"])
+        assert clip_columns(starts, ends, None, 50, 100) == (
+            array("q", [50]),
+            array("q", [100]),
+            None,
+        )
 
     def test_disjoint_tuple_is_dropped(self):
-        assert clip_triples([(0, 10, None)], 20, 30) == []
+        assert clip_columns([0], [10], [None], 20, 30) == (
+            array("q"),
+            array("q"),
+            [],
+        )
 
     def test_clip_preserves_per_instant_multiset(self):
-        triples = [(0, 10, 1), (5, 20, 2), (15, 30, 3)]
-        parts = partition_triples(triples, 3)
+        starts, ends, values = [0, 5, 15], [10, 20, 30], [1, 2, 3]
+        windows = shard_bounds(starts, ends, 3)
+        assert len(windows) == 3
         for instant in range(0, 31):
             original = sorted(
-                v for s, e, v in triples if s <= instant <= e
+                v for s, e, v in zip(starts, ends, values) if s <= instant <= e
             )
-            window = next(
-                (lo, hi, clipped)
-                for lo, hi, clipped in parts
-                if lo <= instant <= hi
-            )
-            clipped_values = sorted(
-                v for s, e, v in window[2] if s <= instant <= e
-            )
+            lo, hi = next(w for w in windows if w[0] <= instant <= w[1])
+            clipped = zip(*clip_columns(starts, ends, values, lo, hi))
+            clipped_values = sorted(v for s, e, v in clipped if s <= instant <= e)
             assert clipped_values == original, instant
 
 

@@ -11,33 +11,11 @@ from repro.core.engine import temporal_aggregate
 from repro.core.interval import Interval
 from repro.core.moving import moving_window_aggregate
 from repro.core.reference import ReferenceEvaluator
-from repro.relation.bitemporal import BitemporalRelation
 from repro.relation.io import from_csv_text, to_csv_text
+from repro.relation.relation import TemporalRelation
 from repro.relation.schema import EMPLOYED_SCHEMA
 from repro.tsql2.executor import Database
 from repro.workload.generator import WorkloadParameters, generate_relation
-
-
-class TestBitemporalThroughTSQL2:
-    def test_as_of_views_are_queryable(self):
-        """Register two transaction-time views of the same history and
-        watch the same query answer differently."""
-        history = BitemporalRelation(EMPLOYED_SCHEMA, name="Staff")
-        history.record(("Karen", 45_000), 8, 20, transaction_time=100)
-        first = history.record(("Nathan", 35_000), 7, 12, transaction_time=100)
-        history.record(("Richard", 40_000), 18, 2**62, transaction_time=110)
-        history.rescind(first, transaction_time=115)  # Nathan disputed
-
-        db = Database()
-        db.register(history.as_of(100), name="believed_then")
-        db.register(history.current(), name="believed_now")
-
-        then = db.execute("SELECT COUNT(name) FROM believed_then")
-        now = db.execute("SELECT COUNT(name) FROM believed_now")
-        then_at_10 = next(r[2] for r in then if r[0] <= 10 <= r[1])
-        now_at_10 = next(r[2] for r in now if r[0] <= 10 <= r[1])
-        assert then_at_10 == 2  # Karen + Nathan believed at tx 100
-        assert now_at_10 == 1  # Nathan's record rescinded
 
 
 class TestCsvRoundTripThroughEverything:
@@ -84,22 +62,22 @@ class TestStorageWindowedMovingAggregate:
 
 class TestPlannerWithDeclaredBound:
     def test_retroactive_declaration_end_to_end(self):
-        """A bitemporal feed with bounded delay, evaluated under the
-        DBA's declared-k plan, matches the oracle."""
+        """A feed with bounded delay (rows in arrival order, each
+        starting at most six instants before the arrival clock),
+        evaluated under the DBA's declared-k plan, matches the oracle."""
         import random
 
         from repro.core.engine import make_evaluator
         from repro.core.planner import choose_strategy
 
         rng = random.Random(12)
-        history = BitemporalRelation(EMPLOYED_SCHEMA)
+        view = TemporalRelation(EMPLOYED_SCHEMA, name="feed")
         clock = 0
         for _ in range(300):
             clock += rng.randint(0, 4)
             delay = rng.randint(0, 6)
             start = max(0, clock - delay)
-            history.record(("T", 1), start, start + rng.randint(0, 10), clock)
-        view = history.current()
+            view.insert(("T", 1), start, start + rng.randint(0, 10))
 
         decision = choose_strategy(view.statistics(), declared_k=25)
         assert decision.strategy == "kordered_tree"
@@ -107,30 +85,3 @@ class TestPlannerWithDeclaredBound:
         result = evaluator.evaluate(view.scan_triples())
         expected = ReferenceEvaluator("count").evaluate(list(view.scan_triples()))
         assert result.rows == expected.rows
-
-
-class TestGranularityThroughTheLanguage:
-    def test_coarsened_relation_grouped_by_calendar_month(self):
-        """Second-granularity data, coarsened to days, grouped by civil
-        month through TSQL2."""
-        from repro.core.granularity import coarsen_triples
-        from repro.relation.relation import TemporalRelation
-        from repro.relation.schema import Schema
-
-        schema = Schema.of("job:str:8")
-        fine = TemporalRelation(schema, name="JobsSeconds")
-        day = 86_400
-        fine.insert(("a",), 5 * day + 100, 5 * day + 5000)  # Jan 6
-        fine.insert(("b",), 40 * day, 41 * day)  # Feb 10-11
-        coarse = TemporalRelation(schema, name="Jobs")
-        for (start, end, _v), row in zip(
-            coarsen_triples(fine.scan_triples(), "second", "day"), fine
-        ):
-            coarse.insert(row.values, start, end)
-
-        db = Database()
-        db.register(coarse)
-        result = db.execute(
-            "SELECT COUNT(job) FROM Jobs GROUP BY SPAN MONTH [0, 58]"
-        )
-        assert result.column("COUNT(job)") == [1, 1]  # one job each month
