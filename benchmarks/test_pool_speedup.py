@@ -118,9 +118,6 @@ def test_shape_coalesced_rows_equal_serial_reference(benchmark):
                 workers=n_clients,
                 max_sessions=n_clients + 2,
                 debug_statement_delay_ms=100,
-                shed_load=100.0,
-                degrade_load=100.0,
-                reject_load=100.0,
             )
         )
         server.register(make_relation(n), name="jobs")
@@ -181,9 +178,6 @@ def test_shape_pool_forks_once_across_statements(benchmark):
             ServerConfig(
                 workers=4,
                 pool_workers=2,
-                shed_load=100.0,
-                degrade_load=100.0,
-                reject_load=100.0,
             )
         )
         server.register(make_relation(N_LIVE), name="jobs")

@@ -9,7 +9,7 @@ socket:
 2. admission control — connections past ``max_sessions`` get a *typed*
    ``ServerOverloaded`` with a retry-after hint, not a hang;
 3. observability — the ``stats`` frame shows sessions, the load
-   ladder, and the shared result cache.
+   (outstanding statements per worker), and the shared result cache.
 
 Run:  python examples/serving.py
 """
@@ -92,7 +92,7 @@ def main() -> None:
               f"{admission['sessions_rejected']}")
         print(f"  statements admitted:        "
               f"{admission['statements_admitted']}")
-        print(f"  load ladder level:          {admission['level']}")
+        print(f"  load:                       {admission['load']}")
         print(f"  employed rows:              "
               f"{stats['tables']['employed']['rows']}")
     finally:

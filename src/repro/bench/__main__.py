@@ -157,11 +157,7 @@ def _write_serving_json(reports, csv_dir) -> str:
         "clients": CLIENTS,
         "rounds_per_client": ROUNDS_PER_CLIENT,
         "workers": defaults.workers,
-        "ladder": {
-            "shed_load": defaults.shed_load,
-            "degrade_load": defaults.degrade_load,
-            "reject_load": defaults.reject_load,
-        },
+        "reject_load": defaults.reject_load,
         "sizes": bench_sizes(),
         "seeds": bench_seeds(),
         "cells": SERVING_DETAIL.get("cells", []),

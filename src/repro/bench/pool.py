@@ -115,16 +115,9 @@ def _measure_size(n: int, seed: int, clients: int) -> Dict[str, float]:
         WorkloadParameters(tuples=n, seed=seed), name=_TABLE
     )
     pool_workers = _resolved_pool_workers()
-    # The ladder sits far above the fleet's peak load: a degradation
-    # level is part of the coalesce key (degraded and normal replies
-    # must not be interchangeable), so measuring coalescing means
-    # keeping the whole fleet at one level.
     server = QueryServer(ServerConfig(
         workers=clients,
         max_sessions=clients + 4,
-        shed_load=100.0,
-        degrade_load=100.0,
-        reject_load=100.0,
         pool_workers=pool_workers,
     ))
     server.register(relation, name=_TABLE)

@@ -60,7 +60,7 @@ def cacheable_relation(relation: Any) -> bool:
 
     True exactly for containers declaring ``supports_result_cache``
     (and thereby uid / version / append watermark / fingerprint /
-    ``triples_since`` / ``verify_append_chain``).  Raw triple streams
+    ``verify_append_chain``).  Raw triple streams
     and storage containers without the protocol evaluate uncached.
     """
     return bool(getattr(relation, "supports_result_cache", False))

@@ -216,9 +216,13 @@ def temporal_aggregate(
     strategy:
         An evaluator name, or ``"auto"`` to let the planner choose
         from the relation's statistics (:mod:`repro.core.planner`).
+    k:
+        The k-orderedness bound for ``strategy="kordered_tree"``.
     shards:
         Time-domain shard count for ``strategy="parallel_sweep"``
-        (default: one per available core).
+        (default: one per available core).  With ``"auto"`` the
+        planner chooses ``k`` and ``shards``; passing either raises
+        ``ValueError``.
     memory_budget_bytes:
         Consulted by the planner *and* enforced at run time: an
         aggregation-tree build that crosses the budget degrades
@@ -262,6 +266,11 @@ def temporal_aggregate(
         attribute = None
 
     if strategy == "auto":
+        if k is not None or shards is not None:
+            raise ValueError(
+                "strategy 'auto' takes no k or shards parameter: the "
+                "planner chooses them; name a strategy to set them"
+            )
         # Repeat detection: the default cache remembers recent query
         # signatures; a signature seen before marks a repeated workload
         # and licenses the planner's cached_sweep rule.  Only relations

@@ -81,8 +81,15 @@ def grouped_temporal_aggregate(
     relation, so it is planned on its own (or runs ``strategy``) and
     evaluated uncached.  Partitioning preserves input order within
     each group, so a k-ordered relation yields k-ordered partitions and
-    the k-ordered tree remains applicable per group.
+    the k-ordered tree remains applicable per group.  With
+    ``strategy="auto"`` the planner chooses each group's ``k``, so
+    passing one raises ``ValueError``, as in ``temporal_aggregate``.
     """
+    if strategy == "auto" and k is not None:
+        raise ValueError(
+            "strategy 'auto' takes no k parameter: the planner chooses "
+            "it; name a strategy to set it"
+        )
     aggregate = coerce_aggregate(aggregate)
     if aggregate.needs_value and value_attribute is None:
         raise ValueError(

@@ -200,11 +200,12 @@ class BudgetExhausted(TemporalAggregateError):
 class ServerOverloaded(TemporalAggregateError):
     """The serving front end refused to take on more work.
 
-    Raised (or sent over the wire as a typed error frame) when the
-    session count or statement queue is at capacity, and by the final
-    rung of the overload-degradation ladder.  ``retry_after_ms`` is the
-    server's backoff hint; ``reason`` names which bound tripped
-    (``"sessions"``, ``"queue"``, ...).
+    Raised (or sent over the wire as a typed error frame) when one of
+    admission's three bounds is reached: the session count, a
+    session's statement queue, or the load ratio ``reject_load``.
+    ``retry_after_ms`` is the server's backoff hint; ``reason`` names
+    which bound tripped (``"sessions"``, ``"queue"`` or
+    ``"overload"``).
     """
 
     def __init__(

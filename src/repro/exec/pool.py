@@ -449,37 +449,6 @@ class SegmentStore:
         if counters is not None:
             counters.segments_reclaimed += reclaimed
 
-    def release(
-        self,
-        uid: int,
-        version: Optional[int] = None,
-        *,
-        counters: Optional[OperationCounters] = None,
-    ) -> int:
-        """Doom (and reclaim, once unpinned) snapshots of ``uid``.
-
-        ``version=None`` dooms every version of the relation — the
-        relation-close/GC path; a specific version dooms just that
-        snapshot (e.g. superseded by an append).  Returns the number of
-        snapshots reclaimed immediately.
-        """
-        to_destroy: List[PublishedSnapshot] = []
-        with self._lock:
-            for key in list(self._snapshots):
-                snapshot = self._snapshots[key]
-                if snapshot.uid != uid:
-                    continue
-                if version is not None and snapshot.version != version:
-                    continue
-                snapshot.doomed = True
-                if snapshot.pins <= 0:
-                    self._snapshots.pop(key, None)
-                    self._account_reclaim_locked(snapshot, counters)
-                    to_destroy.append(snapshot)
-        for snapshot in to_destroy:
-            snapshot.destroy()
-        return len(to_destroy)
-
     def release_key(
         self,
         uid: int,
@@ -505,16 +474,6 @@ class SegmentStore:
             self._account_reclaim_locked(snapshot, counters)
         snapshot.destroy()
         return 1
-
-    def adopt(self, owner: Any, uid: int) -> None:
-        """Reclaim every segment of ``uid`` when ``owner`` is GC'd.
-
-        The relation itself cannot import this module (layering), so
-        the wiring layer calls ``adopt(relation, relation.uid)`` once
-        and garbage collection of the relation unlinks its segments —
-        no explicit close required.
-        """
-        weakref.finalize(owner, self.release, uid)
 
     # -- shutdown and introspection -------------------------------------
 

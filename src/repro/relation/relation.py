@@ -497,17 +497,6 @@ class TemporalRelation:
         """
         return self._reorder_version
 
-    def triples_since(
-        self, index: int, attribute: Optional[str] = None
-    ) -> List[Tuple[int, int, Any]]:
-        """``(start, end, value)`` triples of rows appended after
-        position ``index`` (uncounted: this is delta maintenance, not
-        one of the paper's relation scans)."""
-        extractor = self.value_extractor(attribute)
-        return [
-            (row.start, row.end, extractor(row)) for row in self._rows[index:]
-        ]
-
     def verify_append_chain(self, row_count: int, fingerprint: int) -> bool:
         """Is the current content ``fingerprint`` reachable by appending
         rows ``row_count:`` onto a prefix fingerprinting ``fingerprint``?

@@ -353,6 +353,10 @@ class ReplicationNode(QueryServer):
             rows = served.validate_batch(batch)
             if not rows:
                 raise ValueError("append batch must contain at least one row")
+            # Encode the whole batch before the first heap append: the
+            # codec refuses an over-wide string or an int outside int32,
+            # and a refusal must leave no row in the heap.
+            records = [heap.codec.encode(row) for row in rows]
             version = served.stats()[0] + 1
             base_count = len(heap)
             for row in rows:
@@ -376,7 +380,7 @@ class ReplicationNode(QueryServer):
                         base_count=base_count,
                         fingerprint=heap.fingerprint,
                         sid=ledger_sid,
-                        records=[heap.codec.encode(row) for row in rows],
+                        records=records,
                     )
                 )
             applied = served.append_replicated(

@@ -13,9 +13,9 @@ Layering (each module only looks down):
   wire format.
 * :mod:`repro.serve.config` — :class:`ServerConfig`, every knob in one
   frozen dataclass.
-* :mod:`repro.serve.admission` — session/queue bounds and the overload
-  degradation ladder (shed cache → force paged tree → reject with
-  retry-after).
+* :mod:`repro.serve.admission` — the session, per-session queue and
+  load bounds; a statement past a bound is refused with a typed
+  ``ServerOverloaded`` carrying a retry-after hint.
 * :mod:`repro.serve.snapshots` — :class:`SnapshotView` prefix snapshots
   and :class:`ServedRelation`, the locked append point.
 * :mod:`repro.serve.scheduler` — :class:`FairScheduler`, round-robin

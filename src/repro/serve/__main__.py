@@ -7,7 +7,7 @@ interrupted::
     serving on 127.0.0.1:7474 (tables: employed) — Ctrl-C to stop
 
 ``--load PATH[:NAME]`` serves temporal CSVs; ``--seed`` serves the
-paper's Employed relation.  The admission/degradation knobs mirror
+paper's Employed relation.  The admission and budget knobs mirror
 :class:`~repro.serve.config.ServerConfig`.
 
 Malformed CSV rows are quarantined, not fatal: their summary goes to

@@ -130,7 +130,6 @@ class QueryReply:
     pinned_table: str
     pinned_version: int
     pinned_row_count: int
-    degraded: int
     elapsed_ms: float
     #: Which role served this reply ("primary" or "replica") — trailing
     #: default so pre-replication callers keep constructing replies.
@@ -250,7 +249,6 @@ class QueryClient:
             pinned_table=str(pinned.get("table", "")),
             pinned_version=int(pinned.get("version", 0)),
             pinned_row_count=int(pinned.get("row_count", 0)),
-            degraded=int(reply.get("degraded", 0)),
             elapsed_ms=float(reply.get("elapsed_ms", 0.0)),
             role=str(reply.get("role", "primary")),
         )

@@ -1,12 +1,10 @@
 """Server configuration: every serving knob in one frozen dataclass.
 
-The degradation thresholds are *load ratios* — outstanding statements
-(queued + running, across all sessions) divided by worker count.  A
-ratio of 1.0 means every worker is busy and nothing is queued; the
-defaults shed the cache when the pool is three-quarters committed,
-force the low-memory paged-tree path once statements queue past 1.5×
-capacity, and reject outright at 3× (see
-:mod:`repro.serve.admission` for the ladder itself).
+``reject_load`` is a *load ratio* — outstanding statements (queued +
+running, across all sessions) divided by worker count.  A ratio of
+1.0 means every worker is busy and nothing is queued; the default
+refuses a statement that would bring the ratio to 3 (see
+:mod:`repro.serve.admission` for the bounds themselves).
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ class ServerConfig:
       every admitted statement runs under (None = unbounded), reusing
       the engine's :class:`~repro.exec.deadline.Deadline` and
       :class:`~repro.exec.budget.MemoryGuard` machinery.
-    * ``shed_load`` / ``degrade_load`` / ``reject_load`` — ladder
-      thresholds, as load ratios, in non-decreasing order.
+    * ``reject_load`` — the load ratio at which a new statement is
+      refused with ``ServerOverloaded`` (``reason="overload"``).
     * ``retry_after_ms`` — the backoff hint stamped on every
       ``ServerOverloaded`` rejection.
     * ``debug_statement_delay_ms`` — test/bench hook: each worker
@@ -48,11 +46,6 @@ class ServerConfig:
       pool (:mod:`repro.exec.pool`) started with the server; 0 (the
       default) leaves the pool off and statements evaluate in-process
       exactly as before.
-    * ``coalesce`` — single-flight execution of identical concurrent
-      queries: statements with the same text against the same pinned
-      relation version at the same degradation level share one
-      evaluation and one encoded reply (see
-      :class:`~repro.serve.scheduler.FairScheduler`).
     * ``role`` — the node's *initial* replication role, ``"primary"``
       (default: accepts writes) or ``"replica"`` (read-only: writes
       are refused with a typed ``NotPrimary``).  The live role can
@@ -67,13 +60,10 @@ class ServerConfig:
     workers: int = 4
     deadline_ms: Optional[float] = None
     memory_budget_bytes: Optional[int] = None
-    shed_load: float = 0.75
-    degrade_load: float = 1.5
     reject_load: float = 3.0
     retry_after_ms: int = 100
     debug_statement_delay_ms: float = 0.0
     pool_workers: int = 0
-    coalesce: bool = True
     role: str = "primary"
 
     def __post_init__(self) -> None:
@@ -89,11 +79,8 @@ class ServerConfig:
             raise ValueError("deadline_ms must be positive when set")
         if self.memory_budget_bytes is not None and self.memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive when set")
-        if not (0 < self.shed_load <= self.degrade_load <= self.reject_load):
-            raise ValueError(
-                "degradation thresholds must satisfy "
-                "0 < shed_load <= degrade_load <= reject_load"
-            )
+        if self.reject_load <= 0:
+            raise ValueError("reject_load must be positive")
         if self.retry_after_ms < 1:
             raise ValueError("retry_after_ms must be at least 1")
         if self.debug_statement_delay_ms < 0:

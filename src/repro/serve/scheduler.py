@@ -15,14 +15,14 @@ Two invariants fall out of that shape:
   machinery.
 
 The scheduler owns no policy: admission decided *whether* a statement
-runs and at what degradation level; the statement's ``run`` closure
+runs; the statement's ``run`` closure
 (built by the server) decides *what* it does.  Completion callbacks
 (``on_done``) fire on the event-loop thread after the reply is sent —
 the server uses them to balance admission's outstanding count.
 
 **Single-flight coalescing.**  A statement may carry a
 ``coalesce_key`` — the server stamps queries with
-``(op, table, pinned version, text, degradation level)`` when the
+``(op, table, pinned version, text)`` when the
 reply is fully determined at admission time.  When a keyed statement
 is dispatched while another statement with the same key is still in
 flight, the newcomer does not run: it waits on the leader's flight,

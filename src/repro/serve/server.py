@@ -11,8 +11,7 @@ of labor per connection:
   scheduler;
 * a **worker thread** executes the statement against snapshot-pinned
   relations (:mod:`repro.serve.snapshots`) under the per-statement
-  deadline/memory budgets and whatever degradation level admission
-  assigned;
+  deadline and memory budget;
 * the reader's session object sends the reply (or drops it if the
   client died mid-query — a kill never wedges a worker).
 
@@ -35,7 +34,6 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.cache.store import default_cache
-from repro.exec.deadline import Deadline
 from repro.exec.errors import (
     NotPrimary,
     ReplicaLagExceeded,
@@ -45,13 +43,13 @@ from repro.exec.errors import (
 )
 from repro.metrics.counters import ThreadLocalCounters
 from repro.relation.relation import TemporalRelation
-from repro.serve.admission import AdmissionController, DegradationLevel
+from repro.serve.admission import AdmissionController
 from repro.serve.config import ServerConfig
 from repro.serve.protocol import ConnectionClosed, FrameError, read_frame, write_frame
 from repro.serve.scheduler import FairScheduler, Statement
 from repro.serve.session import Session
 from repro.serve.snapshots import ServedRelation
-from repro.tsql2.executor import Database, StatementLimits, TSQL2SemanticError
+from repro.tsql2.executor import Database, TSQL2SemanticError
 from repro.tsql2.lexer import TSQL2SyntaxError
 from repro.tsql2.parser import parse
 
@@ -93,7 +91,7 @@ def _error_frame(error: BaseException) -> Dict[str, Any]:
 
 
 class QueryServer:
-    """A bounded, snapshot-isolated, degradation-aware query server."""
+    """A bounded, snapshot-isolated query server."""
 
     def __init__(self, config: Optional[ServerConfig] = None) -> None:
         self.config = config if config is not None else ServerConfig()
@@ -301,14 +299,14 @@ class QueryServer:
     ) -> None:
         """Run one statement frame through admission into the scheduler."""
         try:
-            level = self.admission.admit_statement(len(session.queue))
+            self.admission.admit_statement(len(session.queue))
         except ServerOverloaded as error:
             # Statement-level rejection: the session survives, the
             # client backs off by retry_after_ms.  The error frame rides
             # the normal queue so it leaves in order with other replies.
             self.scheduler.submit(session, _InlineReply(_error_frame(error)))
             return
-        statement = builder(frame, level, session)
+        statement = builder(frame, session)
         statement.on_done = self.admission.statement_done
         self.scheduler.submit(session, statement)
 
@@ -420,27 +418,11 @@ class QueryServer:
     # Statement builders (closures executed on worker threads)
     # ------------------------------------------------------------------
 
-    def _statement_limits(self, level: DegradationLevel) -> StatementLimits:
-        return StatementLimits(
-            deadline=Deadline.after_ms(self.config.deadline_ms),
-            memory_budget_bytes=self.config.memory_budget_bytes,
-            # Rung 2: force every new statement onto the low-memory
-            # spilling paged tree.
-            strategy_override=(
-                "paged_tree" if level >= DegradationLevel.FORCE_PAGED else None
-            ),
-            # Rung 1 already shed the shared cache; neither read nor
-            # re-fill it until load returns to normal.
-            use_cache=(level is DegradationLevel.NORMAL),
-        )
-
     def _debug_delay(self) -> None:
         if self.config.debug_statement_delay_ms:
             time.sleep(self.config.debug_statement_delay_ms / 1000.0)
 
-    def _pin_at_admit(
-        self, session: Session, text: Any, level: DegradationLevel
-    ) -> "Optional[tuple]":
+    def _pin_at_admit(self, session: Session, text: Any) -> "Optional[tuple]":
         """Pin a query's snapshot at admission, when that is sound.
 
         Pinning early is what makes two identical queries from
@@ -453,8 +435,6 @@ class QueryServer:
 
         Returns ``(served, view, coalesce_key)`` or None.
         """
-        if not self.config.coalesce:
-            return None
         if session.queue or session.in_flight:
             return None
         if not isinstance(text, str) or not text.strip():
@@ -466,20 +446,11 @@ class QueryServer:
         except (TSQL2SyntaxError, TSQL2SemanticError, TemporalAggregateError):
             # Let the run-time path produce the (uncoalesced) error.
             return None
-        key = (
-            "query",
-            served.name.lower(),
-            view.version,
-            text.strip(),
-            int(level),
-        )
+        key = ("query", served.name.lower(), view.version, text.strip())
         return served, view, key
 
     def _query_statement(
-        self,
-        frame: Dict[str, Any],
-        level: DegradationLevel,
-        session: Session,
+        self, frame: Dict[str, Any], session: Session
     ) -> Statement:
         text = frame.get("text")
         token = frame.get("token")
@@ -487,9 +458,7 @@ class QueryServer:
         # tokened query must never coalesce with a tokenless flight
         # (the follower would receive rows instead of the typed lag
         # refusal) — so tokened queries always pin at run time.
-        pinned = None if token is not None else self._pin_at_admit(
-            session, text, level
-        )
+        pinned = None if token is not None else self._pin_at_admit(session, text)
 
         def run() -> Dict[str, Any]:
             started = time.perf_counter()
@@ -509,8 +478,11 @@ class QueryServer:
                     self._check_read_token(token, served, view)
                 database = Database()
                 database.register(view, name=served.name)
-                limits = self._statement_limits(level)
-                result = database.execute(text, limits=limits)
+                result = database.execute(
+                    text,
+                    deadline_ms=self.config.deadline_ms,
+                    memory_budget_bytes=self.config.memory_budget_bytes,
+                )
             except TemporalAggregateError as error:
                 return _error_frame(error)
             except (TSQL2SyntaxError, TSQL2SemanticError) as error:
@@ -529,7 +501,6 @@ class QueryServer:
                     "version": view.version,
                     "row_count": len(view),
                 },
-                "degraded": int(level),
                 "role": self.role,
                 "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
             }
@@ -568,10 +539,7 @@ class QueryServer:
             )
 
     def _append_statement(
-        self,
-        frame: Dict[str, Any],
-        level: DegradationLevel,
-        session: Session,
+        self, frame: Dict[str, Any], session: Session
     ) -> Statement:
         table = frame.get("table")
         rows = frame.get("rows")

@@ -23,8 +23,7 @@ is what makes the shared server cache work across concurrent appends:
 a result computed at version ``v`` pure-hits any later statement
 pinned at ``v``, and a statement pinned at ``v+k`` append-delta
 refreshes it over exactly the ``k`` batches in between
-(:meth:`SnapshotView.triples_since` /
-:meth:`SnapshotView.verify_append_chain` operate on the pinned
+(:meth:`SnapshotView.verify_append_chain` operates on the pinned
 prefix).  No locks are held while evaluating — pinning is the only
 synchronized step.
 
@@ -137,13 +136,6 @@ class SnapshotView:
         # invalidate every pinned prefix) poisons cache validity checks
         # instead of silently serving stale rows.
         return self._base.append_watermark
-
-    def triples_since(
-        self, index: int, attribute: Optional[str] = None
-    ) -> List[Tuple[int, int, Any]]:
-        extractor = self.value_extractor(attribute)
-        tail = islice(self._base.iter_prefix(self._row_count), index, None)
-        return [(row.start, row.end, extractor(row)) for row in tail]
 
     def verify_append_chain(self, row_count: int, fingerprint: int) -> bool:
         """Is this view's pinned fingerprint reachable by appending rows

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from array import array
-from dataclasses import dataclass
 from itertools import compress, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -49,7 +48,7 @@ from repro.tsql2.ast import (
 )
 from repro.tsql2.parser import parse
 
-__all__ = ["Database", "QueryResult", "StatementLimits", "TSQL2SemanticError"]
+__all__ = ["Database", "QueryResult", "TSQL2SemanticError"]
 
 _COMPARATORS = {
     "=": operator.eq,
@@ -78,62 +77,21 @@ class TSQL2SemanticError(ValueError):
     unknown attribute, ungrouped select column, ...)."""
 
 
-@dataclass
-class StatementLimits:
-    """Per-statement execution limits and routing knobs.
+def _strategy(query: Query) -> Tuple[str, Optional[int]]:
+    """The statement's ``(strategy, k)`` for every aggregate call.
 
-    The serving layer (:mod:`repro.serve`) and the shell's
-    ``\\deadline`` / ``\\budget`` session settings build one of these
-    per statement; plain library callers can ignore it entirely.
-
-    * ``deadline`` — one already-started wall-clock budget shared by
-      every aggregate call the statement makes.
-    * ``memory_budget_bytes`` — consulted by the planner and enforced
-      at run time: an aggregation-tree build that crosses it degrades
-      to the spilling paged tree instead of OOMing.
-    * ``strategy_override`` — forces every call onto one strategy
-      (the overload ladder downgrades statements to ``paged_tree``
-      this way); wins over USING ALGORITHM hints.
-    * ``use_cache`` — whether the shard-result cache may serve and
-      fill the statement (``temporal_aggregate``'s keyword of the same
-      name).  Only unfiltered instant statements ever use it: WHERE
-      and GROUP BY statements evaluate fresh relations no later
-      statement can hit.  The server clears it from the SHED_CACHE
-      rung up, so a shed cache stays empty until load is back to
-      normal.
+    The USING ALGORITHM hint, resolved through the aliases and checked,
+    else ``"auto"`` for the Section 6.3 planner; ``k`` only for the
+    k-ordered tree.
     """
-
-    deadline: Optional[Deadline] = None
-    memory_budget_bytes: Optional[int] = None
-    strategy_override: Optional[str] = None
-    use_cache: bool = True
-
-
-def _known_strategy(name: str, what: str) -> str:
-    """``name`` resolved through the aliases to a registered strategy."""
+    if query.hint is None:
+        return "auto", None
+    name = query.hint.strategy
     strategy = _STRATEGY_ALIASES.get(name, name)
     if strategy not in STRATEGIES:
         known = ", ".join(sorted(STRATEGIES))
-        raise TSQL2SemanticError(f"unknown {what} {name!r}; known: {known}")
-    return strategy
-
-
-def _strategy(query: Query, limits: StatementLimits) -> Tuple[str, Optional[int]]:
-    """The statement's ``(strategy, k)`` for every aggregate call.
-
-    The limits' ``strategy_override`` (the overload ladder's, which
-    wins over hints), else the USING ALGORITHM hint, else ``"auto"``
-    for the Section 6.3 planner; ``k`` only for the k-ordered tree.
-    Both names are checked, so a bad hint is an error at any load.
-    """
-    strategy, k = "auto", None
-    if query.hint is not None:
-        strategy = _known_strategy(query.hint.strategy, "algorithm")
-        k = query.hint.k
-    if limits.strategy_override is not None:
-        strategy = _known_strategy(limits.strategy_override, "override strategy")
-        k = None
-    return strategy, k if strategy == "kordered_tree" else None
+        raise TSQL2SemanticError(f"unknown algorithm {name!r}; known: {known}")
+    return strategy, query.hint.k if strategy == "kordered_tree" else None
 
 
 class QueryResult:
@@ -363,33 +321,27 @@ class Database:
         text: str,
         *,
         keep_empty: bool = True,
-        limits: Optional[StatementLimits] = None,
         deadline_ms: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
-        strategy_override: Optional[str] = None,
     ) -> QueryResult:
         """Parse and run one query.
 
         ``keep_empty=False`` drops rows whose aggregate values are all
         empty (None, or 0 for COUNT) — TSQL2's presentation of Table 1.
 
-        ``limits`` (or the equivalent plain options ``deadline_ms``,
-        ``memory_budget_bytes``, ``strategy_override``) bound and
-        route this one statement — see :class:`StatementLimits`.  A
+        ``deadline_ms`` bounds the whole statement: one wall-clock
+        budget, started here, shared by every aggregate call; a
         tripped deadline raises
-        :class:`~repro.exec.errors.DeadlineExceeded`; a tripped memory
-        budget degrades tree builds to the spilling paged tree.
+        :class:`~repro.exec.errors.DeadlineExceeded`.
+        ``memory_budget_bytes`` is consulted by the planner and
+        enforced at run time: a tree build that crosses it degrades to
+        the spilling paged tree instead of running out of memory.
         """
-        if limits is None:
-            limits = StatementLimits(
-                deadline=Deadline.after_ms(deadline_ms),
-                memory_budget_bytes=memory_budget_bytes,
-                strategy_override=strategy_override,
-            )
+        deadline = Deadline.after_ms(deadline_ms)
         query = parse(text)
         relation = self.relation(query.table)
         self._check_semantics(query, relation)
-        strategy, k = _strategy(query, limits)
+        strategy, k = _strategy(query)
         source = relation
         if query.where:
             source = TemporalRelation(
@@ -399,17 +351,20 @@ class Database:
             )
 
         if query.explain:
-            return self._explain(query, source, strategy, k, limits)
+            return self._explain(query, source, strategy, k, memory_budget_bytes)
 
         shaper = _Shaper(query, keep_empty)
         if query.group_by.kind == "span":
-            return self._execute_span(query, source, shaper, limits)
+            return self._execute_span(query, source, shaper, deadline)
         if query.group_by.attributes:
-            return self._execute_grouped(query, source, shaper, strategy, k, limits)
+            return self._execute_grouped(
+                query, source, shaper, strategy, k, deadline, memory_budget_bytes
+            )
         # A qualifying relation is new every statement: caching it
         # would only churn the repeat set and store unhittable entries.
         results = self._aggregate(
-            query, source, strategy, k, limits, use_cache=not query.where
+            query, source, strategy, k, deadline, memory_budget_bytes,
+            use_cache=not query.where,
         )
         return QueryResult(shaper.columns, shaper.shape(results))
 
@@ -423,11 +378,11 @@ class Database:
         source: TemporalRelation,
         strategy: str,
         k: Optional[int],
-        limits: StatementLimits,
+        memory_budget_bytes: Optional[int],
     ) -> QueryResult:
         """The plan of the statement's first aggregate call, without
         executing it: the Section 6.3 planner's choice for that
-        aggregate under the statement's memory budget, or the forced
+        aggregate under the statement's memory budget, or the hinted
         strategy.  It is the plan of a first run; a repeat of an
         unfiltered statement over a large relation is licensed onto
         ``cached_sweep`` by the engine's repeat detection."""
@@ -436,16 +391,13 @@ class Database:
             decision = choose_strategy(
                 statistics,
                 aggregate=coerce_aggregate(query.aggregate_calls()[0].function),
-                memory_budget_bytes=limits.memory_budget_bytes,
+                memory_budget_bytes=memory_budget_bytes,
             )
         else:
-            forced_by = (
-                "the statement's strategy override"
-                if limits.strategy_override is not None
-                else "USING ALGORITHM hint"
-            )
             decision = PlannerDecision(
-                strategy=strategy, k=k, reason=f"strategy forced by {forced_by}"
+                strategy=strategy,
+                k=k,
+                reason="strategy forced by USING ALGORITHM hint",
             )
         table = [
             ("strategy", decision.strategy),
@@ -533,12 +485,12 @@ class Database:
         source: TemporalRelation,
         strategy: str,
         k: Optional[int],
-        limits: StatementLimits,
+        deadline: Optional[Deadline],
+        memory_budget_bytes: Optional[int],
         use_cache: bool,
     ) -> Dict[AggregateCall, TemporalAggregateResult]:
         """One :func:`temporal_aggregate` call per distinct aggregate
         call over ``source`` — the statement's only evaluation path."""
-        deadline = limits.deadline
         results: Dict[AggregateCall, TemporalAggregateResult] = {}
         for call in query.aggregate_calls():
             if deadline is not None:
@@ -549,9 +501,9 @@ class Database:
                 call.argument,
                 strategy=strategy,
                 k=k,
-                memory_budget_bytes=limits.memory_budget_bytes,
+                memory_budget_bytes=memory_budget_bytes,
                 deadline_ms=deadline,
-                use_cache=use_cache and limits.use_cache,
+                use_cache=use_cache,
             )
         return results
 
@@ -562,7 +514,8 @@ class Database:
         shaper: _Shaper,
         strategy: str,
         k: Optional[int],
-        limits: StatementLimits,
+        deadline: Optional[Deadline],
+        memory_budget_bytes: Optional[int],
     ) -> QueryResult:
         schema = source.schema
         attributes = query.group_by.attributes
@@ -576,7 +529,10 @@ class Database:
             # Each partition is a new relation, planned on its own and
             # evaluated uncached like a qualifying relation.
             shaped = shaper.shape(
-                self._aggregate(query, group, strategy, k, limits, use_cache=False)
+                self._aggregate(
+                    query, group, strategy, k, deadline, memory_budget_bytes,
+                    use_cache=False,
+                )
             )
             count = len(shaped[0])
             for slot, value in enumerate(key):
@@ -590,7 +546,7 @@ class Database:
         query: Query,
         source: TemporalRelation,
         shaper: _Shaper,
-        limits: StatementLimits,
+        deadline: Optional[Deadline],
     ) -> QueryResult:
         group_by = query.group_by
         if group_by.window is not None:
@@ -611,8 +567,8 @@ class Database:
 
         results: Dict[AggregateCall, TemporalAggregateResult] = {}
         for call in query.aggregate_calls():
-            if limits.deadline is not None:
-                limits.deadline.check(aggregate=call.label())
+            if deadline is not None:
+                deadline.check(aggregate=call.label())
             triples = source.scan_triples(call.argument)
             if group_by.unit is not None:
                 try:

@@ -179,5 +179,5 @@ class TestRealTreeIsClean:
             REPO_ROOT / "src" / "repro" / "serve" / "admission.py"
         )
         controller = build_class_models(admission)["AdmissionController"]
-        for attr in ("_sessions", "_outstanding", "shed_bytes_released"):
+        for attr in ("_sessions", "_outstanding", "statements_rejected_overload"):
             assert controller.guarded[attr] == frozenset({"_lock"}), attr

@@ -98,6 +98,14 @@ class TestTemporalAggregate:
         assert decision.strategy == "linked_list"
         assert "explicit" in decision.reason
 
+    @pytest.mark.parametrize(
+        "parameters", [{"k": 4}, {"shards": 3}, {"k": 4, "shards": 3}],
+        ids=["k", "shards", "k-and-shards"],
+    )
+    def test_auto_strategy_refuses_k_and_shards(self, employed, parameters):
+        with pytest.raises(ValueError, match="planner chooses them"):
+            temporal_aggregate(employed, "count", explain=True, **parameters)
+
     def test_value_aggregate_requires_attribute(self, employed):
         with pytest.raises(ValueError, match="needs an attribute"):
             temporal_aggregate(employed, "sum")

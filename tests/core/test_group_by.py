@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.group_by import grouped_temporal_aggregate
 from repro.core.interval import FOREVER
+from repro.relation.relation import TemporalRelation
 
 
 class TestGroupedAggregate:
@@ -65,6 +66,14 @@ class TestGroupedAggregate:
             k=4,
         )
         assert grouped["Nathan"].value_at(10) == 1
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["employed", "empty"])
+    def test_auto_strategy_refuses_k(self, employed, empty):
+        relation = TemporalRelation(employed.schema, []) if empty else employed
+        with pytest.raises(ValueError, match="the planner chooses"):
+            grouped_temporal_aggregate(
+                relation, "count", group_attribute="name", k=4
+            )
 
     def test_value_aggregate_requires_value_attribute(self, employed):
         with pytest.raises(ValueError, match="value attribute"):

@@ -86,13 +86,6 @@ class TestAppendChain:
         assert relation.verify_append_chain(count, fingerprint)
         assert relation.append_watermark == 0
 
-    def test_triples_since_returns_the_delta(self):
-        relation = tiny_relation(SORTED_ROWS)
-        count = len(relation)
-        relation.insert(("Curtis", 60_000), 30, 39)
-        assert relation.triples_since(count) == [(30, 39, None)]
-        assert relation.triples_since(count, "salary") == [(30, 39, 60_000)]
-
     def test_reorder_moves_the_watermark_and_breaks_the_chain(self):
         relation = tiny_relation(list(reversed(SORTED_ROWS)))
         count, fingerprint = len(relation), relation.fingerprint

@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.errors import NotPrimary, ReplicaLagExceeded
-from repro.serve.client import QueryClient
+from repro.serve.client import QueryClient, RemoteQueryError
+from repro.serve.server import ServerRunner
 from repro.replicate.client import ReplicatedClient
 
 from tests.replicate.conftest import make_node, replicated_pair
@@ -113,9 +114,39 @@ def test_replicated_client_routes_writes_to_primary(tmp_path):
             assert reply.pinned_version == version
 
 
-def test_late_starting_replica_catches_up_via_sync(tmp_path):
-    from repro.serve.server import ServerRunner
+@pytest.mark.parametrize(
+    "refused_row",
+    [["waytoolongname", 3, 0, 5], ["big", 2**31, 0, 5]],
+    ids=["over-wide-string", "int-outside-int32"],
+)
+def test_refused_append_leaves_no_row_in_the_heap(tmp_path, refused_row):
+    """The record codec refuses the batch's second row: its first row
+    must not stay in the heap, where the next append's commit would
+    make it durable although no reader ever saw it."""
+    data = str(tmp_path / "p")
+    primary = make_node(data, role="primary")
+    runner = ServerRunner(primary).start()
+    try:
+        with QueryClient(runner.host, runner.port) as c:
+            c.append("jobs", [["ok", 1, 0, 5]])
+            with pytest.raises(RemoteQueryError) as info:
+                c.append("jobs", [["fine", 2, 0, 5], refused_row])
+            assert info.value.remote_type == "CodecError"
+            c.append("jobs", [["next", 4, 0, 5]])
+        table = primary.tables["jobs"]
+        assert len(table.heap) == table.served.stats()[1] == 2
+    finally:
+        runner.stop()
+    reborn = make_node(data, role="primary")
+    runner = ServerRunner(reborn).start()
+    try:
+        recovered = [row.values[0] for row in reborn.tables["jobs"].served.pin()]
+        assert recovered == ["ok", "next"]
+    finally:
+        runner.stop()
 
+
+def test_late_starting_replica_catches_up_via_sync(tmp_path):
     # Primary accumulates history with no replica attached.
     replica_dir = str(tmp_path / "replica")
     primary = make_node(str(tmp_path / "primary"), role="primary")

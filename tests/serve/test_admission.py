@@ -1,35 +1,29 @@
-"""Admission controller unit tests: bounds, the ladder, shed-once."""
+"""Admission controller unit tests: the session, queue and load bounds."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exec.errors import ServerOverloaded
-from repro.serve.admission import AdmissionController, DegradationLevel
+from repro.serve.admission import AdmissionController
 from repro.serve.config import ServerConfig
 
 
 def controller(**kwargs):
-    sheds = []
     config_kwargs = dict(
         workers=4,
         max_sessions=2,
         max_queue_depth=2,
-        shed_load=0.75,
-        degrade_load=1.5,
         reject_load=3.0,
         retry_after_ms=40,
     )
     config_kwargs.update(kwargs)
-    admission = AdmissionController(
-        ServerConfig(**config_kwargs), shed=lambda: sheds.append(1) or 128
-    )
-    return admission, sheds
+    return AdmissionController(ServerConfig(**config_kwargs))
 
 
 class TestSessionBounds:
     def test_admits_up_to_the_limit_then_refuses_typed(self):
-        admission, _ = controller(max_sessions=2)
+        admission = controller(max_sessions=2)
         admission.admit_session()
         admission.admit_session()
         with pytest.raises(ServerOverloaded) as info:
@@ -38,13 +32,13 @@ class TestSessionBounds:
         assert info.value.retry_after_ms == 40
 
     def test_release_frees_a_slot(self):
-        admission, _ = controller(max_sessions=1)
+        admission = controller(max_sessions=1)
         admission.admit_session()
         admission.release_session()
         admission.admit_session()  # no raise
 
     def test_rejections_are_tallied(self):
-        admission, _ = controller(max_sessions=1)
+        admission = controller(max_sessions=1)
         admission.admit_session()
         with pytest.raises(ServerOverloaded):
             admission.admit_session()
@@ -55,87 +49,66 @@ class TestSessionBounds:
 
 class TestQueueDepth:
     def test_full_session_queue_refuses_with_reason_queue(self):
-        admission, _ = controller(max_queue_depth=2)
+        admission = controller(max_queue_depth=2)
         with pytest.raises(ServerOverloaded) as info:
             admission.admit_statement(queued_depth=2)
         assert info.value.reason == "queue"
 
     def test_below_the_depth_admits(self):
-        admission, _ = controller(max_queue_depth=2)
-        assert admission.admit_statement(1) is DegradationLevel.NORMAL
+        admission = controller(max_queue_depth=2)
+        admission.admit_statement(1)  # no raise
+        assert admission.snapshot()["outstanding_statements"] == 1
 
 
-class TestLadder:
-    def test_levels_climb_with_outstanding_statements(self):
-        # workers=4: statement k is judged at load (k+1)/4.
-        admission, _ = controller(workers=4, max_queue_depth=100)
-        levels = [admission.admit_statement(0) for _ in range(11)]
-        assert levels[0] is DegradationLevel.NORMAL  # load 0.25
-        assert levels[1] is DegradationLevel.NORMAL  # load 0.50
-        assert levels[2] is DegradationLevel.SHED_CACHE  # load 0.75
-        assert levels[5] is DegradationLevel.FORCE_PAGED  # load 1.50
-        assert levels[10] is DegradationLevel.FORCE_PAGED  # load 2.75
+class TestLoadBound:
+    def test_admits_below_reject_load(self):
+        # workers=4, reject_load=3.0: statement k is judged at load
+        # (k+1)/4, so the first eleven (up to 2.75) are all admitted.
+        admission = controller(workers=4, max_queue_depth=100)
+        for _ in range(11):
+            admission.admit_statement(0)
+        snapshot = admission.snapshot()
+        assert snapshot["outstanding_statements"] == 11
+        assert snapshot["load"] == 2.75
+        assert snapshot["statements_rejected_overload"] == 0
 
-    def test_reject_at_the_top_rung(self):
-        admission, _ = controller(workers=1, reject_load=3.0,
-                                  max_queue_depth=100)
-        # statement k judged at (k+1)/1: k=0 -> 1.0 (SHED_CACHE),
-        # k=1 -> 2.0 (FORCE_PAGED), k=2 -> 3.0 (REJECT).
-        assert admission.admit_statement(0) is DegradationLevel.SHED_CACHE
-        assert admission.admit_statement(0) is DegradationLevel.FORCE_PAGED
+    def test_refuses_at_reject_load(self):
+        admission = controller(workers=1, reject_load=3.0, max_queue_depth=100)
+        # statement k judged at (k+1)/1: 1.0 and 2.0 admitted, 3.0 refused.
+        admission.admit_statement(0)
+        admission.admit_statement(0)
         with pytest.raises(ServerOverloaded) as info:
             admission.admit_statement(0)
         assert info.value.reason == "overload"
         assert info.value.retry_after_ms == 40
+        assert admission.snapshot()["outstanding_statements"] == 2
 
-    def test_statement_done_descends_the_ladder(self):
-        admission, _ = controller(workers=1, max_queue_depth=100)
+    def test_statement_done_frees_capacity(self):
+        admission = controller(workers=1, max_queue_depth=100)
         admission.admit_statement(0)
         admission.admit_statement(0)
         with pytest.raises(ServerOverloaded):
             admission.admit_statement(0)
         admission.statement_done()
-        assert admission.admit_statement(0) is DegradationLevel.FORCE_PAGED
-
-    def test_degraded_statements_tallied_at_force_paged(self):
-        admission, _ = controller(workers=1, max_queue_depth=100)
-        admission.admit_statement(0)  # load 1.0: shed, not yet degraded
-        assert admission.snapshot()["degraded_statements"] == 0
-        admission.admit_statement(0)  # load 2.0: FORCE_PAGED
-        assert admission.snapshot()["degraded_statements"] == 1
-
-
-class TestShedOnce:
-    def test_shed_fires_once_per_excursion(self):
-        admission, sheds = controller(workers=1, max_queue_depth=100)
-        admission.admit_statement(0)  # load 1.0 >= shed_load: shed now
-        admission.admit_statement(0)  # still elevated: no second shed
-        assert sheds == [1]
-        assert admission.snapshot()["cache_sheds"] == 1
-        assert admission.snapshot()["shed_bytes_released"] == 128
-
-    def test_shed_rearms_after_load_returns_to_normal(self):
-        admission, sheds = controller(workers=1, max_queue_depth=100)
-        admission.admit_statement(0)
-        admission.statement_done()  # back to NORMAL: re-armed
-        admission.admit_statement(0)
-        assert sheds == [1, 1]
-
-    def test_no_rearm_while_still_elevated(self):
-        admission, sheds = controller(workers=1, max_queue_depth=100)
-        admission.admit_statement(0)
-        admission.admit_statement(0)
-        admission.statement_done()  # one outstanding: load 1.0, elevated
-        admission.admit_statement(0)
-        assert sheds == [1]
+        admission.admit_statement(0)  # load 2.0 again: admitted
+        assert admission.snapshot()["outstanding_statements"] == 2
 
 
 class TestSnapshot:
-    def test_snapshot_reports_load_and_level(self):
-        admission, _ = controller(workers=4, max_queue_depth=100)
+    def test_snapshot_reports_load_outstanding_and_tallies(self):
+        admission = controller(workers=4, max_queue_depth=2)
         admission.admit_statement(0)
         snapshot = admission.snapshot()
         assert snapshot["outstanding_statements"] == 1
         assert snapshot["load"] == 0.25
-        assert snapshot["level"] == int(DegradationLevel.NORMAL)
         assert snapshot["statements_admitted"] == 1
+        with pytest.raises(ServerOverloaded):
+            admission.admit_statement(queued_depth=2)
+        full = controller(workers=1, reject_load=1.0)
+        with pytest.raises(ServerOverloaded):
+            full.admit_statement(0)
+        assert admission.snapshot()["statements_rejected_queue"] == 1
+        assert admission.snapshot()["statements_rejected_overload"] == 0
+        assert full.snapshot()["statements_rejected_overload"] == 1
+        assert full.snapshot()["statements_admitted"] == 0
+        assert full.snapshot()["load"] == 0.0

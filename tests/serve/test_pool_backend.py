@@ -49,11 +49,6 @@ QUERIES = [
     "SELECT AVG(salary) FROM jobs",
 ]
 
-#: Ladder lifted far above any fleet here: the degradation level is
-#: part of the coalesce key, so proving coalescing needs one level.
-HIGH_LADDER = dict(shed_load=100.0, degrade_load=100.0, reject_load=100.0)
-
-
 def shm_names():
     try:
         return {
@@ -108,7 +103,7 @@ class TestCoalescing:
             workers=n_clients,
             max_sessions=n_clients + 2,
             debug_statement_delay_ms=150,
-            **HIGH_LADDER,
+            reject_load=100.0,
         ) as runner:
             replies = fan_out(
                 runner.host, runner.port, [COUNT] * n_clients
@@ -132,7 +127,7 @@ class TestCoalescing:
             workers=len(QUERIES),
             max_sessions=len(QUERIES) + 2,
             debug_statement_delay_ms=100,
-            **HIGH_LADDER,
+            reject_load=100.0,
         ) as runner:
             replies = fan_out(runner.host, runner.port, list(QUERIES))
             with QueryClient(runner.host, runner.port) as observer:
@@ -142,27 +137,6 @@ class TestCoalescing:
         assert scheduler["statements_started"] == len(QUERIES)
         assert scheduler["coalesced_statements"] == 0
 
-    def test_coalescing_can_be_disabled(self):
-        n_clients = 4
-        with serve(
-            make_relation(200),
-            workers=n_clients,
-            max_sessions=n_clients + 2,
-            debug_statement_delay_ms=100,
-            coalesce=False,
-            **HIGH_LADDER,
-        ) as runner:
-            replies = fan_out(
-                runner.host, runner.port, [SUM] * n_clients
-            )
-            with QueryClient(runner.host, runner.port) as observer:
-                stats = observer.stats()
-        rows = [reply.rows for reply in replies]
-        assert all(candidate == rows[0] for candidate in rows)
-        scheduler = stats["scheduler"]
-        assert scheduler["statements_started"] == n_clients
-        assert scheduler["coalesced_statements"] == 0
-
     def test_append_between_queries_is_never_coalesced_across(self):
         """A statement admitted after an append pins the *new* version,
         so it can never join a pre-append flight (stale reuse)."""
@@ -170,7 +144,7 @@ class TestCoalescing:
             make_relation(100),
             workers=4,
             debug_statement_delay_ms=50,
-            **HIGH_LADDER,
+            reject_load=100.0,
         ) as runner:
             with QueryClient(runner.host, runner.port) as first:
                 before = first.query(COUNT)
@@ -240,9 +214,9 @@ class TestPoolBackedSwarm:
             workers=4,
             max_sessions=32,
             pool_workers=2,
-            # Coalescing stays on: coalesced statements must be exact
-            # too, they reuse the leader's (verified) rows.
-            **HIGH_LADDER,
+            # Coalesced statements must be exact too: they reuse the
+            # leader's (verified) rows.
+            reject_load=100.0,
         ) as runner:
             with fault_plan(plan):
                 reports = run_swarm(runner.host, runner.port, scripts)
@@ -270,7 +244,7 @@ class TestPoolBackedSwarm:
         monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
         before = shm_names()
         with serve(
-            make_relation(400), workers=4, pool_workers=1, **HIGH_LADDER
+            make_relation(400), workers=4, pool_workers=1, reject_load=100.0
         ) as runner:
             with QueryClient(runner.host, runner.port) as client:
                 # Twice: the planner's repeat detection licenses the
@@ -311,7 +285,7 @@ class TestPoolOff:
         pool_module.shutdown_default_pool()  # known-clean slate
         prefix = f"repro-pool-{os.getpid()}-"
         try:
-            with serve(relation, workers=4, **HIGH_LADDER) as runner:
+            with serve(relation, workers=4, reject_load=100.0) as runner:
                 with QueryClient(runner.host, runner.port) as client:
                     planned = client.query(COUNT)  # parallel_sweep
                     repeated = client.query(COUNT)  # cached_sweep

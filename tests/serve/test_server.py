@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.cache.store import default_cache
 from repro.exec.errors import DeadlineExceeded, ServerOverloaded
 from repro.serve import QueryClient, RemoteQueryError
 from repro.serve.protocol import recv_frame, send_frame
@@ -81,7 +80,6 @@ class TestQueries:
                 assert [tuple(r) for r in reply.rows] == serial_rows(64, MIXED)
                 assert reply.pinned_table == "jobs"
                 assert reply.pinned_row_count == 64
-                assert reply.degraded == 0
 
     def test_column_accessor(self):
         with serve() as runner:
@@ -237,10 +235,10 @@ class TestAdmissionOverTheWire:
                 # After draining, the session still works at full service.
                 assert client.query(COUNT).rows
 
-    def test_overload_rejection_and_degraded_service(self):
-        """workers=1 with slow statements: pipelined statements climb
-        the ladder — full service, then degraded, then typed
-        rejection — and the stats frame shows the excursion."""
+    def test_overload_rejection_is_typed_and_tallied(self):
+        """workers=1 with slow statements: pipelined statements are
+        served until the load bound, then refused with a typed
+        overload rejection, and the stats frame tallies it."""
         with serve(
             workers=1, max_queue_depth=100, debug_statement_delay_ms=150.0,
         ) as runner:
@@ -249,69 +247,52 @@ class TestAdmissionOverTheWire:
                 for _ in range(sent):
                     client.send({"op": "query", "text": COUNT})
                 replies = [client.recv_raw() for _ in range(sent)]
-                degraded = [r.get("degraded", 0) for r in replies if r["ok"]]
                 overloaded = [
                     r for r in replies
                     if not r["ok"]
                     and r["error"].get("reason") == "overload"
                 ]
-                # Ladder: statement 1 at load 1.0 (shed), 2 at 2.0
-                # (paged), 3 at 3.0 -> reject.
-                assert max(degraded) >= 2
+                # Statement 1 at load 1.0 and 2 at 2.0 are served; 3
+                # at 3.0 reaches reject_load.
+                assert [r["ok"] for r in replies] == [True, True, False]
                 assert len(overloaded) == 1
+                assert overloaded[0]["error"]["retry_after_ms"] > 0
                 stats = client.stats()
-                assert stats["admission"]["cache_sheds"] >= 1
                 assert stats["admission"]["statements_rejected_overload"] == 1
-                assert stats["admission"]["degraded_statements"] >= 1
 
     def test_load_drains_back_to_full_service(self):
-        # Thresholds above 1.0: with one worker, a lone statement
-        # (load 1.0) still runs at NORMAL.
         with serve(
             workers=1, max_queue_depth=100, debug_statement_delay_ms=50.0,
-            shed_load=1.5, degrade_load=2.0, reject_load=4.0,
+            reject_load=4.0,
         ) as runner:
             with QueryClient(runner.host, runner.port) as client:
                 for _ in range(3):
                     client.send({"op": "query", "text": COUNT})
                 for _ in range(3):
                     client.recv_raw()
-                # Drained: the next statement runs at NORMAL again.
+                # Drained: nothing is outstanding and the next
+                # statement is served.
+                assert client.stats()["admission"]["outstanding_statements"] == 0
                 reply = client.query(COUNT)
-                assert reply.degraded == 0
                 assert [tuple(r) for r in reply.rows] == serial_rows(64, COUNT)
 
 
-class TestCacheLadder:
-    """From SHED_CACHE up a statement neither reads nor refills the
-    shared result cache; at NORMAL a repeated statement is a hit."""
-
-    def sends(self, **config):
-        with serve(make_relation(4096), **config) as runner:
+class TestSharedCache:
+    def test_repeated_statement_hits_on_a_one_worker_server(self):
+        """A lone statement on one worker is judged at load 1.0, and a
+        repeated unfiltered statement still reads the shared cache."""
+        n = 8192
+        with serve(make_relation(n), workers=1) as runner:
             with QueryClient(runner.host, runner.port) as client:
-                replies = [client.query(COUNT) for _ in range(3)]
-        assert all(
-            [tuple(r) for r in reply.rows] == serial_rows(4096, COUNT)
-            for reply in replies
-        )
-        return [reply.degraded for reply in replies], default_cache()
-
-    def test_shed_cache_statements_leave_the_cache_alone(self):
-        # One worker: a lone statement is judged at load 1.0.
-        levels, cache = self.sends(workers=1, shed_load=0.5)
-        assert levels == [1, 1, 1]
-        assert cache.counters.cache_hits == 0
-        assert cache.counters.cache_misses == 0
-        assert len(cache) == 0
-
-    def test_normal_statements_hit_on_the_third_send(self):
-        levels, cache = self.sends()
-        assert levels == [0, 0, 0]
+                replies = [client.query(COUNT) for _ in range(4)]
+                cache = client.stats()["cache"]
+        expected = serial_rows(n, COUNT)
+        assert all([tuple(r) for r in reply.rows] == expected for reply in replies)
         # First send: a new signature; second: repeat -> miss + store;
-        # third: pure hit.
-        assert cache.counters.cache_misses == 1
-        assert cache.counters.cache_hits == 1
-        assert len(cache) == 1
+        # third and fourth: pure hits.
+        assert cache["misses"] == 1
+        assert cache["hits"] == 2
+        assert cache["entries"] == 1
 
 
 class TestFairness:

@@ -105,13 +105,6 @@ class TestCacheProtocol:
     def test_view_is_cacheable(self):
         assert cacheable_relation(served().pin())
 
-    def test_triples_since_returns_the_pinned_tail(self):
-        relation = served(4)
-        relation.append_batch([(("a", 7), 1, 9), (("b", 8), 2, 10)])
-        view = relation.pin()
-        tail = view.triples_since(4, "salary")
-        assert tail == [(1, 9, 7), (2, 10, 8)]
-
     def test_verify_append_chain_across_versions(self):
         relation = served(8)
         old = relation.pin()

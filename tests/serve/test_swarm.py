@@ -102,12 +102,11 @@ class TestSwarmAcceptance:
             shard_faults=(ShardFault(shard=1, kind="raise", attempts=1),),
             name="swarm-shard-fault",
         )
-        # High ladder thresholds: this test pins down *snapshot
-        # correctness* (degradation is exercised elsewhere), and the
-        # FORCE_PAGED override must not displace the parallel hint.
+        # A high load bound: this test pins down *snapshot
+        # correctness* (overload is exercised elsewhere).
         with serve(
             make_relation(n), workers=4, max_sessions=32, pool_workers=2,
-            shed_load=50.0, degrade_load=80.0, reject_load=100.0,
+            reject_load=100.0,
         ) as runner:
             with fault_plan(plan):
                 reports = run_swarm(runner.host, runner.port, scripts)
@@ -133,7 +132,7 @@ class TestSwarmAcceptance:
 
     def test_swarm_under_overload_retries_and_stays_exact(self):
         """A one-worker server under eight concurrent readers rejects
-        with retry-after when the ladder tops out; clients back off and
+        with retry-after at the load bound; clients back off and
         resubmit, and every eventually-served reply is still exact."""
         n = 48
         scripts = [reader_script(i, rounds=2) for i in range(8)]
@@ -147,7 +146,7 @@ class TestSwarmAcceptance:
         assert not unexpected, f"swarm clients failed: {unexpected}"
         verified = verify_swarm(lambda: make_relation(n), reports, "jobs")
         assert verified == 16
-        # The ladder actually topped out: someone was told to back off.
+        # The load bound was reached: someone was told to back off.
         assert sum(r.overload_retries for r in reports) > 0
 
 

@@ -68,8 +68,7 @@ def run_checked_swarm():
     """Drive the swarm and verify every reply against the serial oracle."""
     n = 64
     with serve(
-        make_relation(n), workers=4, max_sessions=32,
-        shed_load=50.0, degrade_load=80.0, reject_load=100.0,
+        make_relation(n), workers=4, max_sessions=32, reject_load=100.0,
     ) as runner:
         reports = run_swarm(runner.host, runner.port, swarm_scripts())
         with QueryClient(runner.host, runner.port) as client:

@@ -116,12 +116,3 @@ class TestPlanMatchesEngine:
         )
         assert plan["strategy"] == decision.strategy
 
-    def test_override_wins_over_the_hint(self, db):
-        plan = plan_of(
-            db.execute(
-                "EXPLAIN SELECT COUNT(name) FROM Big USING ALGORITHM tree",
-                strategy_override="paged_tree",
-            )
-        )
-        assert plan["strategy"] == "paged_tree"
-        assert "override" in plan["reason"]

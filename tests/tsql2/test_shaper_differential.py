@@ -254,9 +254,7 @@ def test_shaper_matches_the_per_row_interpreter(rows, text, keep_empty):
     for _ in range(2):
         hits = cache.counters.cache_hits
         got = database.execute(
-            text,
-            keep_empty=keep_empty,
-            strategy_override="cached_sweep",
+            text + " USING ALGORITHM cached_sweep", keep_empty=keep_empty
         )
         assert got.columns == want_columns
         assert got.rows == want_rows
