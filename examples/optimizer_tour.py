@@ -15,6 +15,7 @@ import time
 
 from repro import TemporalRelation, choose_strategy, temporal_aggregate
 from repro.bench import measure_strategy
+from repro.relation.relation import space_counts
 from repro.storage import HeapFile, SortStatistics, external_sort
 from repro.workload import (
     WorkloadParameters,
@@ -46,12 +47,15 @@ def main() -> None:
     print("Planner decisions (and a measurement sanity check)\n")
     for relation in relation_zoo():
         stats = relation.statistics()
-        decision = choose_strategy(stats)
+        columns = relation.columns(None)
+        decision = choose_strategy(
+            stats, counts=space_counts(columns.starts, columns.ends)
+        )
         print(f"relation {relation.name!r}: n={stats.tuple_count}, "
               f"unique timestamps={stats.unique_timestamps}, "
               f"k={stats.k}, sorted={stats.is_totally_ordered}")
         print(f"  -> {decision.describe()}")
-        print(f"     estimated structure: {decision.estimated_bytes:,} bytes")
+        print(f"     structure bound: {decision.estimated_bytes:,} bytes")
 
         started = time.perf_counter()
         result = temporal_aggregate(relation, "count")

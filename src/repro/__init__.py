@@ -73,7 +73,6 @@ from repro.exec import (
     DeadlineExceeded,
     FaultPlan,
     InvalidInput,
-    MemoryGuard,
     RetryPolicy,
     ShardFailure,
     ShardFault,
@@ -171,7 +170,6 @@ __all__ = [
     "BudgetExhausted",
     "InvalidInput",
     "Deadline",
-    "MemoryGuard",
     "RetryPolicy",
     "SupervisionReport",
     "FaultPlan",

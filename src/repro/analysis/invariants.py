@@ -21,6 +21,9 @@ computations, the properties every evaluator silently relies on:
 * **Space accounting** — live structure matches
   :class:`~repro.metrics.space.SpaceTracker` (checked after paged-tree
   evictions and at the end of every tree evaluation).
+* **Space bound** — the tracked peak is at most the bound the planner
+  charges the plan that ran (:func:`repro.core.planner.node_bound`),
+  recomputed from the input triples.
 
 Verification is off by default and costs one module-flag check per
 engine call.  Enable it with the ``REPRO_CHECK_INVARIANTS=1``
@@ -52,6 +55,7 @@ __all__ = [
     "verify_snapshot_agreement",
     "verify_tree_partials",
     "verify_space_accounting",
+    "verify_space_bound",
     "verify_cached_shards",
     "verify_recovered_relation",
     "verify_evaluation",
@@ -254,8 +258,8 @@ def verify_space_accounting(evaluator: Any, *, when: str = "evaluation") -> None
 
     Applies to evaluators exposing ``node_count()`` (the aggregation
     tree family, including the paged and k-ordered variants): every
-    allocate/free must have been mirrored, or the memory-budget
-    enforcement built on ``live_nodes`` is meaningless.
+    allocate/free must have been mirrored, or the peak the space-bound
+    check compares is meaningless.
     """
     node_count = getattr(evaluator, "node_count", None)
     space = getattr(evaluator, "space", None)
@@ -266,6 +270,26 @@ def verify_space_accounting(evaluator: Any, *, when: str = "evaluation") -> None
         raise InvariantViolation(
             f"space accounting diverged after {when}: {actual} live nodes "
             f"in the structure but SpaceTracker records {space.live_nodes}"
+        )
+
+
+def verify_space_bound(
+    evaluator: Any, triples: Sequence[Tuple[int, int, Any]]
+) -> None:
+    """The tracked peak stays within the plan's bound over ``triples``:
+    the bound the planner admits the plan under a memory budget by.
+    Plans without a bound are skipped."""
+    # Lazy imports: the engine imports this module.
+    from repro.core.planner import node_bound
+    from repro.relation.relation import space_counts
+
+    counts = space_counts([t[0] for t in triples], [t[1] for t in triples])
+    bound = node_bound(evaluator.name, counts, getattr(evaluator, "k", None))
+    space = evaluator.space
+    if bound is not None and space.peak_nodes > bound:
+        raise InvariantViolation(
+            f"{evaluator.name} tracked a peak of {space.peak_nodes} nodes "
+            f"over its bound of {bound} ({counts})"
         )
 
 
@@ -404,3 +428,4 @@ def verify_evaluation(
     verify_snapshot_agreement(result, triples, aggregate)
     verify_tree_partials(evaluator, triples)
     verify_space_accounting(evaluator)
+    verify_space_bound(evaluator, triples)

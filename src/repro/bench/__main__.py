@@ -147,21 +147,19 @@ def _write_serving_json(reports, csv_dir) -> str:
     numbers, not rendered tables.
     """
     from repro.bench.config import bench_seeds, bench_sizes
-    from repro.bench.serving import CLIENTS, ROUNDS_PER_CLIENT, SERVING_DETAIL
-    from repro.serve.config import ServerConfig
+    from repro.bench import serving
 
-    defaults = ServerConfig()
     payload = {
         "generated_by": "python -m repro.bench serving",
         "cpu_count": os.cpu_count(),
-        "clients": CLIENTS,
-        "rounds_per_client": ROUNDS_PER_CLIENT,
-        "workers": defaults.workers,
-        "reject_load": defaults.reject_load,
+        "clients": serving.CLIENTS,
+        "rounds_per_client": serving.ROUNDS_PER_CLIENT,
+        "workers": serving.SERVER_CONFIG.workers,
+        "reject_load": serving.SERVER_CONFIG.reject_load,
         "sizes": bench_sizes(),
         "seeds": bench_seeds(),
-        "cells": SERVING_DETAIL.get("cells", []),
-        "note": SERVING_DETAIL.get("note", ""),
+        "cells": serving.SERVING_DETAIL.get("cells", []),
+        "note": serving.SERVING_DETAIL.get("note", ""),
         "reports": [report.to_dict() for report in reports],
     }
     path = os.path.join(csv_dir or ".", "BENCH_serving.json")

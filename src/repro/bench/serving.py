@@ -26,12 +26,18 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bench.config import bench_seeds, bench_sizes
 from repro.bench.reporting import Report
+from repro.serve.config import ServerConfig
 from repro.workload.generator import WorkloadParameters, generate_relation
 
 __all__ = ["serving", "SERVING_DETAIL", "CLIENTS", "ROUNDS_PER_CLIENT"]
 
 #: Concurrent client connections per measured size.
 CLIENTS = 8
+
+#: The measured server's configuration, which ``BENCH_serving.json``
+#: records.  One worker per client: the fleet's peak load is 1.0, far
+#: below the overload bound, so every statement is served.
+SERVER_CONFIG = ServerConfig(workers=CLIENTS, max_sessions=CLIENTS + 4)
 
 #: Queries each client issues during the measured window.
 ROUNDS_PER_CLIENT = 6
@@ -84,14 +90,12 @@ def _client_worker(
 
 
 def _measure_size(n: int, seed: int) -> Dict[str, float]:
-    from repro.serve import QueryClient, QueryServer, ServerConfig, ServerRunner
+    from repro.serve import QueryClient, QueryServer, ServerRunner
 
     relation = generate_relation(
         WorkloadParameters(tuples=n, seed=seed), name=_TABLE
     )
-    # One worker per client: the fleet's peak load is 1.0, far below
-    # the overload bound, so every statement is served.
-    server = QueryServer(ServerConfig(workers=CLIENTS, max_sessions=CLIENTS + 4))
+    server = QueryServer(SERVER_CONFIG)
     server.register(relation, name=_TABLE)
     runner = ServerRunner(server)
     runner.start()

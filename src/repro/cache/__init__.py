@@ -10,8 +10,7 @@ decomposition) and maintains them incrementally:
 * appends dirty only the shards whose windows overlap the new tuples'
   intervals; clean shards are never re-swept (``cache_dirty_shards``),
 * memory is bounded by a byte budget with LRU eviction
-  (``cache_evictions``), and the whole cache is the first allocation
-  shed under a tripped memory budget.
+  (``cache_evictions``).
 
 Entry points: the ``cached_sweep`` strategy registered with the engine
 (:class:`~repro.cache.evaluator.CachedSweepEvaluator`, auto-selected by
@@ -29,7 +28,6 @@ from repro.cache.store import (
     cacheable_relation,
     default_cache,
     set_default_cache,
-    shed_default_cache,
 )
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "cacheable_relation",
     "default_cache",
     "set_default_cache",
-    "shed_default_cache",
     "DEFAULT_BUDGET_BYTES",
     "ENV_BUDGET",
 ]

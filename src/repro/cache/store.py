@@ -16,10 +16,10 @@ The evaluation logic that decides hit / append-delta / miss lives in
   buffers (:attr:`CachedEntry.charged_bytes`).  Inserting past the
   budget evicts least-recently-used entries first; an entry larger
   than the whole budget is simply not admitted.
-* **Shedding** — :func:`shed_default_cache` empties the process-default
-  cache and reports the charged bytes released; the memory-budget
-  guard (:mod:`repro.exec.budget`) calls it before degrading an
-  evaluation, making cached results the first memory to go.
+* **Shedding** — :meth:`ShardResultCache.shed` empties the cache and
+  reports the charged bytes released.  A statement's memory budget
+  leaves the cache alone: under one the planner never picks the
+  cached sweep.
 * **Repeat detection** — :meth:`note_query` keeps a bounded set of
   recent query signatures so the planner can auto-select the cached
   strategy only for relations that are actually queried repeatedly.
@@ -51,7 +51,6 @@ __all__ = [
     "cacheable_relation",
     "default_cache",
     "set_default_cache",
-    "shed_default_cache",
 ]
 
 
@@ -267,9 +266,8 @@ class ShardResultCache:
     def shed(self) -> int:
         """Evict everything; returns the charged bytes released.
 
-        This is the memory-pressure hook: under a tripped memory
-        budget, cached results are the first allocation to go — they
-        are always recomputable.
+        Cached results are always recomputable, so dropping them is
+        always safe.
         """
         with self.lock:
             released = self._live_bytes
@@ -343,13 +341,3 @@ def set_default_cache(cache: Optional[ShardResultCache]) -> None:
     global _default
     _default = cache
 
-
-def shed_default_cache() -> int:
-    """Empty the default cache if one exists; returns bytes released.
-
-    Deliberately does *not* construct a cache: a process that never
-    cached anything sheds zero bytes at zero cost.
-    """
-    if _default is None:
-        return 0
-    return _default.shed()

@@ -75,13 +75,7 @@ from repro.core.ordering import (
     k_ordered_percentage,
     k_orderedness,
 )
-from repro.core.planner import (
-    PlannerDecision,
-    choose_strategy,
-    estimate_ktree_bytes,
-    estimate_list_bytes,
-    estimate_tree_bytes,
-)
+from repro.core.planner import PlannerDecision, choose_strategy
 from repro.core.reference import ReferenceEvaluator, constant_interval_boundaries
 from repro.core.result import (
     ConstantInterval,
@@ -145,9 +139,6 @@ __all__ = [
     # planner and engine
     "PlannerDecision",
     "choose_strategy",
-    "estimate_tree_bytes",
-    "estimate_list_bytes",
-    "estimate_ktree_bytes",
     "STRATEGIES",
     "UnknownStrategyError",
     "make_evaluator",

@@ -152,13 +152,11 @@ class AggregationTreeEvaluator(Evaluator):
     def build(self, triples: Iterable[Triple]) -> None:
         """Insert a whole stream of tuples.
 
-        When a deadline or memory guard is attached, the loop pauses at
-        a resilience checkpoint every :data:`CHECKPOINT_INTERVAL`
-        tuples; a tripped guard raises
-        :class:`~repro.exec.errors.BudgetExhausted` with the consumed
-        count so degradation can resume mid-stream.
+        When a deadline is attached, the loop checks it every
+        :data:`CHECKPOINT_INTERVAL` tuples.  Memory is bounded before
+        the run (:mod:`repro.core.planner`): 2B + 1 nodes at most.
         """
-        guarded = self.deadline is not None or self.guard is not None
+        guarded = self.deadline is not None
         consumed = 0
         for start, end, value in triples:
             self._check_triple(start, end)

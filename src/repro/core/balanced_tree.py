@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional
 
 from repro.core.aggregation_tree import AggregationTreeEvaluator, TreeNode
-from repro.core.base import Triple
+from repro.core.base import CHECKPOINT_INTERVAL, Triple
 from repro.core.interval import FOREVER
 from repro.core.reference import constant_interval_boundaries
 from repro.core.result import TemporalAggregateResult
@@ -72,14 +72,19 @@ class BalancedTreeEvaluator(AggregationTreeEvaluator):
         self.root = None
         self.space.reset()
 
+        guarded = self.deadline is not None
         buffered: List[Triple] = []
         for start, end, value in triples:
             self._check_triple(start, end)
             buffered.append((start, end, value))
+            if guarded and len(buffered) % CHECKPOINT_INTERVAL == 0:
+                self._checkpoint(len(buffered))
         boundaries = constant_interval_boundaries(buffered)
         self.root = self._build_balanced(boundaries)
 
-        for start, end, value in buffered:
+        for consumed, (start, end, value) in enumerate(buffered, 1):
             self.counters.tuples += 1
             self.insert(start, end, value)
+            if guarded and consumed % CHECKPOINT_INTERVAL == 0:
+                self._checkpoint(consumed)
         return self.traverse()

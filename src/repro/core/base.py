@@ -35,9 +35,9 @@ __all__ = ["CHECKPOINT_INTERVAL", "Evaluator", "Triple", "coerce_aggregate"]
 #: One input tuple as the evaluators see it.
 Triple = Tuple[int, int, Any]
 
-#: Tuples between resilience checkpoints during structure construction.
+#: Tuples between deadline checkpoints in the evaluators' loops.
 #: Coarse enough to keep the modulo off the hot path's profile, fine
-#: enough that deadlines and memory budgets bind within milliseconds.
+#: enough that deadlines bind within milliseconds.
 CHECKPOINT_INTERVAL = 64
 
 
@@ -70,9 +70,6 @@ class Evaluator:
         #: Optional wall-clock :class:`~repro.exec.deadline.Deadline`;
         #: honored at checkpoints when set (the engine threads it here).
         self.deadline = None
-        #: Optional :class:`~repro.exec.budget.MemoryGuard` sampled at
-        #: checkpoints during structure construction.
-        self.guard = None
 
     # ------------------------------------------------------------------
     # The algorithm-specific part
@@ -97,17 +94,11 @@ class Evaluator:
     # ------------------------------------------------------------------
 
     def _checkpoint(self, consumed: int) -> None:
-        """One resilience safepoint: deadline first, then the budget.
-
-        Called from build loops every :data:`CHECKPOINT_INTERVAL`
-        tuples (and at shard boundaries in the parallel plan).  Both
-        attributes default to None, so unconfigured evaluations pay
-        only the two attribute loads.
-        """
+        """One deadline safepoint, every :data:`CHECKPOINT_INTERVAL`
+        tuples of each evaluator's loops (and at shard boundaries in
+        the parallel plan)."""
         if self.deadline is not None:
             self.deadline.check(tuples_consumed=consumed)
-        if self.guard is not None:
-            self.guard.check(consumed)
 
     @staticmethod
     def _check_triple(start: int, end: int) -> None:

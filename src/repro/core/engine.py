@@ -13,7 +13,6 @@ benchmarks that need precise control and raw triple streams.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Type, Union
 
 from repro.analysis import invariants as _invariants
@@ -27,16 +26,16 @@ from repro.core.kordered_tree import KOrderedTreeEvaluator
 from repro.core.linked_list import LinkedListEvaluator
 from repro.core.paged_tree import PagedAggregationTreeEvaluator
 from repro.core.parallel import ParallelSweepEvaluator, registered_instance
-from repro.core.planner import PlannerDecision, choose_strategy
+from repro.core.planner import PlannerDecision, choose_strategy, named_plan
 from repro.core.reference import ReferenceEvaluator
 from repro.core.result import TemporalAggregateResult
 from repro.core.sweep import SweepEvaluator
 from repro.core.two_pass import TwoPassEvaluator
-from repro.exec.budget import MemoryGuard, evaluate_with_degradation
 from repro.exec.deadline import Deadline
 from repro.exec.validation import validate_shards, validated_triples
 from repro.metrics.counters import OperationCounters
 from repro.metrics.space import SpaceTracker
+from repro.relation.relation import SpaceCounts, space_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.aggregates import Aggregate
@@ -224,11 +223,11 @@ def temporal_aggregate(
         planner chooses ``k`` and ``shards``; passing either raises
         ``ValueError``.
     memory_budget_bytes:
-        Consulted by the planner *and* enforced at run time: an
-        aggregation-tree build that crosses the budget degrades
-        mid-flight to the spilling paged tree
-        (:func:`repro.exec.budget.evaluate_with_degradation`) instead
-        of exhausting memory.
+        Decided before the run: only a plan whose exact bound in
+        ``space``'s units fits runs (:mod:`repro.core.planner`), a
+        named ``strategy`` included, and
+        :class:`~repro.exec.errors.BudgetExhausted` is raised before
+        anything runs when none fits.
     deadline_ms:
         Wall-clock bound for the whole call; when it passes,
         :class:`~repro.exec.errors.DeadlineExceeded` is raised from
@@ -265,6 +264,10 @@ def temporal_aggregate(
         relation.schema.position_of(attribute)
         attribute = None
 
+    counts: Optional[SpaceCounts] = None
+    if memory_budget_bytes is not None:
+        columns = relation.columns(None)
+        counts = space_counts(columns.starts, columns.ends)
     if strategy == "auto":
         if k is not None or shards is not None:
             raise ValueError(
@@ -289,14 +292,17 @@ def temporal_aggregate(
             relation.statistics(),
             aggregate=aggregate,
             memory_budget_bytes=memory_budget_bytes,
+            counts=counts,
             repeat_observed=repeat_observed,
         )
     else:
-        decision = PlannerDecision(
-            strategy=strategy,
+        decision = named_plan(
+            strategy,
             k=k,
             shards=shards,
-            reason="strategy requested explicitly",
+            aggregate=aggregate,
+            memory_budget_bytes=memory_budget_bytes,
+            counts=counts,
         )
 
     target = relation.sorted_by_time() if decision.sort_first else relation
@@ -309,27 +315,7 @@ def temporal_aggregate(
         space=space,
         deadline=deadline,
     )
-    # Runtime budget enforcement: the plain aggregation tree is the one
-    # in-memory structure with a spilling sibling, so it runs under a
-    # MemoryGuard and degrades mid-flight rather than OOMing when the
-    # planner's estimate proves optimistic.
-    if memory_budget_bytes is not None and type(evaluator) is AggregationTreeEvaluator:
-        guard = MemoryGuard(memory_budget_bytes, evaluator.space)
-        result, trip = evaluate_with_degradation(
-            evaluator,
-            target.scan_triples(attribute),
-            guard,
-            deadline=deadline,
-        )
-        if trip is not None:
-            decision = replace(
-                decision,
-                reason=decision.reason
-                + f"; degraded to paged_tree mid-flight (tracked bytes hit "
-                f"{trip.observed_bytes} against the {trip.budget_bytes}-byte "
-                "budget)",
-            )
-    elif use_cache or type(evaluator) is not CachedSweepEvaluator:
+    if use_cache or type(evaluator) is not CachedSweepEvaluator:
         result = evaluator.evaluate_relation(target, attribute)
     else:
         # Over raw triples the cached sweep is the plain columnar sweep.

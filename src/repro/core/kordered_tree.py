@@ -39,7 +39,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Iterable, List, Optional
 
 from repro.core.aggregation_tree import AggregationTreeEvaluator
-from repro.core.base import Triple
+from repro.core.base import CHECKPOINT_INTERVAL, Triple
 from repro.core.interval import ORIGIN
 from repro.core.result import ConstantInterval, TemporalAggregateResult
 
@@ -167,6 +167,8 @@ class KOrderedTreeEvaluator(AggregationTreeEvaluator):
         self._check_triple(start, end)
         self.counters.tuples += 1
         self._consumed += 1
+        if self._consumed % CHECKPOINT_INTERVAL == 0:
+            self._checkpoint(self._consumed)
         if start < self._frontier:
             raise KOrderViolationError(
                 f"tuple starting at {start} arrived after instants up to "

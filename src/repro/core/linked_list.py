@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional
 
-from repro.core.base import Evaluator, Triple
+from repro.core.base import CHECKPOINT_INTERVAL, Evaluator, Triple
 from repro.core.interval import FOREVER, ORIGIN
 from repro.core.result import ConstantInterval, TemporalAggregateResult
 
@@ -64,9 +64,12 @@ class LinkedListEvaluator(Evaluator):
         head = _Cell(ORIGIN, FOREVER, aggregate.identity())
         space.allocate()
 
-        for start, end, value in triples:
+        guarded = self.deadline is not None
+        for consumed, (start, end, value) in enumerate(triples, 1):
             self._check_triple(start, end)
             counters.tuples += 1
+            if guarded and consumed % CHECKPOINT_INTERVAL == 0:
+                self._checkpoint(consumed)
             cell: Optional[_Cell] = head
             while cell is not None and cell.start <= end:
                 counters.node_visits += 1

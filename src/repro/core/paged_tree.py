@@ -28,6 +28,10 @@ implements that design:
 The output is exactly the plain tree's; ``metrics`` records evictions,
 spilled bytes, reloads and replay depth so benchmarks can weigh the
 memory/IO trade discussed in Section 6.3.
+
+``node_budget`` steers evictions but does not bound the tracked peak
+(replays have been measured holding up to 1.9x it), so the planner
+refuses this plan under a memory budget; it runs when named without one.
 """
 
 from __future__ import annotations
@@ -210,40 +214,6 @@ class PagedAggregationTreeEvaluator(AggregationTreeEvaluator):
         self.metrics = metrics if metrics is not None else SpillMetrics()
         self._depth = _depth
         self._spill: Optional[_SpillFile] = None
-
-    @classmethod
-    def from_partial_tree(
-        cls,
-        donor: AggregationTreeEvaluator,
-        node_budget: int,
-    ) -> "PagedAggregationTreeEvaluator":
-        """Adopt a partially built plain tree for mid-flight degradation.
-
-        Runtime budget enforcement (:mod:`repro.exec.budget`) trips
-        while an in-memory tree is mid-build; rather than restart on
-        the spill path, the paged evaluator takes over the donor's
-        root, counters, and space tracker in place — every insert
-        already done is kept — and immediately evicts down toward the
-        node budget.  The donor is left empty (its tree now belongs to
-        the paged evaluator).
-        """
-        paged = cls(
-            donor.aggregate,
-            max(MIN_NODE_BUDGET, node_budget),
-            counters=donor.counters,
-            space=donor.space,
-        )
-        paged.root = donor.root
-        donor.root = None
-        # Evict until under budget or no stub-free subtree remains;
-        # each pass spills the root's larger child, so progress is
-        # monotone in live nodes.
-        while paged.space.live_nodes > paged.node_budget:
-            before = paged.space.live_nodes
-            paged._evict()
-            if paged.space.live_nodes == before:
-                break
-        return paged
 
     # ------------------------------------------------------------------
     # Insertion under the budget

@@ -9,51 +9,50 @@ Section 6 generator and writes ``results/BENCH_planner.json``, and a
 tier-1 test checks that every pick is within 1.25x of the fastest plan
 in every cell of that table.
 
-* **declared retroactively bounded** → the k-ordered tree with the
-  declared ``k``, no measurement needed;
 * **repeated query over a large relation** → the shard-result cache
   (:mod:`repro.cache`, a post-paper extension);
 * **very few constant intervals expected** (few unique timestamps) →
   the linked list is adequate and smallest;
-* **the sweep's event columns fit in memory** → the columnar event
-  sweep, whatever the order: it beat every tree on sorted, nearly
-  sorted and unsorted input at every measured size.  The time-sharded
-  sweep (:mod:`repro.core.parallel`) takes over from
+* otherwise → the columnar event sweep, fastest at every measured
+  order and size, sharded (:mod:`repro.core.parallel`) from
   :data:`~repro.core.partition.PARALLEL_MIN_TUPLES` tuples on a
-  multi-core host, where the table shows it tying or beating the
-  single sweep — for every aggregate but COUNT over sorted or nearly
-  sorted input, where it was slower;
-* **memory is constrained** (a budget the event columns do not fit, or
-  memory dearer than I/O) → the paper's rules, over the Section 6.2
-  byte estimates: sorted → the k-ordered tree with k = 1; nearly sorted
-  → the k-ordered tree with the measured k; otherwise the aggregation
-  tree when it fits, else the paper's "simplest strategy": sort, then
-  the k-ordered tree with k = 1.
+  multi-core host — for every aggregate but COUNT over sorted or nearly
+  sorted input, where sharding was slower.
 
-The estimators quantify "memory" under the Section 6.2 node model so a
-budget in bytes can be compared against the structures directly.
+**Under a memory budget** the plan is decided before it runs, as
+Section 6.3 decides it.  Every plan is charged its exact peak in the
+units its :class:`~repro.metrics.space.SpaceTracker` counts
+(``node_bytes`` per node, cell or event; :func:`node_bound`), and the
+rules above, less the cached and sharded sweeps (per-shard clipping
+charges a long tuple once per shard, so no count bounds them), are
+followed by the paper's memory-constrained rules: sorted → the
+k-ordered tree with k = 1; nearly sorted → the k-ordered tree with the
+measured k; the aggregation tree; sort, then the k-ordered tree with
+k = 1.  The first plan that fits runs; when none does,
+:class:`~repro.exec.errors.BudgetExhausted` is raised before anything
+runs.  A named strategy goes through the same check
+(:func:`named_plan`), and a named plan with no bound is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.relation.relation import RelationStatistics
+    from repro.relation.relation import RelationStatistics, SpaceCounts
 
 from repro.core.aggregates import Aggregate, CountAggregate
 from repro.core import partition
 from repro.core.partition import available_workers
-from repro.exec.faults import current_fault_plan
+from repro.exec.errors import BudgetExhausted
 from repro.metrics.space import NODE_OVERHEAD_BYTES
 
 __all__ = [
     "PlannerDecision",
     "choose_strategy",
-    "estimate_tree_bytes",
-    "estimate_list_bytes",
-    "estimate_ktree_bytes",
+    "named_plan",
+    "node_bound",
 ]
 
 #: Relations whose unique-timestamp count is below this fraction of the
@@ -70,10 +69,6 @@ NEARLY_SORTED_FRACTION = 0.05
 #: enough that caching only adds bookkeeping.
 CACHE_MIN_TUPLES = 4_096
 
-#: Modeled bytes per sweep event (one flat int column entry); the
-#: sweep's working set is its two event columns, not tree nodes.
-EVENT_BYTES = 8
-
 
 @dataclass(frozen=True)
 class PlannerDecision:
@@ -83,10 +78,14 @@ class PlannerDecision:
     k: Optional[int] = None  # window parameter for the k-ordered tree
     sort_first: bool = False  # sort the relation before evaluating
     reason: str = ""
+    #: The plan's memory bound in bytes when the planner had the
+    #: relation's space counts (0 otherwise, or with no bound).
     estimated_bytes: int = 0
     shards: Optional[int] = None  # fan-out for the parallel sweep
 
-    def describe(self) -> str:
+    @property
+    def plan(self) -> str:
+        """The plan's shape, e.g. ``sort + kordered_tree(k=1)``."""
         plan = self.strategy
         if self.k is not None:
             plan += f"(k={self.k})"
@@ -94,7 +93,42 @@ class PlannerDecision:
             plan += f"(shards={self.shards})"
         if self.sort_first:
             plan = "sort + " + plan
-        return f"{plan} — {self.reason}"
+        return plan
+
+    def describe(self) -> str:
+        return f"{self.plan} — {self.reason}"
+
+
+def node_bound(
+    strategy: str, counts: "SpaceCounts", k: Optional[int] = None
+) -> Optional[int]:
+    """Peak nodes ``strategy``'s tracker can record over a relation
+    with these counts, or None when no count bounds it.
+
+    ==========================================  ========================
+    ``aggregation_tree``, ``balanced_tree``     2B + 1
+    ``linked_list``, ``two_pass``               B + 1
+    ``columnar_sweep``, ``sweep``               events
+    ``kordered_tree`` (k, default 1)            min(2B + 1, 2c + 8k + 9)
+    ==========================================  ========================
+
+    Each of the B split points splits one leaf once (two nodes) and
+    starts one list cell.  After an insert and before its collection,
+    the k-ordered tree's leaves are at most the c intervals open at the
+    gc-threshold plus two split points from each of the ``2k + 2``
+    window tuples, and L leaves take ``2L - 1`` nodes.
+    """
+    split_points = counts.split_points
+    if strategy in ("aggregation_tree", "balanced_tree"):
+        return 2 * split_points + 1
+    if strategy in ("linked_list", "two_pass"):
+        return split_points + 1
+    if strategy in ("columnar_sweep", "sweep"):
+        return counts.events
+    if strategy == "kordered_tree":
+        window = 1 if k is None else k
+        return min(2 * split_points + 1, 2 * counts.max_open + 8 * window + 9)
+    return None
 
 
 def _node_bytes(aggregate: Optional[Aggregate]) -> int:
@@ -102,45 +136,131 @@ def _node_bytes(aggregate: Optional[Aggregate]) -> int:
     return NODE_OVERHEAD_BYTES + state
 
 
-def _budget_inflation() -> float:
-    """Byte-inflation factor from the fault-injection hook (1.0 normally).
+def _first_fit(
+    decisions: Iterable[PlannerDecision],
+    aggregate: Optional[Aggregate],
+    memory_budget_bytes: Optional[int],
+    counts: "Optional[SpaceCounts]",
+) -> PlannerDecision:
+    """The first decision whose bound fits the budget: the one
+    ``fits()`` every plan goes through.  Given ``counts``, a decision
+    is charged its bound; without a budget the first one stands."""
+    if memory_budget_bytes is not None and counts is None:
+        raise ValueError("a memory budget needs the relation's space counts")
+    needed: List[int] = []
+    plans: List[str] = []
+    for decision in decisions:
+        nodes = None if counts is None else node_bound(
+            decision.strategy, counts, decision.k
+        )
+        if nodes is not None:
+            decision = replace(
+                decision, estimated_bytes=nodes * _node_bytes(aggregate)
+            )
+        if memory_budget_bytes is None:
+            return decision
+        plans.append(decision.plan)
+        if nodes is not None:
+            if decision.estimated_bytes <= memory_budget_bytes:
+                return decision
+            needed.append(decision.estimated_bytes)
+    assert memory_budget_bytes is not None  # without one, the first stands
+    needed_bytes = min(needed, default=None)
+    smallest = (
+        "no memory bound"
+        if needed_bytes is None
+        else f"smallest bound {needed_bytes} bytes"
+    )
+    raise BudgetExhausted(
+        f"no plan fits the {memory_budget_bytes}-byte memory budget "
+        f"({', '.join(plans)}: {smallest})",
+        budget_bytes=memory_budget_bytes,
+        needed_bytes=needed_bytes,
+    )
 
-    The planner consults the active :class:`~repro.exec.faults.FaultPlan`
-    so tests can deterministically force budget-constrained plans (and
-    runtime degradation) on small relations.
-    """
-    plan = current_fault_plan()
-    return plan.inflate_bytes if plan is not None else 1.0
 
+def _candidates(
+    statistics: "RelationStatistics",
+    aggregate: Optional[Aggregate],
+    budgeted: bool,
+    repeat_observed: bool,
+) -> Iterator[PlannerDecision]:
+    """Every plan the rules allow, in order of preference."""
+    n = statistics.tuple_count
+    if repeat_observed and n >= CACHE_MIN_TUPLES and not budgeted:
+        yield PlannerDecision(
+            strategy="cached_sweep",
+            shards=available_workers(),
+            reason="repeated query signature over a large relation: the "
+            "shard-result cache serves unchanged relations from stitched "
+            "rows and appends by re-sweeping only dirty shards",
+        )
 
-def estimate_tree_bytes(
-    unique_timestamps: int, aggregate: Optional[Aggregate] = None
-) -> int:
-    """Worst-case aggregation-tree size: each unique timestamp adds two
-    nodes (Section 7), plus the initial root."""
-    return (2 * unique_timestamps + 1) * _node_bytes(aggregate)
+    if n and statistics.unique_timestamps <= max(2, FEW_INTERVALS_FRACTION * n):
+        yield PlannerDecision(
+            strategy="linked_list",
+            reason="very few constant intervals expected (few unique "
+            "timestamps); the linked list is adequate and smallest",
+        )
 
+    nearly_sorted = n > 0 and statistics.k <= max(
+        1, NEARLY_SORTED_FRACTION * n
+    )
+    workers = available_workers()
+    value_less = aggregate is None or not aggregate.needs_value
+    # From PARALLEL_MIN_TUPLES on, results/BENCH_planner.json has two
+    # shards tying or beating one sweep, up to 1.7x — except for COUNT
+    # over ordered input, whose two plain int sorts run in near-linear
+    # time and whose walk carries no values, so the fan-out's fixed
+    # costs made it up to 1.5x slower there.
+    if (
+        not budgeted
+        and workers > 1
+        and n >= partition.PARALLEL_MIN_TUPLES
+        and not (value_less and nearly_sorted)
+    ):
+        yield PlannerDecision(
+            strategy="parallel_sweep",
+            shards=workers,
+            reason=f"large input and {workers} cores: time-domain "
+            "shards over the columnar sweep",
+        )
+    yield PlannerDecision(
+        strategy="columnar_sweep",
+        reason="the sweep's events fit in memory: the columnar event "
+        "sweep is fastest at any order",
+    )
 
-def estimate_list_bytes(
-    unique_timestamps: int, aggregate: Optional[Aggregate] = None
-) -> int:
-    """Linked-list size: each unique timestamp adds at most one cell
-    (Section 7), plus the initial cell."""
-    return (unique_timestamps + 1) * _node_bytes(aggregate)
-
-
-def estimate_ktree_bytes(
-    k: int,
-    long_lived_fraction: float,
-    tuple_count: int,
-    aggregate: Optional[Aggregate] = None,
-) -> int:
-    """Rough k-ordered-tree peak: nodes for the ``2k+1`` window plus
-    the end-time nodes long-lived tuples leave uncollected (Section 6.2
-    attributes the k-tree's memory blow-up to exactly those)."""
-    window_nodes = 2 * (2 * k + 1) + 1
-    long_lived_nodes = int(2 * long_lived_fraction * tuple_count)
-    return (window_nodes + long_lived_nodes) * _node_bytes(aggregate)
+    # The sweep's events exceed the budget: the paper's Section 6.3
+    # rules for constrained memory.
+    if statistics.is_totally_ordered:
+        yield PlannerDecision(
+            strategy="kordered_tree",
+            k=1,
+            reason="relation already sorted and memory constrained; the "
+            "k-ordered tree with k=1 keeps a minimal window",
+        )
+        return
+    if nearly_sorted:
+        k = max(1, statistics.k)
+        yield PlannerDecision(
+            strategy="kordered_tree",
+            k=k,
+            reason=f"relation is {k}-ordered (nearly sorted) and memory "
+            "constrained; garbage collection keeps the tree small",
+        )
+    yield PlannerDecision(
+        strategy="aggregation_tree",
+        reason="unordered input; the sweep's events exceed the budget but "
+        "the aggregation tree fits",
+    )
+    yield PlannerDecision(
+        strategy="kordered_tree",
+        k=1,
+        sort_first=True,
+        reason="unordered input under a memory constraint: sort first, "
+        "then k-ordered tree with k=1 (the paper's simplest strategy)",
+    )
 
 
 def choose_strategy(
@@ -148,135 +268,42 @@ def choose_strategy(
     *,
     aggregate: Optional[Aggregate] = None,
     memory_budget_bytes: Optional[int] = None,
-    memory_cheaper_than_io: bool = True,
-    declared_k: Optional[int] = None,
+    counts: "Optional[SpaceCounts]" = None,
     repeat_observed: bool = False,
 ) -> PlannerDecision:
     """Pick an evaluation plan from relation statistics.
 
     ``statistics`` is a
     :class:`~repro.relation.relation.RelationStatistics`;
-    ``declared_k`` models the DBA declaring the relation retroactively
-    bounded (Section 6.3), which licenses the k-ordered tree without
-    measuring anything.  ``repeat_observed`` marks a query signature the
-    engine has seen before (same relation, aggregate and attribute) — a
-    repeated workload, which licenses the shard-result cache
-    (:mod:`repro.cache`, a post-paper extension) on large relations.
+    ``repeat_observed`` marks a query signature the engine has seen
+    before (same relation, aggregate and attribute) — a repeated
+    workload, which licenses the shard-result cache on large relations.
+    ``memory_budget_bytes`` needs ``counts``
+    (:func:`~repro.relation.relation.space_counts`); ``counts`` alone
+    charges the chosen plan its bound in ``estimated_bytes``.
     """
-    n = statistics.tuple_count
-    unique = statistics.unique_timestamps
-    tree_bytes = estimate_tree_bytes(unique, aggregate)
-    list_bytes = estimate_list_bytes(unique, aggregate)
-
-    if declared_k is not None:
-        k = max(1, declared_k)
-        return PlannerDecision(
-            strategy="kordered_tree",
-            k=k,
-            reason="relation declared retroactively bounded; the k-ordered "
-            "tree applies directly with no sort",
-            estimated_bytes=estimate_ktree_bytes(
-                k, statistics.long_lived_fraction, n, aggregate
-            ),
-        )
-
-    if repeat_observed and n >= CACHE_MIN_TUPLES:
-        return PlannerDecision(
-            strategy="cached_sweep",
-            shards=available_workers(),
-            reason="repeated query signature over a large relation: the "
-            "shard-result cache serves unchanged relations from stitched "
-            "rows and appends by re-sweeping only dirty shards",
-            estimated_bytes=2 * n * EVENT_BYTES,
-        )
-
-    if n and unique <= max(2, FEW_INTERVALS_FRACTION * n):
-        return PlannerDecision(
-            strategy="linked_list",
-            reason="very few constant intervals expected (few unique "
-            "timestamps); the linked list is adequate and smallest",
-            estimated_bytes=list_bytes,
-        )
-
-    inflation = _budget_inflation()
-
-    def fits(estimated_bytes: int) -> bool:
-        return (
-            memory_budget_bytes is None
-            or estimated_bytes * inflation <= memory_budget_bytes
-        )
-
-    nearly_sorted = n > 0 and statistics.k <= max(
-        1, NEARLY_SORTED_FRACTION * n
-    )
-    event_bytes = 2 * n * EVENT_BYTES
-    if memory_cheaper_than_io and fits(event_bytes):
-        workers = available_workers()
-        value_less = aggregate is None or not aggregate.needs_value
-        # From PARALLEL_MIN_TUPLES on, results/BENCH_planner.json has
-        # two shards tying or beating one sweep, up to 1.7x — except
-        # for COUNT over ordered input, whose two plain int sorts run
-        # in near-linear time and whose walk carries no values, so the
-        # fan-out's fixed costs made it up to 1.5x slower there.
-        if (
-            workers > 1
-            and n >= partition.PARALLEL_MIN_TUPLES
-            and not (value_less and nearly_sorted)
-        ):
-            return PlannerDecision(
-                strategy="parallel_sweep",
-                shards=workers,
-                reason=f"large input and {workers} cores: time-domain "
-                "shards over the columnar sweep",
-                estimated_bytes=event_bytes,
-            )
-        return PlannerDecision(
-            strategy="columnar_sweep",
-            reason="the sweep's event columns fit in memory: the columnar "
-            "event sweep is fastest at any order",
-            estimated_bytes=event_bytes,
-        )
-
-    # Memory is constrained: the paper's Section 6.3 rules, over the
-    # Section 6.2 estimates.
-    if statistics.is_totally_ordered:
-        return PlannerDecision(
-            strategy="kordered_tree",
-            k=1,
-            reason="relation already sorted and memory constrained; the "
-            "k-ordered tree with k=1 keeps a minimal window",
-            estimated_bytes=estimate_ktree_bytes(
-                1, statistics.long_lived_fraction, n, aggregate
-            ),
-        )
-
-    if nearly_sorted:
-        k = max(1, statistics.k)
-        return PlannerDecision(
-            strategy="kordered_tree",
-            k=k,
-            reason=f"relation is {k}-ordered (nearly sorted) and memory "
-            "constrained; garbage collection keeps the tree small",
-            estimated_bytes=estimate_ktree_bytes(
-                k, statistics.long_lived_fraction, n, aggregate
-            ),
-        )
-
-    if memory_cheaper_than_io and fits(tree_bytes):
-        return PlannerDecision(
-            strategy="aggregation_tree",
-            reason="unordered input; the sweep's event columns exceed the "
-            "budget but the aggregation tree fits",
-            estimated_bytes=tree_bytes,
-        )
-
-    return PlannerDecision(
-        strategy="kordered_tree",
-        k=1,
-        sort_first=True,
-        reason="unordered input under a memory constraint: sort first, "
-        "then k-ordered tree with k=1 (the paper's simplest strategy)",
-        estimated_bytes=estimate_ktree_bytes(
-            1, statistics.long_lived_fraction, n, aggregate
+    return _first_fit(
+        _candidates(
+            statistics, aggregate, memory_budget_bytes is not None, repeat_observed
         ),
+        aggregate,
+        memory_budget_bytes,
+        counts,
     )
+
+
+def named_plan(
+    strategy: str,
+    *,
+    k: Optional[int] = None,
+    shards: Optional[int] = None,
+    aggregate: Optional[Aggregate] = None,
+    memory_budget_bytes: Optional[int] = None,
+    counts: "Optional[SpaceCounts]" = None,
+    reason: str = "strategy requested explicitly",
+) -> PlannerDecision:
+    """The decision for a strategy the caller named, under the bound
+    check :func:`choose_strategy` applies: under a budget it stands only
+    if its bound fits, and a plan without one is refused."""
+    decision = PlannerDecision(strategy=strategy, k=k, shards=shards, reason=reason)
+    return _first_fit([decision], aggregate, memory_budget_bytes, counts)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Iterable, List, Optional, Tuple
 
-from repro.core.base import Evaluator, Triple
+from repro.core.base import CHECKPOINT_INTERVAL, Evaluator, Triple
 from repro.core.interval import FOREVER, ORIGIN
 from repro.core.result import ConstantInterval, TemporalAggregateResult
 
@@ -100,13 +100,17 @@ class SweepEvaluator(Evaluator):
         # Build the event list: (time, kind, value) where kind orders
         # retractions (one past the end) before absorptions at the same
         # instant so states settle before the interval is cut.
+        guarded = self.deadline is not None
         events: List[Tuple[int, int, Any]] = []
-        for start, end, value in triples:
+        consumed = 0
+        for consumed, (start, end, value) in enumerate(triples, 1):
             self._check_triple(start, end)
             counters.tuples += 1
             events.append((start, 1, value))
             if end < FOREVER:
                 events.append((end + 1, 0, value))
+            if guarded and consumed % CHECKPOINT_INTERVAL == 0:
+                self._checkpoint(consumed)
         events.sort(key=lambda event: (event[0], event[1]))
         # Each event is a freshly built per-event tuple object — the
         # cost the columnar pipeline exists to avoid (its counterpart
@@ -135,6 +139,8 @@ class SweepEvaluator(Evaluator):
                 )
                 counters.emitted += 1
                 cursor = time
+                if guarded and len(rows) % CHECKPOINT_INTERVAL == 0:
+                    self._checkpoint(consumed)
             # Apply every event at this instant.
             while index < total and events[index][0] == time:
                 _time, kind, value = events[index]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Any, Iterable, List, Optional
 
-from repro.core.base import Evaluator, Triple
+from repro.core.base import CHECKPOINT_INTERVAL, Evaluator, Triple
 from repro.core.interval import FOREVER
 from repro.core.reference import constant_interval_boundaries
 from repro.core.result import ConstantInterval, TemporalAggregateResult
@@ -74,11 +74,14 @@ class TwoPassEvaluator(Evaluator):
         counters = self.counters
 
         # Pass 1: the constant intervals (steps 1 of Tuma's method).
+        guarded = self.deadline is not None
         pass_one: List[Triple] = []
-        for triple in first_scan:
+        for consumed, triple in enumerate(first_scan, 1):
             self._check_triple(triple[0], triple[1])
             counters.tuples += 1
             pass_one.append((triple[0], triple[1], None))
+            if guarded and consumed % CHECKPOINT_INTERVAL == 0:
+                self._checkpoint(consumed)
         boundaries = constant_interval_boundaries(pass_one)
         del pass_one
         states: List[Any] = [aggregate.identity() for _ in boundaries]
@@ -86,8 +89,10 @@ class TwoPassEvaluator(Evaluator):
 
         # Pass 2: fold every tuple into each constant interval it
         # overlaps (steps 2-4).
-        for start, end, value in second_scan:
+        for consumed, (start, end, value) in enumerate(second_scan, 1):
             counters.tuples += 1
+            if guarded and consumed % CHECKPOINT_INTERVAL == 0:
+                self._checkpoint(consumed)
             index = bisect_right(boundaries, start) - 1
             while index < len(boundaries) and boundaries[index] <= end:
                 counters.node_visits += 1

@@ -1,9 +1,10 @@
-"""Resilient execution layer: typed errors, deadlines, budgets, faults.
+"""Resilient execution layer: typed errors, deadlines, faults.
 
 The core evaluators (:mod:`repro.core`) compute exact answers under the
-assumption that every worker process survives, memory is unbounded, and
-callers wait forever.  This package removes those assumptions without
-touching the algorithms' semantics:
+assumption that every worker process survives and callers wait
+forever.  This package removes those assumptions without touching the
+algorithms' semantics (memory is bounded before the run, by the
+planner, :mod:`repro.core.planner`):
 
 * :mod:`repro.exec.errors` — the structured error taxonomy
   (:class:`TemporalAggregateError` and its subclasses) replacing bare
@@ -11,10 +12,8 @@ touching the algorithms' semantics:
 * :mod:`repro.exec.validation` — engine-boundary input validation
   (interval sanity, integer endpoints, NaN values, shard counts);
 * :mod:`repro.exec.deadline` — wall-clock deadlines threaded through
-  the engine and checked at shard boundaries and tree-build
+  the engine and checked at shard boundaries and evaluator
   checkpoints;
-* :mod:`repro.exec.budget` — runtime memory-budget enforcement with
-  mid-flight degradation to the spilling paged tree;
 * :mod:`repro.exec.supervision` — the retry policy (jittered
   backoff) and the report of a supervised shard fan-out;
 * :mod:`repro.exec.pool` — the resident worker pool: shared-memory
@@ -23,11 +22,10 @@ touching the algorithms' semantics:
   exact even when every worker dies (imported on first use, not
   re-exported here);
 * :mod:`repro.exec.faults` — a deterministic fault-injection harness
-  (:class:`FaultPlan`) the workers, planner, and budget guard consult
+  (:class:`FaultPlan`) the workers and the storage layer consult
   through an injectable hook, so every recovery path is testable.
 """
 
-from repro.exec.budget import MemoryGuard, evaluate_with_degradation
 from repro.exec.deadline import Deadline
 from repro.exec.errors import (
     BudgetExhausted,
@@ -71,9 +69,6 @@ __all__ = [
     "RecoveryError",
     # deadlines
     "Deadline",
-    # budgets
-    "MemoryGuard",
-    "evaluate_with_degradation",
     # supervision
     "RetryPolicy",
     "SupervisionReport",

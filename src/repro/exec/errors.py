@@ -15,9 +15,9 @@ one type and branch on the subclass instead of fishing bare
   impossible.
 * :class:`DeadlineExceeded` — the wall-clock deadline passed; carries
   partial-progress metrics so callers can log how far the query got.
-* :class:`BudgetExhausted` — the memory budget tripped mid-build;
-  normally caught by the engine, which degrades to the spilling paged
-  tree (:func:`repro.exec.budget.evaluate_with_degradation`).
+* :class:`BudgetExhausted` — no plan's memory bound fits the budget;
+  raised by the planner before anything runs, carrying the smallest
+  bound it found.
 * :class:`StorageError` — the durable-storage layer failed.  Its two
   subclasses split the failures a caller can act on differently:
   :class:`StorageCorruption` (a checksum, torn write, or malformed
@@ -176,11 +176,11 @@ class RecoveryError(StorageError):
 
 
 class BudgetExhausted(TemporalAggregateError):
-    """Tracked memory crossed the budget during structure construction.
+    """No plan's memory bound fits the budget; nothing ran.
 
-    ``consumed`` is the number of input tuples already folded into the
-    structure when the guard tripped — the degradation path continues
-    from exactly that point instead of restarting.
+    ``needed_bytes`` is the smallest bound among the plans the planner
+    (:mod:`repro.core.planner`) considered, or ``None`` when none of
+    them has a bound (a named ``paged_tree``, for one).
     """
 
     def __init__(
@@ -188,13 +188,11 @@ class BudgetExhausted(TemporalAggregateError):
         message: str,
         *,
         budget_bytes: int,
-        observed_bytes: int,
-        consumed: int = 0,
+        needed_bytes: Optional[int],
     ) -> None:
         super().__init__(message)
         self.budget_bytes = budget_bytes
-        self.observed_bytes = observed_bytes
-        self.consumed = consumed
+        self.needed_bytes = needed_bytes
 
 
 class ServerOverloaded(TemporalAggregateError):
@@ -336,8 +334,7 @@ _ERROR_HINTS: Tuple[Tuple[Type[TemporalAggregateError], str], ...] = (
     ),
     (
         BudgetExhausted,
-        "raise the memory budget (\\budget BYTES, or `\\budget off`) or "
-        "let the engine degrade to the spilling paged tree",
+        "raise the memory budget (\\budget BYTES, or `\\budget off`)",
     ),
     (
         DeadlineExceeded,

@@ -5,8 +5,8 @@ not work, so every recovery path in this package is driven by a
 :class:`FaultPlan` — a declarative description of which shard should
 fail, how, and on which attempts.  The plan is installed through a
 process-global hook (:func:`install_fault_plan` or the
-:func:`fault_plan` context manager); the shard workers, the planner,
-and the memory guard consult it through :func:`current_fault_plan`.
+:func:`fault_plan` context manager); the shard workers consult it
+through :func:`current_fault_plan`.
 
 The resident pool's workers fork once, before any plan is installed,
 so the pool ships the active plan inside each job descriptor
@@ -29,11 +29,6 @@ Supported fault kinds:
 ``poison``
     The worker returns an unpicklable object, so the failure happens
     in result serialization rather than in user code.
-
-``inflate_bytes`` multiplies the byte figure
-:attr:`~repro.metrics.space.SpaceTracker.reported_bytes` feeds the
-memory guard and the planner's budget comparisons, letting tests trip
-budget degradation on relations of any size.
 
 **I/O faults.**  The durability layer (:mod:`repro.storage.journal`,
 :mod:`repro.storage.recovery`) is driven by a second fault family:
@@ -196,12 +191,9 @@ class FaultPlan:
 
     shard_faults: Tuple[ShardFault, ...] = field(default_factory=tuple)
     io_faults: Tuple[IOFault, ...] = field(default_factory=tuple)
-    inflate_bytes: float = 1.0
     name: str = "fault-plan"
 
     def __post_init__(self) -> None:
-        if self.inflate_bytes <= 0:
-            raise ValueError("inflate_bytes must be positive")
         object.__setattr__(self, "shard_faults", tuple(self.shard_faults))
         object.__setattr__(self, "io_faults", tuple(self.io_faults))
 

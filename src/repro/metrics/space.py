@@ -10,7 +10,8 @@ AVG 8).
 :class:`SpaceTracker` reproduces that accounting deterministically:
 evaluators call :meth:`allocate` and :meth:`free` as they build and
 garbage-collect structure, and the tracker maintains the live and peak
-node counts.  Figure 9 plots ``peak_bytes``.
+node counts.  Figure 9 plots ``peak_bytes``, which the planner
+(:mod:`repro.core.planner`) bounds for each plan before it runs.
 """
 
 from __future__ import annotations
@@ -38,13 +39,11 @@ class SpaceTracker:
         "live_nodes",
         "peak_nodes",
         "allocated_total",
-        "inflation",
     )
 
     def __init__(self, aggregate: Optional[Aggregate] = None) -> None:
         state_bytes = aggregate.state_bytes if aggregate is not None else 4
         self.node_bytes = NODE_OVERHEAD_BYTES + state_bytes
-        self.inflation = 1.0
         self.reset()
 
     def reset(self) -> None:
@@ -87,17 +86,6 @@ class SpaceTracker:
     @property
     def live_bytes(self) -> int:
         return self.live_nodes * self.node_bytes
-
-    @property
-    def reported_bytes(self) -> int:
-        """Live bytes as seen by runtime budget enforcement.
-
-        ``inflation`` (default 1.0) scales the figure; the
-        fault-injection harness (:mod:`repro.exec.faults`) sets it to
-        exercise :class:`~repro.exec.budget.MemoryGuard` degradation
-        deterministically on small inputs.
-        """
-        return int(self.live_nodes * self.node_bytes * self.inflation)
 
     def snapshot(self) -> Dict[str, int]:
         return {

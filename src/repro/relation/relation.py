@@ -16,12 +16,15 @@ Two design points mirror the paper:
   (Sections 5.2, 6.3).  :func:`statistics_from_columns` computes the
   numbers the query optimizer needs from a relation's start and end
   columns; :meth:`TemporalRelation.statistics` caches them per version.
+  Under a memory budget, :func:`space_counts` adds the counts the
+  planner bounds each plan's tracked memory by.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from hashlib import blake2b
 from operator import add, ge, sub
@@ -41,7 +44,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columns import ColumnSet
 
-from repro.core.interval import FOREVER, Interval, InvalidIntervalError
+from repro.core.interval import FOREVER, ORIGIN, Interval, InvalidIntervalError
 from repro.exec.errors import InvalidInput
 from repro.relation.schema import Schema
 from repro.relation.tuples import TemporalTuple, timestamp_sort_key
@@ -52,6 +55,8 @@ __all__ = [
     "next_relation_uid",
     "fingerprint_rows",
     "partition_relation",
+    "SpaceCounts",
+    "space_counts",
     "statistics_from_columns",
 ]
 
@@ -190,6 +195,37 @@ def statistics_from_columns(
         is_totally_ordered=(k == 0),
         k=k,
         k_ordered_percentage=sum(displacements) / (k * n) if k else 0.0,
+    )
+
+
+@dataclass(frozen=True)
+class SpaceCounts:
+    """The counts a plan's tracked memory is bounded by (Section 6.2).
+
+    ``split_points`` is B, the instants where a constant interval can
+    begin after the origin: every start past ``ORIGIN`` and every
+    ``end + 1`` short of ``FOREVER``.  ``max_open`` is c, the most
+    tuples valid at one instant.  ``events`` is what a sweep sorts:
+    one per start and one per finite end.
+    """
+
+    split_points: int
+    max_open: int
+    events: int
+
+
+def space_counts(starts: Sequence[int], ends: Sequence[int]) -> SpaceCounts:
+    """:class:`SpaceCounts` from a relation's start and end columns, in
+    C-speed passes: the tuples open at a start instant ``s`` are those
+    started by ``s`` less those ended before it."""
+    n = len(starts)
+    points = set(starts).union(map(add, ends, itertools.repeat(1)))
+    points -= {ORIGIN, FOREVER + 1}
+    ended = map(bisect_left, itertools.repeat(sorted(ends)), sorted(starts))
+    return SpaceCounts(
+        split_points=len(points),
+        max_open=max(map(sub, range(1, n + 1), ended), default=0),
+        events=2 * n - ends.count(FOREVER),
     )
 
 
@@ -535,31 +571,6 @@ class TemporalRelation:
         start = min(row.start for row in self._rows)
         end = max(row.end for row in self._rows)
         return Interval(start, end)
-
-    def unique_timestamps(self) -> int:
-        """Distinct finite start/end instants (the paper's Figure 2 count:
-        Employed has 6 unique timestamps; FOREVER is not a timestamp)."""
-        stamps = set()
-        for row in self._rows:
-            stamps.add(row.start)
-            stamps.add(row.end)
-        stamps.discard(FOREVER)
-        return len(stamps)
-
-    def constant_interval_count(self) -> int:
-        """Exact number of constant intervals this relation induces.
-
-        A start ``s > ORIGIN`` begins a new interval at ``s``; an end
-        ``e < FOREVER`` begins one at ``e + 1``; plus the initial
-        interval (Figure 2: 6 unique timestamps -> 7 intervals).
-        """
-        boundaries = set()
-        for row in self._rows:
-            if row.start > 0:
-                boundaries.add(row.start)
-            if row.end < FOREVER:
-                boundaries.add(row.end + 1)
-        return len(boundaries) + 1
 
     def statistics(self) -> RelationStatistics:
         """Summary statistics used by the query planner (Section 6.3).

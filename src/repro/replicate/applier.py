@@ -299,8 +299,8 @@ class ReplicaApplier:
                     f"fingerprint chain for {table.name!r} — refusing to "
                     "apply (scrub both journals to locate the fork)"
                 )
-            for row in rows:
-                heap.append(row)
+            for record, row in zip(records, rows):
+                heap.append_record(record, row)
             row_count = len(heap)
             if row_count != require_int(frame, "row_count"):
                 # The appends above are uncommitted; drop them before
@@ -357,8 +357,8 @@ class ReplicaApplier:
                 frame.get("rows") or [], heap.codec.record_bytes
             )
             rows = [heap.codec.decode(record) for record in records]
-            for row in rows:
-                heap.append(row)
+            for record, row in zip(records, rows):
+                heap.append_record(record, row)
             table._sync_rows.extend(rows)
             if not bool(frame.get("final", True)):
                 return {

@@ -355,12 +355,13 @@ class ReplicationNode(QueryServer):
                 raise ValueError("append batch must contain at least one row")
             # Encode the whole batch before the first heap append: the
             # codec refuses an over-wide string or an int outside int32,
-            # and a refusal must leave no row in the heap.
+            # and a refusal must leave no row in the heap.  The heap and
+            # the ship then take these records as they are.
             records = [heap.codec.encode(row) for row in rows]
             version = served.stats()[0] + 1
             base_count = len(heap)
-            for row in rows:
-                heap.append(row)
+            for record, row in zip(records, rows):
+                heap.append_record(record, row)
             row_count = len(heap)
             # Every batch gets a ledger record — client-supplied sids
             # make retries exactly-once; the anonymous fallback still

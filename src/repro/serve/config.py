@@ -31,9 +31,11 @@ class ServerConfig:
     * ``workers`` — thread-pool width; also the denominator of the
       load ratio.
     * ``deadline_ms`` / ``memory_budget_bytes`` — per-statement budgets
-      every admitted statement runs under (None = unbounded), reusing
-      the engine's :class:`~repro.exec.deadline.Deadline` and
-      :class:`~repro.exec.budget.MemoryGuard` machinery.
+      every admitted statement runs under (None = unbounded): the
+      engine's :class:`~repro.exec.deadline.Deadline`, and the
+      planner's bound check, which runs only a plan that fits the
+      memory budget or refuses the statement with
+      :class:`~repro.exec.errors.BudgetExhausted` before it runs.
     * ``reject_load`` — the load ratio at which a new statement is
       refused with ``ServerOverloaded`` (``reason="overload"``).
     * ``retry_after_ms`` — the backoff hint stamped on every

@@ -182,9 +182,6 @@ class SnapshotView:
     def columns(self, attribute: Optional[str] = None) -> "ColumnSet":
         return self._working().columns(attribute)
 
-    def unique_timestamps(self) -> int:
-        return self._working().unique_timestamps()
-
     @property
     def lifespan(self) -> Optional["Interval"]:
         return self._working().lifespan

@@ -14,11 +14,7 @@ After a crash, :func:`resume_evaluation` takes the checkpoint that
 recovery surfaced (``heap.last_recovery.checkpoint``), restores the
 evaluator, skips exactly the ``consumed`` triples the snapshot already
 folded in, and streams the rest — emitting byte-identical rows to an
-uninterrupted run.  When the surviving tree is larger than a caller's
-memory budget allows, the restore can be redirected into
-:class:`~repro.core.paged_tree.PagedAggregationTreeEvaluator` via
-``from_partial_tree``, finishing the aggregation under a hard node
-budget with disk spills instead of failing.
+uninterrupted run.
 
 The snapshot records the source relation's row count and fingerprint
 watermark; resuming against a heap whose committed prefix no longer
@@ -128,7 +124,6 @@ def resume_evaluation(
     *,
     attribute: Optional[str] = None,
     checkpoint_every: int = DEFAULT_INTERVAL,
-    node_budget: Optional[int] = None,
     journal: Optional[Journal] = None,
     counters: "Optional[OperationCounters]" = None,
 ) -> TemporalAggregateResult:
@@ -139,12 +134,6 @@ def resume_evaluation(
     the already-consumed prefix of the scan is skipped, and the
     remainder streams normally — with fresh checkpoints, so a second
     crash resumes from even later.
-
-    With ``node_budget``, the restored tree is handed to
-    :class:`~repro.core.paged_tree.PagedAggregationTreeEvaluator` via
-    ``from_partial_tree`` and the tail of the scan finishes under that
-    hard budget (spilling to disk); rows already emitted by garbage
-    collection before the checkpoint are prepended unchanged.
     """
     state = decode_checkpoint(payload)
     if state.get("attribute") != attribute:
@@ -166,21 +155,6 @@ def resume_evaluation(
         )
     evaluator.restore_state(state)
     remaining = itertools.islice(heap.scan_triples(attribute), consumed, None)
-
-    if node_budget is not None:
-        from repro.core.paged_tree import PagedAggregationTreeEvaluator
-
-        emitted = list(evaluator._emitted)
-        evaluator._emitted = []
-        paged = PagedAggregationTreeEvaluator.from_partial_tree(
-            evaluator, node_budget
-        )
-        for start, end, value in remaining:
-            paged.counters.tuples += 1
-            paged.insert(start, end, value)
-        rows = emitted + paged.traverse().rows
-        return TemporalAggregateResult(rows, check=False)
-
     journal = journal if journal is not None else heap.journal
     since_checkpoint = 0
     for start, end, value in remaining:

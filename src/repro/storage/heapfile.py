@@ -131,13 +131,21 @@ class HeapFile:
     # ------------------------------------------------------------------
 
     def append(self, row: TemporalTuple) -> None:
-        """Encode and store one tuple at the end of the file.
+        """Encode and store one tuple at the end of the file."""
+        self.append_record(self.codec.encode(row), row)
+
+    def append_record(self, record: bytes, row: TemporalTuple) -> None:
+        """Store one tuple whose record a caller already holds.
+
+        ``record`` is ``self.codec.encode(row)``: the journal and the
+        page take the record, the fingerprint chain takes the row.
+        Replication passes the records it encoded for the ship, or
+        received in one, instead of encoding each row again.
 
         Journaled files observe strict write-ahead order: the record
         reaches the journal before any data page is touched, so a crash
         at any instant leaves the journal a superset of the pages.
         """
-        record = self.codec.encode(row)
         if self.journal is not None:
             self.journal.log_append(record)
         self._fingerprint = fingerprint_rows((row,), self._fingerprint)

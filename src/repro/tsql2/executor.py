@@ -32,11 +32,11 @@ from repro.core.base import coerce_aggregate
 from repro.core.engine import STRATEGIES, temporal_aggregate
 from repro.core.interval import FOREVER, Interval, format_instant
 from repro.core.calendar import CalendarError, calendar_span_aggregate
-from repro.core.planner import PlannerDecision, choose_strategy
+from repro.core.planner import choose_strategy, named_plan
 from repro.core.result import TemporalAggregateResult
 from repro.core.span_grouping import span_aggregate
 from repro.exec.deadline import Deadline
-from repro.relation.relation import TemporalRelation, partition_relation
+from repro.relation.relation import TemporalRelation, partition_relation, space_counts
 from repro.tsql2.ast import (
     AggregateCall,
     BinaryOp,
@@ -333,9 +333,10 @@ class Database:
         budget, started here, shared by every aggregate call; a
         tripped deadline raises
         :class:`~repro.exec.errors.DeadlineExceeded`.
-        ``memory_budget_bytes`` is consulted by the planner and
-        enforced at run time: a tree build that crosses it degrades to
-        the spilling paged tree instead of running out of memory.
+        ``memory_budget_bytes`` is decided before anything runs: each
+        aggregate call runs a plan whose memory bound fits it, and
+        :class:`~repro.exec.errors.BudgetExhausted` is raised when no
+        plan's bound does (:mod:`repro.core.planner`).
         """
         deadline = Deadline.after_ms(deadline_ms)
         query = parse(text)
@@ -383,20 +384,30 @@ class Database:
         """The plan of the statement's first aggregate call, without
         executing it: the Section 6.3 planner's choice for that
         aggregate under the statement's memory budget, or the hinted
-        strategy.  It is the plan of a first run; a repeat of an
-        unfiltered statement over a large relation is licensed onto
-        ``cached_sweep`` by the engine's repeat detection."""
+        strategy, charged its memory bound.  Under a budget no plan
+        fits, it raises the :class:`~repro.exec.errors.BudgetExhausted`
+        running the statement would.  It is the plan of a first run; a
+        repeat of an unfiltered statement over a large relation is
+        licensed onto ``cached_sweep`` by the engine's repeat
+        detection."""
         statistics = source.statistics()
+        aggregate = coerce_aggregate(query.aggregate_calls()[0].function)
+        columns = source.columns(None)
+        counts = space_counts(columns.starts, columns.ends)
         if strategy == "auto":
             decision = choose_strategy(
                 statistics,
-                aggregate=coerce_aggregate(query.aggregate_calls()[0].function),
+                aggregate=aggregate,
                 memory_budget_bytes=memory_budget_bytes,
+                counts=counts,
             )
         else:
-            decision = PlannerDecision(
-                strategy=strategy,
+            decision = named_plan(
+                strategy,
                 k=k,
+                aggregate=aggregate,
+                memory_budget_bytes=memory_budget_bytes,
+                counts=counts,
                 reason="strategy forced by USING ALGORITHM hint",
             )
         table = [

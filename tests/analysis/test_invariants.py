@@ -19,6 +19,7 @@ from repro.core.engine import STRATEGIES, evaluate_triples, temporal_aggregate
 from repro.core.group_by import grouped_temporal_aggregate
 from repro.core.interval import FOREVER, ORIGIN, Interval
 from repro.core.kordered_tree import KOrderedTreeEvaluator
+from repro.core.linked_list import LinkedListEvaluator
 from repro.core.paged_tree import PagedAggregationTreeEvaluator
 from repro.core.reference import ReferenceEvaluator
 from repro.core.result import ConstantInterval, TemporalAggregateResult
@@ -230,6 +231,26 @@ class TestEngineHook:
                 Interval(0, 30),
                 strategy=OffByOneEvaluator.name,
             )
+
+    def test_over_allocating_evaluator_caught_by_the_bound_check(
+        self, invariant_checks, monkeypatch, employed
+    ):
+        """A registered evaluator whose tracker peaks above the plan's
+        bound breaks the budget the planner admitted it under."""
+        class OverAllocatingList(LinkedListEvaluator):
+            """Correct rows, one cell more than B + 1 on the books."""
+
+            def evaluate(self, triples):
+                result = super().evaluate(triples)
+                self.space.allocate(1)
+                self.space.free(1)
+                return result
+
+        monkeypatch.setitem(STRATEGIES, "linked_list", OverAllocatingList)
+        with pytest.raises(InvariantViolation, match="over its bound"):
+            temporal_aggregate(employed, "count", strategy="linked_list")
+        with pytest.raises(InvariantViolation, match="over its bound"):
+            evaluate_triples(list(TRIPLES), "count", "linked_list")
 
     def test_correct_strategies_pass_under_checking(
         self, invariant_checks, employed

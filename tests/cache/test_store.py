@@ -17,7 +17,6 @@ from repro.cache.store import (
     cacheable_relation,
     default_cache,
     set_default_cache,
-    shed_default_cache,
 )
 from repro.core.columns import ColumnSet
 from repro.relation.relation import TemporalRelation
@@ -210,17 +209,3 @@ class TestDefaultCache:
         replacement = ShardResultCache()
         set_default_cache(replacement)
         assert default_cache() is replacement
-
-    def test_shed_without_a_default_does_not_construct_one(self):
-        set_default_cache(None)
-        assert shed_default_cache() == 0
-        from repro.cache import store
-
-        assert store._default is None
-
-    def test_shed_default_reports_released_bytes(self):
-        cache = ShardResultCache()
-        set_default_cache(cache)
-        entry = make_entry(rows=10)
-        cache.store(make_key(), entry)
-        assert shed_default_cache() == entry.charged_bytes

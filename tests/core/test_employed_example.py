@@ -8,6 +8,7 @@ from repro.core import (
     temporal_aggregate,
 )
 from repro.core.aggregation_tree import AggregationTreeEvaluator
+from repro.relation.relation import space_counts
 from repro.workload.employed import EMPLOYED_ROWS, TABLE_1_EXPECTED, employed_relation
 
 
@@ -31,7 +32,9 @@ class TestEmployedRelation:
 
     def test_six_unique_timestamps(self, employed):
         """Figure 2: 6 unique timestamps -> 7 constant intervals."""
-        assert employed.unique_timestamps() == 6
+        assert employed.statistics().unique_timestamps == 6
+        columns = employed.columns(None)
+        assert space_counts(columns.starts, columns.ends).split_points + 1 == 7
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))

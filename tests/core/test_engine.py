@@ -10,9 +10,10 @@ from repro.core.engine import (
     temporal_aggregate,
 )
 from repro.core.kordered_tree import KOrderedTreeEvaluator
-from repro.core.planner import PlannerDecision
+from repro.core.planner import PlannerDecision, node_bound
 from repro.metrics.counters import OperationCounters
 from repro.metrics.space import SpaceTracker
+from repro.relation.relation import space_counts
 
 
 class TestRegistry:
@@ -141,14 +142,21 @@ class TestTemporalAggregate:
             assert rows == baseline, f"{strategy} disagrees with the oracle"
 
     def test_memory_budget_forces_sort_plan(self, small_random_relation):
+        # A budget of exactly the sort plan's bound: 2c + 17 nodes for
+        # at most c tuples open at once, below the sweep's events and
+        # the tree's 2B + 1 nodes.
+        columns = small_random_relation.columns(None)
+        counts = space_counts(columns.starts, columns.ends)
+        budget = node_bound("kordered_tree", counts, k=1) * 20
         _result, decision = temporal_aggregate(
             small_random_relation,
             "count",
-            memory_budget_bytes=64,
+            memory_budget_bytes=budget,
             explain=True,
         )
         assert decision.sort_first
         assert decision.strategy == "kordered_tree"
+        assert decision.estimated_bytes == budget
 
 
 class TestCountReadsNoValues:

@@ -1,181 +1,254 @@
-"""Runtime memory-budget enforcement and mid-flight degradation."""
+"""The memory budget is decided before the run.
+
+The planner charges every plan its exact bound in the units its
+``SpaceTracker`` counts and runs only a plan that fits; when none fits
+it raises ``BudgetExhausted`` before anything runs.  So a budgeted
+call either refuses with the caller's tracker untouched, or answers
+the reference rows within the budget.
+"""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.aggregation_tree import AggregationTreeEvaluator
 from repro.core.engine import temporal_aggregate
-from repro.core.paged_tree import MIN_NODE_BUDGET, PagedAggregationTreeEvaluator
+from repro.core.interval import FOREVER
+from repro.core.planner import node_bound
 from repro.core.reference import ReferenceEvaluator
-from repro.exec.budget import MemoryGuard, evaluate_with_degradation
 from repro.exec.errors import BudgetExhausted
-from repro.workload.generator import WorkloadParameters, generate_relation
-from tests.conftest import random_triples
+from repro.metrics.space import SpaceTracker
+from repro.relation.relation import TemporalRelation, space_counts
+from repro.relation.schema import EMPLOYED_SCHEMA
+from repro.workload.permute import k_disorder
+from tests.conftest import random_triples, triples_relation
+
+AGGREGATES = ["count", "sum", "min", "max", "avg"]
+
+#: Plans the planner can pick under a budget, with the k it runs them at.
+BUDGET_PLANS = [
+    ("linked_list", None),
+    ("columnar_sweep", None),
+    ("aggregation_tree", None),
+    ("kordered_tree", 1),
+]
+
+#: (start, length) pairs over a narrow timeline, so starts repeat and
+#: endpoints meet; a None length runs to FOREVER, 0 is a point.
+tuples_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=40),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+        st.integers(min_value=-5, max_value=50),
+    ),
+    max_size=60,
+)
 
 
-def medium_relation(seed=5, tuples=2_000):
-    return generate_relation(
-        WorkloadParameters(tuples=tuples, long_lived_percent=30, seed=seed)
+def build_relation(rows, order, seed):
+    triples = [
+        (start, FOREVER if length is None else start + length, salary)
+        for start, length, salary in rows
+    ]
+    if order != "as drawn":
+        triples.sort()
+    if order == "k-disordered":
+        # Disjoint swaps three places apart: a 3-ordered relation.
+        rng = random.Random(seed)
+        for index in range(0, len(triples) - 3, 6):
+            if rng.random() < 0.5:
+                triples[index], triples[index + 3] = (
+                    triples[index + 3],
+                    triples[index],
+                )
+    relation = TemporalRelation(EMPLOYED_SCHEMA, name="budgeted")
+    for index, (start, end, salary) in enumerate(triples):
+        relation.insert((f"e{index}", salary), start, end)
+    return relation
+
+
+def counts_of(relation):
+    columns = relation.columns(None)
+    return space_counts(columns.starts, columns.ends)
+
+
+def untouched(tracker):
+    return (tracker.live_nodes, tracker.peak_nodes, tracker.allocated_total) == (
+        0,
+        0,
+        0,
     )
 
 
-class TestMemoryGuard:
-    def test_under_budget_never_trips(self):
-        evaluator = AggregationTreeEvaluator("count")
-        guard = MemoryGuard(10**9, evaluator.space)
-        evaluator.evaluate(random_triples(1, 500))
-        guard.check(consumed=500)
-        assert guard.trips == 0
-
-    def test_trip_reports_observed_and_resume_point(self):
-        evaluator = AggregationTreeEvaluator("count")
-        evaluator.space.allocate(1000)
-        guard = MemoryGuard(100, evaluator.space)
-        with pytest.raises(BudgetExhausted) as info:
-            guard.check(consumed=77)
-        exc = info.value
-        assert exc.observed_bytes > exc.budget_bytes
-        assert exc.consumed == 77
-        assert guard.trips == 1
-
-    def test_non_positive_budget_rejected(self):
-        evaluator = AggregationTreeEvaluator("count")
-        with pytest.raises(ValueError):
-            MemoryGuard(0, evaluator.space)
-
-    def test_node_budget_floor(self):
-        evaluator = AggregationTreeEvaluator("count")
-        guard = MemoryGuard(1, evaluator.space)
-        assert guard.node_budget() == MIN_NODE_BUDGET
-
-
-class TestMidFlightDegradation:
-    @pytest.mark.parametrize("aggregate", ["count", "sum", "min", "max", "avg"])
-    def test_degraded_result_is_exact(self, aggregate):
-        data = random_triples(11, 2_000, max_instant=2_000)
-        reference = ReferenceEvaluator(aggregate).evaluate(data)
-
-        evaluator = AggregationTreeEvaluator(aggregate)
-        guard = MemoryGuard(20_000, evaluator.space)
-        result, trip = evaluate_with_degradation(evaluator, data, guard)
-        assert trip is not None, "budget was meant to trip"
-        assert result.rows == reference.rows
-
-    def test_happy_path_returns_no_trip(self):
-        data = random_triples(12, 300)
-        evaluator = AggregationTreeEvaluator("count")
-        guard = MemoryGuard(10**9, evaluator.space)
-        result, trip = evaluate_with_degradation(evaluator, data, guard)
-        assert trip is None
-        assert result.rows == ReferenceEvaluator("count").evaluate(data).rows
-
-    def test_degradation_continues_not_restarts(self):
-        """The paged tree adopts the partial tree: the donor loses its
-        root and total tuple accounting covers the input exactly once."""
-        data = random_triples(13, 2_000, max_instant=2_000)
-        evaluator = AggregationTreeEvaluator("count")
-        guard = MemoryGuard(20_000, evaluator.space)
-        _, trip = evaluate_with_degradation(evaluator, data, guard)
-        assert trip is not None
-        assert evaluator.root is None  # adopted, not copied
-        assert evaluator.counters.tuples == len(data)  # each tuple once
-
-    def test_adopted_tree_respects_node_budget(self):
-        data = random_triples(14, 2_000, max_instant=2_000)
-        evaluator = AggregationTreeEvaluator("count")
-        guard = MemoryGuard(20_000, evaluator.space)
-        evaluate_with_degradation(evaluator, data, guard)
-        # After traversal the consuming paged tree frees everything.
-        assert evaluator.space.live_nodes == 0
-
-
-class TestEngineIntegration:
-    def test_temporal_aggregate_degrades_instead_of_growing(self):
-        relation = medium_relation()
-        reference = ReferenceEvaluator("sum").evaluate(
-            list(relation.scan_triples("salary"))
+class TestBudgetHolds:
+    @given(
+        rows=tuples_strategy,
+        order=st.sampled_from(["as drawn", "sorted", "k-disordered"]),
+        aggregate=st.sampled_from(AGGREGATES),
+        position=st.integers(min_value=-1, max_value=101),
+        seed=st.integers(min_value=0, max_value=9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_refused_or_answered_within_budget(
+        self, rows, order, aggregate, position, seed
+    ):
+        relation = build_relation(rows, order, seed)
+        attribute = None if aggregate == "count" else "salary"
+        node_bytes = SpaceTracker(
+            ReferenceEvaluator(aggregate).aggregate
+        ).node_bytes
+        counts = counts_of(relation)
+        bounds = [
+            node_bound(strategy, counts, k) * node_bytes
+            for strategy, k in BUDGET_PLANS
+        ]
+        # From just below the smallest bound to just above the largest.
+        low, high = min(bounds) - 1, max(bounds) + 1
+        budget = max(1, low + (high - low) * position // 100)
+        reference = ReferenceEvaluator(aggregate).evaluate(
+            list(relation.scan_triples(attribute))
         )
-        result, decision = temporal_aggregate(
+        for _call in range(2):  # the repeat sees the cache's repeat set
+            tracker = SpaceTracker(ReferenceEvaluator(aggregate).aggregate)
+            try:
+                result = temporal_aggregate(
+                    relation,
+                    aggregate,
+                    attribute,
+                    memory_budget_bytes=budget,
+                    space=tracker,
+                )
+            except BudgetExhausted as refusal:
+                assert untouched(tracker)
+                assert refusal.needed_bytes > budget
+                continue
+            assert result.rows == reference.rows
+            assert tracker.peak_bytes <= budget
+
+
+def unsorted_relation():
+    return triples_relation(random_triples(31, 400, max_instant=300))
+
+
+class TestExactBounds:
+    """Each bounded named plan peaks at its bound (the k-ordered tree
+    at most), so a budget of exactly the bound admits and holds it."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            "aggregation_tree",
+            "balanced_tree",
+            "linked_list",
+            "two_pass",
+            "columnar_sweep",
+            "sweep",
+        ],
+    )
+    @pytest.mark.parametrize("aggregate", ["count", "avg"])
+    def test_peak_equals_the_bound(self, strategy, aggregate):
+        relation = unsorted_relation()
+        attribute = None if aggregate == "count" else "salary"
+        tracker = SpaceTracker(ReferenceEvaluator(aggregate).aggregate)
+        budget = node_bound(strategy, counts_of(relation)) * tracker.node_bytes
+        temporal_aggregate(
             relation,
-            "sum",
-            "salary",
-            strategy="aggregation_tree",
-            memory_budget_bytes=20_000,
-            explain=True,
+            aggregate,
+            attribute,
+            strategy=strategy,
+            memory_budget_bytes=budget,
+            space=tracker,
+            use_cache=False,
         )
-        assert result.rows == reference.rows
-        assert "paged_tree" in decision.reason
+        assert tracker.peak_bytes == budget
 
-    def test_budget_not_mentioned_when_it_does_not_trip(self):
-        relation = medium_relation(tuples=200)
-        _, decision = temporal_aggregate(
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_kordered_tree_stays_within_its_bound(self, k):
+        triples = sorted(random_triples(32, 400, max_instant=300))
+        permutation = k_disorder(len(triples), k, 0.5, seed=k)
+        relation = triples_relation([triples[index] for index in permutation])
+        tracker = SpaceTracker()
+        budget = (
+            node_bound("kordered_tree", counts_of(relation), k) * tracker.node_bytes
+        )
+        result = temporal_aggregate(
             relation,
             "count",
-            strategy="aggregation_tree",
-            memory_budget_bytes=10**9,
+            strategy="kordered_tree",
+            k=k,
+            memory_budget_bytes=budget,
+            space=tracker,
+        )
+        assert 0 < tracker.peak_bytes <= budget
+        assert result.rows == ReferenceEvaluator("count").evaluate(triples).rows
+
+
+class TestBelowTheTree:
+    """A budget the aggregation tree overruns: the planner picks a plan
+    that fits before the run, and its answer is exact."""
+
+    @pytest.mark.parametrize("aggregate", AGGREGATES)
+    def test_answer_is_exact_within_budget(self, aggregate):
+        relation = triples_relation(random_triples(11, 2_000, max_instant=2_000))
+        attribute = None if aggregate == "count" else "salary"
+        tracker = SpaceTracker(ReferenceEvaluator(aggregate).aggregate)
+        budget = 20_000
+        tree = node_bound("aggregation_tree", counts_of(relation)) * tracker.node_bytes
+        assert tree > budget
+        result, decision = temporal_aggregate(
+            relation,
+            aggregate,
+            attribute,
+            memory_budget_bytes=budget,
+            space=tracker,
+            use_cache=False,
             explain=True,
         )
-        assert "degraded" not in decision.reason
-
-    def test_from_partial_tree_adopts_in_place(self):
-        donor = AggregationTreeEvaluator("count")
-        donor.evaluate(random_triples(15, 400, max_instant=500))
-        donor.build(random_triples(16, 100, max_instant=500))
-        live_before = donor.space.live_nodes
-        paged = PagedAggregationTreeEvaluator.from_partial_tree(donor, 64)
-        assert donor.root is None
-        assert paged.space is donor.space
-        assert paged.space.live_nodes <= live_before
+        assert decision.strategy != "aggregation_tree"
+        assert 0 < tracker.peak_bytes <= budget
+        expected = ReferenceEvaluator(aggregate).evaluate(
+            list(relation.scan_triples(attribute))
+        )
+        assert result.rows == expected.rows
 
 
-class TestCacheShedding:
-    """A tripped budget sheds the shard-result cache before degrading —
-    cached rows are always recomputable, so they are the first to go."""
+class TestNamedPlans:
+    def test_tree_below_its_bound_is_refused_before_running(self):
+        relation = unsorted_relation()
+        tracker = SpaceTracker(ReferenceEvaluator("sum").aggregate)
+        bound = node_bound("aggregation_tree", counts_of(relation)) * tracker.node_bytes
+        with pytest.raises(BudgetExhausted) as info:
+            temporal_aggregate(
+                relation,
+                "sum",
+                "salary",
+                strategy="aggregation_tree",
+                memory_budget_bytes=bound - 1,
+                space=tracker,
+            )
+        assert info.value.needed_bytes == bound
+        assert info.value.budget_bytes == bound - 1
+        assert untouched(tracker)
 
-    @pytest.fixture(autouse=True)
-    def isolated_default_cache(self):
-        from repro.cache.store import ShardResultCache, set_default_cache
+    @pytest.mark.parametrize("budget", [1, 10**12])
+    def test_paged_tree_is_refused_under_any_budget(self, budget):
+        tracker = SpaceTracker()
+        with pytest.raises(BudgetExhausted, match="no memory bound") as info:
+            temporal_aggregate(
+                unsorted_relation(),
+                "count",
+                strategy="paged_tree",
+                memory_budget_bytes=budget,
+                space=tracker,
+            )
+        assert info.value.needed_bytes is None
+        assert untouched(tracker)
 
-        cache = ShardResultCache()
-        set_default_cache(cache)
-        try:
-            yield cache
-        finally:
-            set_default_cache(None)
-
-    def warm(self, cache):
-        from repro.cache.evaluator import evaluate_cached
-
-        evaluate_cached(medium_relation(), "count", shards=4, cache=cache)
-        assert cache.live_bytes > 0
-
-    def test_first_trip_sheds_the_default_cache(self, isolated_default_cache):
-        self.warm(isolated_default_cache)
-        evaluator = AggregationTreeEvaluator("count")
-        evaluator.space.allocate(1000)
-        guard = MemoryGuard(100, evaluator.space)
-        with pytest.raises(BudgetExhausted):
-            guard.check(consumed=1)
-        assert isolated_default_cache.live_bytes == 0
-        assert guard.cache_shed_bytes > 0
-
-    def test_later_trips_do_not_shed_again(self, isolated_default_cache):
-        evaluator = AggregationTreeEvaluator("count")
-        evaluator.space.allocate(1000)
-        guard = MemoryGuard(100, evaluator.space)
-        with pytest.raises(BudgetExhausted):
-            guard.check(consumed=1)
-        shed_once = guard.cache_shed_bytes
-        self.warm(isolated_default_cache)
-        with pytest.raises(BudgetExhausted):
-            guard.check(consumed=2)
-        assert guard.trips == 2
-        assert guard.cache_shed_bytes == shed_once
-        assert isolated_default_cache.live_bytes > 0  # survived trip two
-
-    def test_untripped_guard_never_touches_the_cache(self, isolated_default_cache):
-        self.warm(isolated_default_cache)
-        evaluator = AggregationTreeEvaluator("count")
-        guard = MemoryGuard(10**9, evaluator.space)
-        guard.check(consumed=10)
-        assert isolated_default_cache.live_bytes > 0
-        assert guard.cache_shed_bytes == 0
+    def test_paged_tree_runs_without_a_budget(self):
+        relation = unsorted_relation()
+        result = temporal_aggregate(relation, "count", strategy="paged_tree")
+        expected = ReferenceEvaluator("count").evaluate(
+            list(relation.scan_triples())
+        )
+        assert result.rows == expected.rows

@@ -6,7 +6,7 @@ from repro.core.engine import evaluate_triples, temporal_aggregate
 from repro.exec.deadline import Deadline
 from repro.exec.errors import DeadlineExceeded
 from repro.workload.generator import WorkloadParameters, generate_relation
-from tests.conftest import random_triples
+from tests.conftest import random_triples, triples_relation
 
 
 class TestDeadlineMechanics:
@@ -72,6 +72,33 @@ class TestEngineThreading:
         # single-window case cannot happen with this spread) or a shard
         # boundary carrying shard progress.
         assert info.value.progress
+
+    @pytest.mark.parametrize(
+        "strategy",
+        ["linked_list", "kordered_tree", "two_pass", "sweep", "balanced_tree"],
+    )
+    def test_every_loop_checks_the_deadline(self, strategy):
+        """Each evaluator's loops pause at a checkpoint every
+        CHECKPOINT_INTERVAL tuples, so a deadline long past trips
+        within the first few; the sorted input keeps the k-ordered
+        tree's promise."""
+        relation = triples_relation(sorted(random_triples(8, 2_000, 2_000)))
+        with pytest.raises(DeadlineExceeded):
+            temporal_aggregate(
+                relation, "count", strategy=strategy, deadline_ms=1e-6,
+                use_cache=False,
+            )
+
+    def test_planned_linked_list_checks_the_deadline(self):
+        """Few unique timestamps: the planner's own pick is the linked
+        list, and the statement's deadline bounds it."""
+        relation = triples_relation(random_triples(9, 2_000, max_instant=8))
+        _, decision = temporal_aggregate(relation, "count", explain=True)
+        assert decision.strategy == "linked_list"
+        with pytest.raises(DeadlineExceeded):
+            temporal_aggregate(
+                relation, "count", deadline_ms=1e-6, use_cache=False
+            )
 
     def test_columnar_sweep_checks_on_entry(self):
         data = random_triples(6, 1_000)

@@ -52,16 +52,13 @@ class TestPayloads:
         assert exc.elapsed_ms == pytest.approx(61.2)
         assert exc.progress["tuples_consumed"] == 4096
 
-    def test_budget_exhausted_carries_resume_point(self):
-        exc = BudgetExhausted(
-            "over budget", budget_bytes=1000, observed_bytes=1200, consumed=320
-        )
+    def test_budget_exhausted_carries_needed_bytes(self):
+        exc = BudgetExhausted("over budget", budget_bytes=1000, needed_bytes=1200)
         assert exc.budget_bytes == 1000
-        assert exc.observed_bytes == 1200
-        assert exc.consumed == 320
+        assert exc.needed_bytes == 1200
 
     def test_one_catch_covers_everything(self):
         with pytest.raises(TemporalAggregateError):
-            raise BudgetExhausted("x", budget_bytes=1, observed_bytes=2)
+            raise BudgetExhausted("x", budget_bytes=1, needed_bytes=2)
         with pytest.raises(TemporalAggregateError):
             raise InvalidInput("y")

@@ -13,7 +13,6 @@ import multiprocessing
 import pytest
 
 from repro.core.parallel import ParallelSweepEvaluator
-from repro.core.planner import choose_strategy
 from repro.core.reference import ReferenceEvaluator
 from repro.exec.faults import (
     FaultPlan,
@@ -94,10 +93,6 @@ class TestPlanMechanics:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             ShardFault(0, "meteor")
-
-    def test_inflate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FaultPlan(inflate_bytes=0)
 
 
 @needs_fork
@@ -184,35 +179,3 @@ class TestHungShards:
         )
         assert result.rows == reference.rows
         assert report.timeouts >= 1
-
-
-class TestByteInflation:
-    def test_planner_consults_the_inflation_hook(self):
-        """Inflated byte estimates push the planner off the in-memory
-        tree even for inputs that would normally fit the budget."""
-        from repro.workload.generator import WorkloadParameters, generate_relation
-
-        relation = generate_relation(
-            WorkloadParameters(tuples=500, long_lived_percent=30, seed=3)
-        )
-        statistics = relation.statistics()
-        unconstrained = choose_strategy(statistics, memory_budget_bytes=10**6)
-        with fault_plan(FaultPlan(inflate_bytes=1e9)):
-            constrained = choose_strategy(statistics, memory_budget_bytes=10**6)
-        assert unconstrained.strategy != constrained.strategy or (
-            constrained.sort_first and not unconstrained.sort_first
-        )
-
-    def test_inflation_trips_the_memory_guard(self):
-        from repro.core.aggregation_tree import AggregationTreeEvaluator
-        from repro.exec.budget import MemoryGuard, evaluate_with_degradation
-
-        data = random_triples(21, 600, max_instant=600)
-        reference = ReferenceEvaluator("count").evaluate(data)
-        evaluator = AggregationTreeEvaluator("count")
-        with fault_plan(FaultPlan(inflate_bytes=1000.0)):
-            guard = MemoryGuard(10**6, evaluator.space)
-            result, trip = evaluate_with_degradation(evaluator, data, guard)
-        evaluator.space.inflation = 1.0
-        assert trip is not None  # a 1000x inflation trips a 1 MB budget
-        assert result.rows == reference.rows

@@ -107,9 +107,12 @@ class TestPlannerDrivenEvaluation:
             assert auto.rows == explicit.rows
 
     def test_budget_plan_still_correct(self, workload):
-        budgeted = temporal_aggregate(
-            workload, "count", memory_budget_bytes=1024
+        # 400 tuples, at most 119 open at once: the sort plan's
+        # 255 nodes (5,100 B) fit where the sweep's 800 events do not.
+        budgeted, decision = temporal_aggregate(
+            workload, "count", memory_budget_bytes=6_000, explain=True
         )
+        assert decision.sort_first
         free = temporal_aggregate(workload, "count")
         assert budgeted.rows == free.rows
 

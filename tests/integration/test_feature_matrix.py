@@ -64,11 +64,11 @@ class TestPlannerWithDeclaredBound:
     def test_retroactive_declaration_end_to_end(self):
         """A feed with bounded delay (rows in arrival order, each
         starting at most six instants before the arrival clock),
-        evaluated under the DBA's declared-k plan, matches the oracle."""
+        evaluated with the k-ordered tree at the declared k, matches the
+        oracle."""
         import random
 
-        from repro.core.engine import make_evaluator
-        from repro.core.planner import choose_strategy
+        from repro.core.engine import temporal_aggregate
 
         rng = random.Random(12)
         view = TemporalRelation(EMPLOYED_SCHEMA, name="feed")
@@ -79,9 +79,6 @@ class TestPlannerWithDeclaredBound:
             start = max(0, clock - delay)
             view.insert(("T", 1), start, start + rng.randint(0, 10))
 
-        decision = choose_strategy(view.statistics(), declared_k=25)
-        assert decision.strategy == "kordered_tree"
-        evaluator = make_evaluator(decision.strategy, "count", k=decision.k)
-        result = evaluator.evaluate(view.scan_triples())
+        result = temporal_aggregate(view, "count", strategy="kordered_tree", k=25)
         expected = ReferenceEvaluator("count").evaluate(list(view.scan_triples()))
         assert result.rows == expected.rows

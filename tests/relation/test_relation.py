@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.interval import FOREVER, Interval, InvalidIntervalError
-from repro.relation.relation import TemporalRelation
+from repro.relation.relation import TemporalRelation, space_counts
 from repro.relation.schema import EMPLOYED_SCHEMA, Schema, SchemaError
 
 
@@ -93,10 +93,13 @@ class TestStatistics:
         assert TemporalRelation(EMPLOYED_SCHEMA).lifespan is None
 
     def test_unique_timestamps_exclude_forever(self, employed):
-        assert employed.unique_timestamps() == 6  # Figure 2
+        assert employed.statistics().unique_timestamps == 6  # Figure 2
 
-    def test_constant_interval_count(self, employed):
-        assert employed.constant_interval_count() == 7  # Figure 2
+    def test_split_points_begin_seven_intervals(self, employed):
+        # Figure 2: B split points begin B + 1 constant intervals.
+        columns = employed.columns(None)
+        counts = space_counts(columns.starts, columns.ends)
+        assert counts.split_points + 1 == 7
 
     def test_statistics_fields(self, employed):
         stats = employed.statistics()

@@ -8,6 +8,7 @@ from repro.relation.relation import (
     TemporalRelation,
     fingerprint_rows,
     next_relation_uid,
+    space_counts,
 )
 from repro.relation.schema import EMPLOYED_SCHEMA
 
@@ -142,13 +143,24 @@ class TestStatisticsInvalidation:
     def test_mutate_then_replan_regression(self):
         # The end-to-end consequence: the planner must see the
         # post-mutation order facts, not a cached pre-mutation snapshot.
-        # Under a budget the sweep's event columns do not fit, its pick
-        # depends on the order.
-        budget = 32
-        relation = tiny_relation(list(reversed(SORTED_ROWS)))
-        before = choose_strategy(relation.statistics(), memory_budget_bytes=budget)
+        # Forty disjoint tuples: under a budget of the k-ordered tree's
+        # 19 nodes (one tuple open at a time), the sweep's 80 events do
+        # not fit, and whether to sort first depends on the order.
+        rows = [(f"n{i}", 1_000, 10 * i, 10 * i + 4) for i in range(40)]
+        relation = tiny_relation(list(reversed(rows)))
+        budget = 19 * 20
+
+        def plan():
+            columns = relation.columns(None)
+            return choose_strategy(
+                relation.statistics(),
+                memory_budget_bytes=budget,
+                counts=space_counts(columns.starts, columns.ends),
+            )
+
+        before = plan()
         relation.sort_in_place()
-        after = choose_strategy(relation.statistics(), memory_budget_bytes=budget)
+        after = plan()
         assert after.strategy == "kordered_tree"
         assert after.k == 1
         assert (before.strategy, before.k, before.sort_first) != (

@@ -11,8 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.errors import NotPrimary, ReplicaLagExceeded
+from repro.relation.schema import EMPLOYED_SCHEMA
 from repro.serve.client import QueryClient, RemoteQueryError
 from repro.serve.server import ServerRunner
+from repro.storage.heapfile import HeapFile
 from repro.replicate.client import ReplicatedClient
 
 from tests.replicate.conftest import make_node, replicated_pair
@@ -144,6 +146,39 @@ def test_refused_append_leaves_no_row_in_the_heap(tmp_path, refused_row):
         assert recovered == ["ok", "next"]
     finally:
         runner.stop()
+
+
+def test_replicated_append_encodes_each_record_once(tmp_path, monkeypatch):
+    """The primary encodes a batch once, for its heap and its ship; the
+    replica stores the shipped records as they arrive.  The journals,
+    fingerprint chains and recovered rows match encoding per row."""
+    rows = [["ann", 1, 0, 5], ["ben", 2, 3, 9], ["cy", 3, 3, 3], ["di", 4, 6, 20]]
+    encodes = {"primary": 0, "replica": 0}
+    with replicated_pair(tmp_path) as pair:
+        for side, node in (("primary", pair.primary), ("replica", pair.replica)):
+            codec = node.tables["jobs"].heap.codec
+
+            def counted(row, side=side, encode=codec.encode):
+                encodes[side] += 1
+                return encode(row)
+
+            monkeypatch.setattr(codec, "encode", counted)
+        with QueryClient(pair.primary_runner.host, pair.primary_runner.port) as c:
+            c.append("jobs", rows)
+        assert encodes == {"primary": 4, "replica": 0}
+        primary_cursor, replica_cursor = _cursors(pair)
+        assert replica_cursor == primary_cursor
+    for side in ("primary", "replica"):
+        heap = HeapFile.durable(
+            EMPLOYED_SCHEMA, str(tmp_path / side / "jobs.heap")
+        )
+        try:
+            assert [
+                [*row.values, row.start, row.end] for row in heap.scan()
+            ] == rows
+            assert heap.fingerprint == primary_cursor["fingerprint"]
+        finally:
+            heap.close()
 
 
 def test_late_starting_replica_catches_up_via_sync(tmp_path):

@@ -112,29 +112,6 @@ class TestResume:
         finally:
             recovered.close()
 
-    def test_resume_into_paged_tree_under_node_budget(self, tmp_path):
-        heap = durable_heap(tmp_path)
-        checkpointed_evaluate(
-            heap,
-            KOrderedTreeEvaluator("max", 1),
-            attribute="salary",
-            checkpoint_every=300,
-            journal=heap.journal,
-        )
-        heap.abandon()
-        recovered = HeapFile.durable(SCHEMA, str(tmp_path / "rel.dat"))
-        try:
-            result = resume_evaluation(
-                recovered,
-                KOrderedTreeEvaluator("max", 1),
-                recovered.last_recovery.checkpoint,
-                attribute="salary",
-                node_budget=16,
-            )
-            assert result.rows == reference_rows("max")
-        finally:
-            recovered.close()
-
     def test_aggregate_mismatch_is_refused(self, tmp_path):
         heap = durable_heap(tmp_path)
         try:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import temporal_aggregate
+from repro.exec.errors import BudgetExhausted
 from repro.tsql2.executor import Database
 from repro.tsql2.parser import parse
 from repro.workload.employed import employed_relation
@@ -58,6 +59,23 @@ class TestExecution:
         assert plan["strategy"] == "kordered_tree"
         assert plan["sort first"] == "yes"
         assert plan["estimated structure bytes"] > 0
+
+    def test_budget_nothing_fits_refuses_like_the_statement(self, db):
+        """EXPLAIN under a budget no plan fits raises the refusal that
+        running the statement raises, before anything runs."""
+        query = "SELECT COUNT(name) FROM Big"
+        with pytest.raises(BudgetExhausted) as explained:
+            db.execute("EXPLAIN " + query, memory_budget_bytes=64)
+        with pytest.raises(BudgetExhausted) as executed:
+            db.execute(query, memory_budget_bytes=64)
+        assert str(explained.value) == str(executed.value)
+        assert explained.value.needed_bytes == executed.value.needed_bytes > 64
+
+    def test_hinted_plan_without_a_bound_is_refused(self, db):
+        query = "SELECT COUNT(name) FROM Big USING ALGORITHM paged"
+        for text in ("EXPLAIN " + query, query):
+            with pytest.raises(BudgetExhausted, match="no memory bound"):
+                db.execute(text, memory_budget_bytes=10**9)
 
     def test_where_clause_affects_statistics(self, db):
         everything = plan_of(db.execute("EXPLAIN SELECT COUNT(name) FROM Big"))

@@ -178,9 +178,9 @@ class TestDiagnostics:
 
         def explode(_query, **_limits):
             raise BudgetExhausted(
-                "tree wants 64 nodes, budget is 16",
+                "no plan fits the 16-byte memory budget",
                 budget_bytes=16,
-                observed_bytes=64,
+                needed_bytes=64,
             )
 
         shell.database.execute = explode  # type: ignore[method-assign]

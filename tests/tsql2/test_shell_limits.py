@@ -104,10 +104,9 @@ class TestDiagnostics:
 
         def explode(_query, **_limits):
             raise BudgetExhausted(
-                "tree too big",
+                "no plan fits the 1024-byte memory budget",
                 budget_bytes=1024,
-                observed_bytes=9999,
-                consumed=7,
+                needed_bytes=9999,
             )
 
         monkeypatch.setattr(shell.database, "execute", explode)
