@@ -667,7 +667,7 @@ def columnar(
                     return perf_counter() - started
 
                 def run_cached() -> float:
-                    relation._columns_cache.clear()
+                    relation._column_sets.clear()
                     store = ShardResultCache()
                     started = perf_counter()
                     evaluate_cached(relation, name, attribute, cache=store)

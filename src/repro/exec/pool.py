@@ -28,10 +28,19 @@ once:
   common case under serving load — reuses the published segments
   outright.  Segments are refcounted (pins for in-flight sweeps, a
   doom mark for released versions) and unlinked deterministically on
-  release, relation GC (:meth:`SegmentStore.adopt`), pool shutdown,
-  and interpreter exit (``atexit``), so ``/dev/shm`` holds nothing
+  release (the publishing ColumnSet was collected), on pool shutdown
+  and at interpreter exit (``atexit``), so ``/dev/shm`` holds nothing
   after the owning process is done — the hygiene property the tests
-  assert by listing segment names before and after.
+  assert by listing segment names before and after.  An owner that
+  never gets to clean up (SIGKILLed together with its
+  ``resource_tracker``, or OOM-killed) leaves its segments behind; the
+  next pool start anywhere on the host reaps them
+  (:func:`reap_orphaned_segments`).  The creating process holds a
+  shared ``flock`` on each segment's descriptor for as long as the
+  segment is open (forked workers inherit it), so a segment on which
+  an exclusive lock can be taken belongs to no live process — a rule
+  that holds across pid reuse and across pid namespaces sharing
+  ``/dev/shm``, where a pid-liveness check would not.
 
 Worker lifecycle is supervised (:class:`ResidentPoolSupervisor`): a
 worker that dies mid-job (OOM killer, injected ``kill`` fault) is
@@ -57,6 +66,7 @@ the caller's :class:`~repro.metrics.counters.OperationCounters`.
 from __future__ import annotations
 
 import atexit
+import fcntl
 import multiprocessing
 import os
 import threading
@@ -89,6 +99,7 @@ __all__ = [
     "release_default_pool",
     "shutdown_default_pool",
     "default_segment_store",
+    "reap_orphaned_segments",
 ]
 
 #: Counter-delta fields a worker may report back with a job result.
@@ -114,6 +125,47 @@ def _fork_available() -> bool:
 # ---------------------------------------------------------------------------
 # Shared-memory column segments
 # ---------------------------------------------------------------------------
+
+#: Name prefix of every segment a :class:`SegmentStore` creates.
+SEGMENT_PREFIX = "repro-pool-"
+
+#: Where POSIX shared-memory segments appear as files.
+SHM_DIR = "/dev/shm"
+
+
+def reap_orphaned_segments() -> int:
+    """Unlink every pool segment that no live process holds open.
+
+    Each creator holds a shared ``flock`` on its segments (see
+    :meth:`SegmentStore._make_segment_locked`), so an exclusive
+    non-blocking lock succeeds only on a segment whose owner — and
+    every worker forked from it — is gone.  Returns how many segments
+    were unlinked; a host without ``/dev/shm`` has none to reap.
+
+    A segment is locked just after it is created; a reap that lands in
+    between unlinks a live name, and its sweeps then fail to attach
+    and fall back to exact in-process evaluation.
+    """
+    try:
+        names = [name for name in os.listdir(SHM_DIR) if name.startswith(SEGMENT_PREFIX)]
+    except OSError:
+        return 0
+    reaped = 0
+    for name in names:
+        path = os.path.join(SHM_DIR, name)
+        try:
+            descriptor = os.open(path, os.O_RDONLY)
+        except OSError:
+            continue  # unlinked meanwhile
+        try:
+            fcntl.flock(descriptor, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            os.unlink(path)
+            reaped += 1
+        except OSError:
+            pass  # a live owner holds it, or it is already gone
+        finally:
+            os.close(descriptor)
+    return reaped
 
 
 def _shareable_values(values: Optional[Sequence[Any]]) -> Optional[array]:
@@ -247,12 +299,12 @@ class SegmentStore:
         # segments; the nonce keeps names fresh across publish cycles
         # of the same (uid, version) after a release.
         self._nonce += 1
-        return f"repro-pool-{os.getpid()}-{uid}-v{version}-{column}-{self._nonce}"
+        return f"{self.name_prefix()}{uid}-v{version}-{column}-{self._nonce}"
 
     @staticmethod
     def name_prefix() -> str:
         """The ``/dev/shm`` name prefix of this process's segments."""
-        return f"repro-pool-{os.getpid()}-"
+        return f"{SEGMENT_PREFIX}{os.getpid()}-"
 
     # -- publication ----------------------------------------------------
 
@@ -263,6 +315,9 @@ class SegmentStore:
         segment = shared_memory.SharedMemory(
             create=True, size=max(1, len(column) * 8), name=name
         )
+        # Held on the segment's own descriptor until close(): marks the
+        # segment live for reap_orphaned_segments.
+        fcntl.flock(segment._fd, fcntl.LOCK_SH)  # type: ignore[attr-defined]
         payload = column.tobytes()
         segment.buf[: len(payload)] = payload
         return segment
@@ -950,10 +1005,14 @@ class ResidentWorkerPool:
     def start(
         self, *, counters: Optional[OperationCounters] = None
     ) -> "ResidentWorkerPool":
-        """Fork the workers (idempotent).  The only fork site."""
+        """Fork the workers (idempotent).  The only fork site.
+
+        A first start also reaps the segments of dead owners
+        (:func:`reap_orphaned_segments`)."""
         with self._lock:
             if self._started or not self.usable():
                 return self
+            reap_orphaned_segments()
             before = self.forks_total
             self._workers = [
                 self._spawn_locked(index) for index in range(self.worker_count)

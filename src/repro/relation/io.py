@@ -28,21 +28,22 @@ The loader works a column at a time, so its cost per row is a few
 C-level conversions rather than a chain of per-row calls: records are
 transposed into string columns as they are read, each column is typed
 and converted in one pass, the rows are checked column by column, and
-the relation is built, and fingerprinted, in one piece.
+the checked columns become the relation's own typed columns
+(:meth:`~repro.relation.relation.TemporalRelation.from_columns`).  No
+row object is built; the relation's fingerprint is folded only when
+something first reads it.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 from array import array
-from itertools import compress, repeat
+from itertools import compress
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -54,7 +55,6 @@ from typing import (
 from repro.core.interval import FOREVER, format_instant, parse_instant
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import Attribute, Schema, SchemaError
-from repro.relation.tuples import TemporalTuple
 
 __all__ = [
     "read_csv",
@@ -343,10 +343,9 @@ def read_csv(
     The load runs a column at a time: records are transposed into
     columns as they are read, each column is typed and converted in one
     pass, and the rows are checked as :meth:`TemporalRelation.insert`
-    checks them (interval bounds, NaN values).  The relation is built
-    in one piece, so its :attr:`~TemporalRelation.version` is 0; the
-    cyclic garbage collector is paused meanwhile (the new rows hold no
-    reference cycles) and the caller's setting restored afterwards.
+    checks them (interval bounds, NaN values).  The checked columns
+    become the relation's typed columns in one piece, so its
+    :attr:`~TemporalRelation.version` is 0 and no row object is built.
     Text the file's encoding cannot decode, and records the ``csv``
     module refuses, raise :class:`RelationIOError` too.
 
@@ -408,23 +407,15 @@ def read_csv(
     for row in sorted(errors):
         record = [column[row] for column in cells]
         refuse("row", lines[row], record, errors[row])
-    del cells  # the raw strings; the rows hold only converted values
+    del cells  # the raw strings; the columns hold only converted values
 
-    # tuple.__new__ builds each TemporalTuple without a Python-level call.
-    rows: Iterable[TemporalTuple] = map(
-        tuple.__new__, repeat(TemporalTuple), zip(zip(*values), starts, ends)
-    )
+    columns = [starts, ends, *values]
     if errors:
-        rows = compress(rows, [row not in errors for row in range(len(lines))])
-    # Building and fingerprinting the rows creates no reference cycles,
-    # so a cyclic collection meanwhile would only rescan the new rows.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        relation = TemporalRelation(schema, rows, name=name)
-    finally:
-        if collecting:
-            gc.enable()
+        keep = [row not in errors for row in range(len(lines))]
+        columns = [list(compress(column, keep)) for column in columns]
+    relation = TemporalRelation.from_columns(
+        schema, columns[0], columns[1], columns[2:], name=name
+    )
     if report is not None:
         report.loaded += len(relation)
         relation.quarantine = report

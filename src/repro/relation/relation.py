@@ -1,9 +1,22 @@
-"""In-memory temporal relations.
+"""In-memory temporal relations, stored as typed columns.
 
 A :class:`TemporalRelation` is the substrate every algorithm in this
-package consumes: an ordered bag of :class:`TemporalTuple` rows sharing
-a :class:`~repro.relation.schema.Schema`, each stamped with a closed
-valid-time interval.
+package consumes: an ordered bag of temporal tuples sharing a
+:class:`~repro.relation.schema.Schema`, each stamped with a closed
+valid-time interval.  The paper's evaluators read only each tuple's
+start, end and one attribute, in one scan (Sections 4–6), so the
+relation stores exactly that shape: ``array('q')`` start and end
+columns and one column per attribute — ``array('q')`` for exact
+int64 values, ``array('d')`` for floats, a list otherwise.
+:class:`~repro.relation.tuples.TemporalTuple` rows are built only at
+the row API (iteration, indexing, :meth:`~ColumnarRows.rows`,
+:meth:`~ColumnarRows.scan`, CSV output); the planner, the kernels,
+the TSQL2 filter and GROUP BY read the columns.
+
+Columns are append-only.  A column snapshot handed out at one version
+(:meth:`~ColumnarRows.columns`, or a served snapshot view's pinned
+prefix) keeps the stored columns themselves, and the next mutation
+copies them before it writes, so a snapshot never changes.
 
 Two design points mirror the paper:
 
@@ -27,7 +40,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from hashlib import blake2b
-from operator import add, ge, sub
+from itertools import islice, repeat
+from operator import add, ge, le, sub
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -39,6 +53,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -46,10 +61,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.interval import FOREVER, ORIGIN, Interval, InvalidIntervalError
 from repro.exec.errors import InvalidInput
-from repro.relation.schema import Schema
-from repro.relation.tuples import TemporalTuple, timestamp_sort_key
+from repro.relation.schema import Attribute, Schema
+from repro.relation.tuples import TemporalTuple
 
 __all__ = [
+    "ColumnarRows",
     "TemporalRelation",
     "RelationStatistics",
     "next_relation_uid",
@@ -94,9 +110,10 @@ def fingerprint_rows(rows: Iterable[TemporalTuple], fingerprint: int = 0) -> int
     """Fold ``rows``, in order, onto the chained content ``fingerprint``
     (0 starts a chain from scratch).
 
-    The one fold loop behind every chain: each
-    :class:`TemporalRelation`, heap file and snapshot extends its
-    fingerprint with this as rows are appended.  The chain is
+    The one fold loop behind every chain: a heap file extends its
+    fingerprint with this as rows are appended, and a
+    :class:`TemporalRelation` folds the rows of its columns with it
+    when the fingerprint is read.  The chain is
     order-sensitive (hash mixing, not XOR), so the same rows appended
     in a different order fingerprint differently — exactly the property
     an append-only cache validity check needs.  The fingerprint is a
@@ -229,8 +246,298 @@ def space_counts(starts: Sequence[int], ends: Sequence[int]) -> SpaceCounts:
     )
 
 
-class TemporalRelation:
-    """An ordered, in-memory bag of temporal tuples over one schema."""
+#: A stored attribute column: ``array('q')``, ``array('d')`` or a list.
+Column = Union["array[int]", "array[float]", List[Any]]
+
+#: The exact Python type each typed column stores, by typecode.
+_SCALAR_TYPES = {"q": int, "d": float}
+
+
+def _typed_column(values: Sequence[Any]) -> Column:
+    """``values`` as one stored column.
+
+    ``array('q')`` when every value is an exact ``int`` in int64 range,
+    ``array('d')`` when every value is an exact ``float``, and a list
+    otherwise: strings, and any column holding an ``int`` subclass, a
+    value past int64 or a mix.  A list keeps each value itself, so its
+    repr, and with it the fingerprint, is the value's own.  A typed
+    array or a list is adopted without a copy.
+    """
+    if isinstance(values, array) and values.typecode in _SCALAR_TYPES:
+        return values
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        try:
+            return array("q", values)
+        except OverflowError:
+            pass
+    elif kinds == {float}:
+        return array("d", values)
+    return values if isinstance(values, list) else list(values)
+
+
+def _as_array(times: Sequence[int]) -> "array[int]":
+    if isinstance(times, array) and times.typecode == "q":
+        return times
+    return array("q", times)
+
+
+def _empty_column(attribute: Attribute) -> Column:
+    if attribute.type == "int":
+        return array("q")
+    if attribute.type == "float":
+        return array("d")
+    return []
+
+
+def _extended(column: Column, added: Sequence[Any]) -> Column:
+    """``column`` with ``added`` appended: extended in place while its
+    type holds the new values, else a new list holding both."""
+    if isinstance(column, list):
+        column.extend(added)
+        return column
+    if set(map(type, added)) <= {_SCALAR_TYPES[column.typecode]}:
+        try:
+            column.extend(array(column.typecode, added))
+            return column
+        except OverflowError:
+            pass
+    return column.tolist() + list(added)
+
+
+def _taken(column: Column, indices: Iterable[int]) -> Column:
+    """The cells of ``column`` at ``indices``, in that order, as a
+    column of the same type."""
+    picked = map(column.__getitem__, indices)
+    if isinstance(column, array):
+        return array(column.typecode, picked)
+    return list(picked)
+
+
+class ColumnarRows:
+    """The relation protocol over typed columns, shared by
+    :class:`TemporalRelation` and the serving layer's snapshot views.
+
+    A subclass sets ``schema``, ``name``, ``uid``, ``version``,
+    ``fingerprint``, the columns ``_starts``, ``_ends`` (``array('q')``)
+    and ``_values`` (one :data:`Column` per attribute, schema order),
+    and the memos ``_column_sets`` (a dict) and ``_statistics_cache``
+    (None).  Row objects are built only by the row API: iteration,
+    indexing, :meth:`rows`, :meth:`scan` and :meth:`pretty`.
+    """
+
+    schema: Schema
+    name: str
+    uid: int
+    version: int
+    fingerprint: int
+    scan_count: int
+    _starts: "array[int]"
+    _ends: "array[int]"
+    _values: List[Column]
+    _column_sets: Dict[Tuple[int, Optional[str]], "ColumnSet"]
+    _statistics_cache: Optional[Tuple[int, RelationStatistics]]
+
+    # ------------------------------------------------------------------
+    # Hooks
+    # ------------------------------------------------------------------
+
+    def _count_scan(self) -> None:
+        self.scan_count += 1
+
+    def _share(self) -> Tuple["array[int]", "array[int]", List[Column]]:
+        """The stored columns, for a snapshot that keeps them: they
+        must not change while it lives."""
+        return self._starts, self._ends, self._values
+
+    # ------------------------------------------------------------------
+    # Row API
+    # ------------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._starts)
+
+    def _row_tuples(
+        self, first: int = 0, stop: Optional[int] = None
+    ) -> Iterator[Tuple[Tuple[Any, ...], int, int]]:
+        """Rows ``first:stop`` as plain ``(values, start, end)`` tuples."""
+        starts, ends, values = self._starts, self._ends, self._values
+        if first or (stop is not None and stop != len(starts)):
+            starts, ends = starts[first:stop], ends[first:stop]
+            values = [column[first:stop] for column in values]
+        return zip(zip(*values), starts, ends)
+
+    def __iter__(self) -> Iterator[TemporalTuple]:
+        # tuple.__new__ builds each TemporalTuple without a Python-level call.
+        return map(tuple.__new__, repeat(TemporalTuple), self._row_tuples())
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return self.rows()[index]
+        start = self._starts[index]
+        values = tuple([column[index] for column in self._values])
+        return TemporalTuple(values, start, self._ends[index])
+
+    def rows(self) -> List[TemporalTuple]:
+        """The rows as a new list (mutating it does not affect the relation)."""
+        return list(self)
+
+    def scan(self) -> Iterator[TemporalTuple]:
+        """One sequential scan of the relation, counted for accounting.
+
+        The paper's algorithms all make a single segmented scan of the
+        input (Section 6); Tuma's baseline makes two.  Tests assert on
+        :attr:`scan_count` to verify that property.
+        """
+        self._count_scan()
+        return iter(self)
+
+    def _column(self, attribute: str) -> Column:
+        return self._values[self.schema.position_of(attribute)]
+
+    def scan_triples(
+        self, attribute: Optional[str] = None
+    ) -> Iterator[Tuple[int, int, Any]]:
+        """One counted scan yielding ``(start, end, value)`` triples,
+        zipped from the columns.
+
+        ``attribute`` selects which explicit attribute feeds the
+        aggregate; ``None`` yields ``value=None`` (sufficient for
+        COUNT, which ignores values).
+        """
+        values = repeat(None) if attribute is None else self._column(attribute)
+        self._count_scan()
+        return zip(self._starts, self._ends, values)
+
+    def value_extractor(self, attribute: Optional[str]) -> Callable[[TemporalTuple], Any]:
+        """A fast row accessor for one attribute (None for value-less COUNT)."""
+        if attribute is None:
+            return lambda row: None
+        position = self.schema.position_of(attribute)
+        return lambda row: row.values[position]
+
+    def pretty(self, limit: int = 20) -> str:
+        """A small fixed-width rendering for examples and debugging."""
+        header = " | ".join(self.schema.names()) + " | valid"
+        lines = [header, "-" * len(header)]
+        for row in islice(self, limit):
+            rendered = " | ".join(str(v) for v in row.values)
+            lines.append(f"{rendered} | {row.interval}")
+        if len(self) > limit:
+            lines.append(f"... ({len(self) - limit} more)")
+        return "\n".join(lines)
+
+    # ------------------------------------------------------------------
+    # Columns and statistics
+    # ------------------------------------------------------------------
+
+    def columns(self, attribute: Optional[str] = None) -> "ColumnSet":
+        """This version's flat-column snapshot for ``attribute``.
+
+        The columnar evaluators' feed: the stored start/end columns
+        plus the selected attribute's column (``None`` keeps the
+        snapshot timestamps-only for COUNT), with no copy.  One
+        snapshot per (version, attribute) is memoized, and building it
+        counts as one scan.  A snapshot never changes: appends leave
+        the columns it holds alone.  Callers must treat it as
+        read-only.
+        """
+        from repro.core.columns import ColumnSet
+
+        key = (self.version, attribute)
+        snapshot = self._column_sets.get(key)
+        if snapshot is None:
+            position = None if attribute is None else self.schema.position_of(attribute)
+            self._count_scan()
+            starts, ends, values = self._share()
+            snapshot = self._column_sets.setdefault(
+                key,
+                ColumnSet(
+                    starts,
+                    ends,
+                    None if position is None else values[position],
+                    batches=1,
+                    uid=self.uid,
+                    version=self.version,
+                    column_key=attribute or "",
+                ),
+            )
+        return snapshot
+
+    def statistics(self) -> RelationStatistics:
+        """Summary statistics used by the query planner (Section 6.3).
+
+        Computed from the start/end columns
+        (:func:`statistics_from_columns`) without counting a scan, and
+        cached keyed by :attr:`version`, so any mutation invalidates.
+        """
+        cached = self._statistics_cache
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
+        statistics = statistics_from_columns(self._starts, self._ends)
+        self._statistics_cache = (self.version, statistics)
+        return statistics
+
+    @property
+    def lifespan(self) -> Optional[Interval]:
+        """Hull of all valid-time intervals; None for an empty relation."""
+        if not len(self._starts):
+            return None
+        return Interval(min(self._starts), max(self._ends))
+
+    # ------------------------------------------------------------------
+    # Ordering and selection
+    # ------------------------------------------------------------------
+
+    @property
+    def is_totally_ordered(self) -> bool:
+        """True when rows are sorted by (start, end) — Section 5.2."""
+        keys = list(zip(self._starts, self._ends))
+        return all(map(le, keys, islice(keys, 1, None)))
+
+    def _time_order(self) -> List[int]:
+        """Row positions in the stable sort by ``(start, end)``."""
+        order = list(range(len(self._starts)))
+        order.sort(key=self._ends.__getitem__)
+        order.sort(key=self._starts.__getitem__)
+        return order
+
+    def take(self, indices: Sequence[int], name: str) -> "TemporalRelation":
+        """A new relation of the rows at ``indices``, in that order."""
+        return TemporalRelation.from_columns(
+            self.schema,
+            _taken(self._starts, indices),
+            _taken(self._ends, indices),
+            [_taken(column, indices) for column in self._values],
+            name=name,
+        )
+
+    def sorted_by_time(self, name: Optional[str] = None) -> "TemporalRelation":
+        """A new relation with rows totally ordered by time.
+
+        Sorting is the paper's recommended preprocessing step before the
+        k-ordered tree with k=1 (Section 7).
+        """
+        return self.take(self._time_order(), name or f"{self.name}_sorted")
+
+    def verify_append_chain(self, row_count: int, fingerprint: int) -> bool:
+        """Is :attr:`fingerprint` reachable by appending rows
+        ``row_count:`` onto a prefix fingerprinting ``fingerprint``?
+
+        The cache's delta path trusts (uid, version, watermark) for the
+        fast decision and calls this as the content-level guard: a
+        relation whose prefix was reordered fails the chain and falls
+        back to a full recompute instead of serving stale rows.
+        """
+        if row_count > len(self._starts):
+            return False
+        tail = self._row_tuples(row_count)
+        return fingerprint_rows(tail, fingerprint) == self.fingerprint
+
+
+class TemporalRelation(ColumnarRows):
+    """An ordered, in-memory bag of temporal tuples over one schema,
+    stored as typed append-only columns."""
 
     #: Relations carry the version/fingerprint protocol the shard-result
     #: cache (:mod:`repro.cache`) keys its entries by.
@@ -242,31 +549,38 @@ class TemporalRelation:
         rows: Optional[Iterable[TemporalTuple]] = None,
         name: str = "relation",
     ) -> None:
+        """A relation of already-validated ``(values, start, end)``
+        rows (use :meth:`from_rows` to validate them)."""
         self.schema = schema
         self.name = name
-        self._rows: List[TemporalTuple] = list(rows) if rows is not None else []
         self.scan_count = 0
         self.uid = next_relation_uid()
         #: Monotonically increasing mutation counter; every insert,
         #: extend, and in-place reorder bumps it, so anything derived
         #: from the rows (statistics, cached results) can key on it.
-        #: A relation built from rows starts at 0.
+        #: A relation built in one piece starts at 0.
         self.version = 0
         self._reorder_version = 0
-        self._fingerprint = fingerprint_rows(self._rows)
+        self._starts: "array[int]" = array("q")
+        self._ends: "array[int]" = array("q")
+        self._values: List[Column] = [_empty_column(a) for a in schema.attributes]
+        #: ``(rows folded, fingerprint)``: the chained fingerprint is
+        #: folded when first read and extended over new rows on later
+        #: reads, so relations nobody fingerprints never pay for it.
+        self._fold: Tuple[int, int] = (0, 0)
+        #: True while a snapshot holds the stored columns: the next
+        #: mutation copies them first, so the snapshot never changes.
+        self._shared = False
+        #: Memoized :meth:`columns` snapshots, keyed (version, attribute).
+        self._column_sets: Dict[Tuple[int, Optional[str]], "ColumnSet"] = {}
         self._statistics_cache: Optional[Tuple[int, RelationStatistics]] = None
-        #: Version-keyed flat-column snapshots per attribute (None =
-        #: timestamps only); served until the next mutation bumps
-        #: :attr:`version`.
-        self._columns_cache: dict = {}
-        #: The version's start/end arrays, which every column snapshot
-        #: and the statistics of that version share.
-        self._timestamps_cache: Optional[
-            Tuple[int, "array[int]", "array[int]"]
-        ] = None
         #: Set by ``read_csv(on_error="quarantine")`` to the load's
         #: :class:`~repro.relation.io.QuarantineReport`; None otherwise.
         self.quarantine: Optional[Any] = None
+        if rows is not None:
+            added = list(rows)
+            if added:
+                self._append_rows(added)
 
     # ------------------------------------------------------------------
     # Construction
@@ -286,6 +600,32 @@ class TemporalRelation:
             relation.insert(values, start, end)
         return relation
 
+    @classmethod
+    def from_columns(
+        cls,
+        schema: Schema,
+        starts: Sequence[int],
+        ends: Sequence[int],
+        values: Sequence[Sequence[Any]],
+        name: str = "relation",
+    ) -> "TemporalRelation":
+        """A relation over columns whose rows already pass
+        :meth:`insert`'s checks (they are not re-checked): start and
+        end columns plus one value column per attribute, in schema
+        order, each typed by :func:`_typed_column`."""
+        if len(values) != len(schema):
+            raise ValueError(
+                f"{len(values)} value columns for {len(schema)} attributes"
+            )
+        lengths = {len(starts), len(ends), *map(len, values)}
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
+        relation = cls(schema, name=name)
+        relation._starts = _as_array(starts)
+        relation._ends = _as_array(ends)
+        relation._values = [_typed_column(column) for column in values]
+        return relation
+
     def insert(self, values: Sequence[Any], start: int, end: int) -> TemporalTuple:
         """Validate and append one tuple; returns the stored row.
 
@@ -296,8 +636,8 @@ class TemporalRelation:
         ``InvalidIntervalError``/``ValueError`` for older callers.
         """
         row = self._validated_row(values, start, end)
-        self._rows.append(row)
-        self._note_appended([row])
+        self._append_rows([row])
+        self._mutated()
         return row
 
     def _validated_row(
@@ -344,174 +684,80 @@ class TemporalRelation:
             self._validated_row(values, start, end)
             for values, start, end in rows
         ]
-        if not validated:
-            return 0
-        self._rows.extend(validated)
-        self._note_appended(validated)
+        if validated:
+            self._append_rows(validated)
+            self._mutated()
         return len(validated)
 
     def extend(self, rows: Iterable[TemporalTuple]) -> None:
         """Append already-validated rows (e.g. from another relation)."""
         added = list(rows)
-        if not added:
-            return
-        self._rows.extend(added)
-        self._note_appended(added)
+        if added:
+            self._append_rows(added)
+            self._mutated()
 
-    def _note_appended(self, rows: Sequence[TemporalTuple]) -> None:
-        """Account one append batch: version bump + fingerprint fold."""
-        self._fingerprint = fingerprint_rows(rows, self._fingerprint)
+    def _append_rows(self, rows: Sequence[Tuple[Sequence[Any], int, int]]) -> None:
+        """Append rows to the columns; the caller accounts the mutation."""
+        values, starts, ends = zip(*rows)
+        added_starts, added_ends = array("q", starts), array("q", ends)
+        added = list(zip(*values))
+        if len(added) != len(self._values):
+            raise ValueError(
+                f"rows of {len(added)} values for {len(self._values)} attributes"
+            )
+        if self._shared:
+            self._unshare()
+        self._values = [
+            _extended(column, new) for column, new in zip(self._values, added)
+        ]
+        self._starts.extend(added_starts)
+        self._ends.extend(added_ends)
+
+    def _share(self) -> Tuple["array[int]", "array[int]", List[Column]]:
+        self._shared = True
+        return self._starts, self._ends, self._values
+
+    def _unshare(self) -> None:
+        """Copy the stored columns, leaving the old ones to the
+        snapshots that hold them."""
+        self._starts = self._starts[:]
+        self._ends = self._ends[:]
+        self._values = [column[:] for column in self._values]
+        self._shared = False
+
+    def _mutated(self) -> None:
         self.version += 1
+        self._column_sets = {}
         self._statistics_cache = None
-
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self) -> Iterator[TemporalTuple]:
-        return iter(self._rows)
-
-    def __getitem__(self, index: int) -> TemporalTuple:
-        return self._rows[index]
-
-    def rows(self) -> List[TemporalTuple]:
-        """A copy of the row list (mutating it does not affect the relation)."""
-        return list(self._rows)
-
-    def iter_prefix(self, count: int) -> Iterator[TemporalTuple]:
-        """Yield the first ``count`` rows without copying the row list.
-
-        The serving layer's snapshot views read a pinned prefix of a
-        relation other sessions keep appending to.  Appends only ever
-        grow the underlying list (rows are immutable and never move),
-        so iterating the first ``count`` positions is consistent even
-        while concurrent appends land past them.
-        """
-        return itertools.islice(self._rows, count)
-
-    def scan(self) -> Iterator[TemporalTuple]:
-        """One sequential scan of the relation, counted for accounting.
-
-        The paper's algorithms all make a single segmented scan of the
-        input (Section 6); Tuma's baseline makes two.  Tests assert on
-        :attr:`scan_count` to verify that property.
-        """
-        self.scan_count += 1
-        return iter(self._rows)
-
-    def scan_triples(
-        self, attribute: Optional[str] = None
-    ) -> Iterator[Tuple[int, int, Any]]:
-        """One counted scan yielding ``(start, end, value)`` triples.
-
-        ``attribute`` selects which explicit attribute feeds the
-        aggregate; ``None`` yields ``value=None`` (sufficient for
-        COUNT, which ignores values).
-        """
-        if attribute is None:
-            extractor: Callable[[TemporalTuple], Any] = lambda row: None
-        else:
-            position = self.schema.position_of(attribute)
-            extractor = lambda row: row.values[position]
-        self.scan_count += 1
-        for row in self._rows:
-            yield (row.start, row.end, extractor(row))
-
-    def value_extractor(self, attribute: Optional[str]) -> Callable[[TemporalTuple], Any]:
-        """A fast accessor for one attribute (None for value-less COUNT)."""
-        if attribute is None:
-            return lambda row: None
-        position = self.schema.position_of(attribute)
-        return lambda row: row.values[position]
-
-    def _timestamps(self) -> Tuple["array[int]", "array[int]"]:
-        """This version's start and end columns (uncounted: a column
-        snapshot counts its scan, statistics count none)."""
-        cached = self._timestamps_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1], cached[2]
-        rows = self._rows
-        starts = array("q", [row.start for row in rows])
-        ends = array("q", [row.end for row in rows])
-        self._timestamps_cache = (self.version, starts, ends)
-        return starts, ends
-
-    def columns(self, attribute: Optional[str] = None) -> "ColumnSet":
-        """A version-keyed flat-column snapshot of the relation.
-
-        The columnar evaluators' feed: parallel ``array('q')``
-        start/end columns plus the selected attribute's value column
-        (``None`` keeps the snapshot timestamps-only for COUNT).
-        Building the snapshot counts as one scan; repeat queries at the
-        same version share it without rescanning — the column-layout
-        analogue of the cached :meth:`statistics`.  Every snapshot of
-        one version shares the same start/end arrays.  Callers must
-        treat the snapshot as read-only.
-        """
-        from repro.core.columns import ColumnSet
-
-        cached = self._columns_cache.get(attribute)
-        if cached is not None and cached[0] == self.version:
-            snapshot: ColumnSet = cached[1]
-            return snapshot
-        self.scan_count += 1
-        starts, ends = self._timestamps()
-        values: Optional[List[Any]] = None
-        if attribute is not None:
-            position = self.schema.position_of(attribute)
-            values = [row.values[position] for row in self._rows]
-        snapshot = ColumnSet(
-            starts,
-            ends,
-            values,
-            batches=1,
-            uid=self.uid,
-            version=self.version,
-            column_key=attribute or "",
-        )
-        self._columns_cache[attribute] = (self.version, snapshot)
-        return snapshot
 
     # ------------------------------------------------------------------
     # Ordering
     # ------------------------------------------------------------------
 
-    @property
-    def is_totally_ordered(self) -> bool:
-        """True when rows are sorted by (start, end) — Section 5.2."""
-        rows = self._rows
-        return all(
-            timestamp_sort_key(rows[i]) <= timestamp_sort_key(rows[i + 1])
-            for i in range(len(rows) - 1)
-        )
-
-    def sorted_by_time(self, name: Optional[str] = None) -> "TemporalRelation":
-        """A new relation with rows totally ordered by time.
-
-        Sorting is the paper's recommended preprocessing step before the
-        k-ordered tree with k=1 (Section 7).
-        """
-        ordered = sorted(self._rows, key=timestamp_sort_key)
-        return TemporalRelation(
-            self.schema, ordered, name=name or f"{self.name}_sorted"
-        )
-
     def sort_in_place(self) -> None:
         """Sort this relation's rows by (start, end).
 
         An in-place reorder is *not* an append: the fingerprint is
-        rebuilt from scratch and the append watermark advances, so
+        refolded from scratch and the append watermark advances, so
         cached results computed against the old row order can neither
         pure-hit nor delta-refresh — they must recompute.
         """
-        self._rows.sort(key=timestamp_sort_key)
-        self._fingerprint = fingerprint_rows(self._rows)
-        self.version += 1
+        order = self._time_order()
+        self._starts = _taken(self._starts, order)
+        self._ends = _taken(self._ends, order)
+        self._values = [_taken(column, order) for column in self._values]
+        self._shared = False
+        self._fold = (0, 0)
+        self._mutated()
         self._reorder_version = self.version
-        self._statistics_cache = None
+
+    def reordered(
+        self, permutation: Sequence[int], name: Optional[str] = None
+    ) -> "TemporalRelation":
+        """A new relation with rows permuted by ``permutation``."""
+        if sorted(permutation) != list(range(len(self._starts))):
+            raise ValueError("not a permutation of the row positions")
+        return self.take(permutation, name or f"{self.name}_permuted")
 
     # ------------------------------------------------------------------
     # Result-cache protocol
@@ -519,8 +765,17 @@ class TemporalRelation:
 
     @property
     def fingerprint(self) -> int:
-        """Chained content fingerprint over the rows, in row order."""
-        return self._fingerprint
+        """Chained content fingerprint over the rows, in row order
+        (:func:`fingerprint_rows`), folded on read over the rows not
+        yet folded."""
+        folded, fingerprint = self._fold
+        count = len(self._starts)
+        if folded < count:
+            fingerprint = fingerprint_rows(
+                self._row_tuples(folded, count), fingerprint
+            )
+            self._fold = (count, fingerprint)
+        return fingerprint
 
     @property
     def append_watermark(self) -> int:
@@ -533,102 +788,32 @@ class TemporalRelation:
         """
         return self._reorder_version
 
-    def verify_append_chain(self, row_count: int, fingerprint: int) -> bool:
-        """Is the current content ``fingerprint`` reachable by appending
-        rows ``row_count:`` onto a prefix fingerprinting ``fingerprint``?
-
-        The cache's delta path trusts (uid, version, watermark) for the
-        fast decision and calls this as the content-level guard: a
-        relation whose prefix was edited in place behind the version
-        counter's back fails the chain and falls back to a full
-        recompute instead of serving stale rows.
-        """
-        if row_count > len(self._rows):
-            return False
-        tail = self._rows[row_count:]
-        return fingerprint_rows(tail, fingerprint) == self._fingerprint
-
-    def reordered(
-        self, permutation: Sequence[int], name: Optional[str] = None
-    ) -> "TemporalRelation":
-        """A new relation with rows permuted by ``permutation``."""
-        if sorted(permutation) != list(range(len(self._rows))):
-            raise ValueError("not a permutation of the row positions")
-        rows = [self._rows[i] for i in permutation]
-        return TemporalRelation(
-            self.schema, rows, name=name or f"{self.name}_permuted"
-        )
-
-    # ------------------------------------------------------------------
-    # Statistics
-    # ------------------------------------------------------------------
-
-    @property
-    def lifespan(self) -> Optional[Interval]:
-        """Hull of all valid-time intervals; None for an empty relation."""
-        if not self._rows:
-            return None
-        start = min(row.start for row in self._rows)
-        end = max(row.end for row in self._rows)
-        return Interval(start, end)
-
-    def statistics(self) -> RelationStatistics:
-        """Summary statistics used by the query planner (Section 6.3).
-
-        Computed from the version's start/end columns
-        (:func:`statistics_from_columns`) without counting a scan, and
-        cached keyed by :attr:`version` — any mutation (insert, extend,
-        or in-place reorder) moves the version and invalidates, even if
-        a future mutation path forgets to clear the cache explicitly.
-        """
-        if (
-            self._statistics_cache is not None
-            and self._statistics_cache[0] == self.version
-        ):
-            return self._statistics_cache[1]
-        statistics = statistics_from_columns(*self._timestamps())
-        self._statistics_cache = (self.version, statistics)
-        return statistics
-
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------
 
     def __repr__(self) -> str:
         return (
-            f"TemporalRelation({self.name!r}, {len(self._rows)} tuples, "
+            f"TemporalRelation({self.name!r}, {len(self)} tuples, "
             f"schema={self.schema.names()})"
         )
 
-    def pretty(self, limit: int = 20) -> str:
-        """A small fixed-width rendering for examples and debugging."""
-        header = " | ".join(self.schema.names()) + " | valid"
-        lines = [header, "-" * len(header)]
-        for row in self._rows[:limit]:
-            rendered = " | ".join(str(v) for v in row.values)
-            lines.append(f"{rendered} | {row.interval}")
-        if len(self._rows) > limit:
-            lines.append(f"... ({len(self._rows) - limit} more)")
-        return "\n".join(lines)
-
 
 def partition_relation(
-    relation: Any, attributes: Sequence[str]
+    relation: ColumnarRows, attributes: Sequence[str]
 ) -> Iterator[Tuple[Tuple[Any, ...], TemporalRelation]]:
     """GROUP BY ``attributes``: one scan, then one new relation per group.
 
-    ``relation`` is anything with a ``schema`` and a ``scan()``, such
-    as a relation or a served snapshot view.  Yields ``(key, part)``
-    with ``key`` the tuple of grouping values, in ``repr`` order of the
-    keys.  Each part keeps its rows in input order, so a k-ordered
-    relation yields k-ordered parts; a part is built only when it is
-    reached.
+    ``relation`` is a relation or a served snapshot view.  Yields
+    ``(key, part)`` with ``key`` the tuple of grouping values, in
+    ``repr`` order of the keys.  The scan groups row indices by key;
+    each part takes its rows in input order, so a k-ordered relation
+    yields k-ordered parts, and is built only when it is reached.
     """
-    schema = relation.schema
-    positions = [schema.position_of(name) for name in attributes]
-    parts: Dict[Tuple[Any, ...], List[TemporalTuple]] = {}
-    for row in relation.scan():
-        values = row.values
-        parts.setdefault(tuple([values[p] for p in positions]), []).append(row)
+    relation._count_scan()
+    keys = zip(*[relation._column(name) for name in attributes])
+    parts: Dict[Tuple[Any, ...], List[int]] = {}
+    for index, key in enumerate(keys):
+        parts.setdefault(key, []).append(index)
     for key in sorted(parts, key=repr):
-        yield key, TemporalRelation(schema, parts.pop(key), name="group")
+        yield key, relation.take(parts.pop(key), name="group")

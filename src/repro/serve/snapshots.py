@@ -12,10 +12,11 @@ append-only discipline plus prefix pinning:
 * :meth:`ServedRelation.pin` captures ``(version, row_count,
   fingerprint)`` under that lock and wraps them in a
   :class:`SnapshotView` — a read-only view of the first ``row_count``
-  rows.  Existing rows are immutable and appends only grow the row
-  list, so the view's prefix stays byte-identical no matter how many
-  appends land after the pin (CPython's list append never moves
-  already-published elements under readers).
+  rows.  The view cuts the prefix's columns once, when it is made: it
+  keeps the base relation's stored columns themselves, and the base
+  copies them before its next append writes (copy on write), so the
+  view's columns stay byte-identical no matter how many appends land
+  after the pin.  No relation copy and no row object is built.
 
 A :class:`SnapshotView` speaks the full result-cache protocol with the
 **base relation's uid** and its own pinned version/fingerprint.  That
@@ -36,15 +37,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from itertools import islice
-from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
-from repro.relation.relation import RelationStatistics, TemporalRelation
+from repro.relation.relation import ColumnarRows
 from repro.relation.tuples import TemporalTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.columns import ColumnSet
-    from repro.core.interval import Interval
+    from repro.relation.relation import TemporalRelation
 
 __all__ = ["SnapshotView", "ServedRelation", "PIN_MEMO_LIMIT"]
 
@@ -53,21 +52,21 @@ __all__ = ["SnapshotView", "ServedRelation", "PIN_MEMO_LIMIT"]
 PIN_MEMO_LIMIT = 8
 
 
-class SnapshotView:
+class SnapshotView(ColumnarRows):
     """A read-only prefix of a relation, pinned at one version.
 
-    Presents enough of the :class:`TemporalRelation` surface for the
-    executor and the engine (scan, statistics, columns, sort) plus the
-    full result-cache protocol, all restricted to the pinned prefix.
-    Views are shared across worker threads — every method is safe to
-    call concurrently.
+    Presents the relation protocol of
+    :class:`~repro.relation.relation.ColumnarRows` (rows, scans,
+    statistics, column snapshots, sorting) plus the full result-cache
+    protocol, all over the pinned prefix's columns.  Views are shared
+    across worker threads — every method is safe to call concurrently.
     """
 
     supports_result_cache = True
 
     def __init__(
         self,
-        base: TemporalRelation,
+        base: "TemporalRelation",
         version: int,
         row_count: int,
         fingerprint: int,
@@ -80,54 +79,24 @@ class SnapshotView:
         self.uid = base.uid
         self.version = version
         self.fingerprint = fingerprint
-        self._row_count = row_count
+        starts, ends, values = base._share()
+        if len(starts) != row_count:
+            starts, ends = starts[:row_count], ends[:row_count]
+            values = [column[:row_count] for column in values]
+        self._starts, self._ends, self._values = starts, ends, values
         self._stats_lock = threading.Lock()
         self.scan_count = 0  # ta: guarded-by(self._stats_lock)
-        self._materialize_lock = threading.Lock()
-        # Deliberately lock-free on the read side (double-checked
-        # publication): _working() reads it unlocked on the fast path
-        # and only takes _materialize_lock to build-and-publish once.
-        # Safe under the GIL — the reference assignment is atomic and
-        # the relation is fully built before it is published.
-        self._materialized: Optional[TemporalRelation] = None  # ta: unguarded
+        # One snapshot per attribute, published with dict.setdefault so
+        # concurrent statements share one object (the resident pool ties
+        # a shared-memory publication's lifetime to it).
+        self._column_sets = {}
+        self._statistics_cache = None
 
-    # ------------------------------------------------------------------
-    # Row access (prefix-limited, copy-free)
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._row_count
-
-    def __iter__(self) -> Iterator[TemporalTuple]:
-        return self._base.iter_prefix(self._row_count)
-
-    def rows(self) -> List[TemporalTuple]:
-        return list(self._base.iter_prefix(self._row_count))
-
-    def scan(self) -> Iterator[TemporalTuple]:
-        # Views are shared across worker threads; the unlocked += here
+    def _count_scan(self) -> None:
+        # Views are shared across worker threads; an unlocked += here
         # was a lost-update race between concurrent statements.
         with self._stats_lock:
             self.scan_count += 1
-        return self._base.iter_prefix(self._row_count)
-
-    def scan_triples(
-        self, attribute: Optional[str] = None
-    ) -> Iterator[Tuple[int, int, Any]]:
-        extractor = self.value_extractor(attribute)
-        with self._stats_lock:
-            self.scan_count += 1
-        for row in self._base.iter_prefix(self._row_count):
-            yield (row.start, row.end, extractor(row))
-
-    def value_extractor(
-        self, attribute: Optional[str]
-    ) -> Callable[[TemporalTuple], Any]:
-        return self._base.value_extractor(attribute)
-
-    # ------------------------------------------------------------------
-    # Result-cache protocol (prefix-limited)
-    # ------------------------------------------------------------------
 
     @property
     def append_watermark(self) -> int:
@@ -137,66 +106,17 @@ class SnapshotView:
         # instead of silently serving stale rows.
         return self._base.append_watermark
 
-    def verify_append_chain(self, row_count: int, fingerprint: int) -> bool:
-        """Is this view's pinned fingerprint reachable by appending rows
-        ``row_count:`` of the pinned prefix onto ``fingerprint``?"""
-        from repro.relation.relation import fingerprint_rows
-
-        if row_count > self._row_count:
-            return False
-        tail = islice(self._base.iter_prefix(self._row_count), row_count, None)
-        return fingerprint_rows(tail, fingerprint) == self.fingerprint
-
-    # ------------------------------------------------------------------
-    # Derived structures (via a lazily materialized private copy)
-    # ------------------------------------------------------------------
-
-    def _working(self) -> TemporalRelation:
-        """A private materialized copy of the pinned prefix.
-
-        Statistics, column snapshots, and sort-first plans want a plain
-        relation; building one per view (not per statement — views are
-        memoized per version) keeps those paths unchanged.  Lazy and
-        double-checked: concurrent statements sharing the view build it
-        once.
-        """
-        materialized = self._materialized
-        if materialized is None:
-            with self._materialize_lock:
-                materialized = self._materialized
-                if materialized is None:
-                    materialized = TemporalRelation(
-                        self.schema,
-                        self._base.iter_prefix(self._row_count),
-                        name=self.name,
-                    )
-                    self._materialized = materialized
-        return materialized
-
-    def statistics(self) -> RelationStatistics:
-        return self._working().statistics()
-
-    def sorted_by_time(self, name: Optional[str] = None) -> TemporalRelation:
-        return self._working().sorted_by_time(name)
-
-    def columns(self, attribute: Optional[str] = None) -> "ColumnSet":
-        return self._working().columns(attribute)
-
-    @property
-    def lifespan(self) -> Optional["Interval"]:
-        return self._working().lifespan
-
     def __repr__(self) -> str:
         return (
             f"SnapshotView({self._base.name!r} uid={self.uid} "
-            f"v{self.version}, {self._row_count} rows)"
+            f"v{self.version}, {len(self)} rows)"
         )
 
 
 class ServedRelation:
     """One relation behind the server: locked appends, memoized pins."""
 
-    def __init__(self, base: TemporalRelation, name: Optional[str] = None) -> None:
+    def __init__(self, base: "TemporalRelation", name: Optional[str] = None) -> None:
         self.base = base
         self.name = name or base.name
         self._lock = threading.Lock()
@@ -208,7 +128,7 @@ class ServedRelation:
         The (version, row_count, fingerprint) triple is read under the
         append lock, so a pin can never observe a half-applied batch.
         Views are memoized per version: concurrent statements at the
-        same version share one view (and its materialized copy).
+        same version share one view (and its column snapshots).
         """
         with self._lock:
             version = self.base.version

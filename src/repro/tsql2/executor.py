@@ -3,12 +3,19 @@
 The executor glues the query language to the evaluation engine:
 
 1. parse the query text;
-2. semantic checks (table and attributes exist, bare select columns
-   are grouped, span grouping has a bounded window, hinted algorithms
-   are known);
+2. semantic checks, before any row is read (table and attributes
+   exist, bare select columns are grouped, span grouping has a bounded
+   window, hinted algorithms are known, and the types work: literals
+   match the attribute or item they are compared with, SUM/AVG read
+   numeric attributes, arithmetic has numeric operands, windows start
+   by their end);
 3. pick the statement's one source relation: the registered relation
-   itself, or one relation of the rows the WHERE qualification keeps
-   (GROUP BY builds one per partition);
+   itself, or one relation of the rows the WHERE qualification keeps.
+   The qualification runs on the columns: each condition narrows a
+   list of row indices (``VALID OVERLAPS`` on the start/end columns, a
+   comparison on the attribute's column), and the qualifying relation
+   takes the surviving rows.  GROUP BY groups row indices by key and
+   takes one relation per partition;
 4. evaluate every aggregate call through
    :func:`~repro.core.engine.temporal_aggregate` with the hinted
    algorithm — or the Section 6.3 planner's choice for that aggregate
@@ -36,7 +43,8 @@ from repro.core.planner import choose_strategy, named_plan
 from repro.core.result import TemporalAggregateResult
 from repro.core.span_grouping import span_aggregate
 from repro.exec.deadline import Deadline
-from repro.relation.relation import TemporalRelation, partition_relation, space_counts
+from repro.relation.relation import ColumnarRows, partition_relation, space_counts
+from repro.relation.schema import Schema
 from repro.tsql2.ast import (
     AggregateCall,
     BinaryOp,
@@ -291,19 +299,112 @@ class _Shaper:
         return shaped
 
 
+# ---------------------------------------------------------------------------
+# Type checks
+# ---------------------------------------------------------------------------
+
+#: Aggregates that need a numeric attribute (and yield a number).
+_NUMERIC_ARGUMENT = frozenset({"sum", "avg", "variance", "stddev"})
+
+#: Aggregates that yield a number (a bool for ANY/EVERY) whatever they read.
+_NUMERIC_RESULT = _NUMERIC_ARGUMENT | {"count", "any", "every"}
+
+
+def _attribute_kind(schema: Schema, name: str) -> str:
+    """``"numeric"`` for int and float attributes, else ``"string"``."""
+    return "string" if schema.attribute(name).type == "str" else "numeric"
+
+
+def _literal_kind(value: Any) -> str:
+    return "string" if isinstance(value, str) else "numeric"
+
+
+def _item_kind(item: Any, schema: Schema) -> Optional[str]:
+    """The kind of value a select item or HAVING operand yields: COUNT
+    is numeric, SUM/AVG numeric, MIN/MAX the attribute's kind, and
+    arithmetic numeric over numeric operands only.  None for an
+    aggregate whose result type is not known here."""
+    if isinstance(item, Literal):
+        return _literal_kind(item.value)
+    if isinstance(item, AggregateCall):
+        if item.function in _NUMERIC_RESULT:
+            return "numeric"
+        if item.function in ("min", "max") and item.argument is not None:
+            return _attribute_kind(schema, item.argument)
+        return None
+    if isinstance(item, BinaryOp):
+        for operand in (item.left, item.right):
+            if _item_kind(operand, schema) == "string":
+                raise TSQL2SemanticError(
+                    f"arithmetic {item.label()!r} needs numeric operands; "
+                    f"{operand.label()} is a string"
+                )
+        return "numeric"
+    return None
+
+
+def _check_window(window: Tuple[int, int], clause: str) -> None:
+    if window[0] > window[1]:
+        raise TSQL2SemanticError(
+            f"{clause} window [{window[0]}, {window[1]}] starts after it ends"
+        )
+
+
+def _check_types(query: Query, schema: Schema) -> None:
+    """Refuse a statement whose types cannot work, before any row is
+    read: numeric attributes compare only with numeric literals and
+    string attributes with string literals (``=`` and ``<>``
+    included), SUM/AVG read numeric attributes, HAVING and arithmetic
+    operands take their item's kind, and a window starts by its end."""
+    for call in query.aggregate_calls():
+        if (
+            call.function in _NUMERIC_ARGUMENT
+            and call.argument is not None
+            and _attribute_kind(schema, call.argument) != "numeric"
+        ):
+            raise TSQL2SemanticError(
+                f"{call.label()} needs a numeric attribute; "
+                f"{call.argument!r} is a string"
+            )
+    for condition in query.where:
+        if isinstance(condition, ValidOverlaps):
+            _check_window((condition.start, condition.end), "VALID OVERLAPS")
+            continue
+        kind = _attribute_kind(schema, condition.attribute)
+        if _literal_kind(condition.literal) != kind:
+            raise TSQL2SemanticError(
+                f"WHERE {condition.attribute} {condition.operator} "
+                f"{condition.literal!r} compares a {kind} attribute with a "
+                f"{_literal_kind(condition.literal)} literal"
+            )
+    for item in query.select:
+        _item_kind(item, schema)
+    for having in query.having:
+        kind = _item_kind(having.item, schema)
+        if kind is not None and _literal_kind(having.literal) != kind:
+            raise TSQL2SemanticError(
+                f"HAVING {having.item.label()} {having.operator} "
+                f"{having.literal!r} compares a {kind} value with a "
+                f"{_literal_kind(having.literal)} literal"
+            )
+    if query.group_by.window is not None:
+        _check_window(query.group_by.window, "GROUP BY SPAN")
+
+
 class Database:
     """A named collection of temporal relations accepting TSQL2-lite."""
 
     def __init__(self) -> None:
-        self._relations: Dict[str, TemporalRelation] = {}
+        self._relations: Dict[str, ColumnarRows] = {}
 
     def register(
-        self, relation: TemporalRelation, name: Optional[str] = None
+        self, relation: ColumnarRows, name: Optional[str] = None
     ) -> None:
-        """Make ``relation`` queryable under ``name`` (default: its own)."""
+        """Make ``relation`` (a relation, or a served snapshot view)
+        queryable under ``name`` (default: its own)."""
         self._relations[(name or relation.name).lower()] = relation
 
-    def relation(self, name: str) -> TemporalRelation:
+    def relation(self, name: str) -> ColumnarRows:
         try:
             return self._relations[name.lower()]
         except KeyError:
@@ -345,10 +446,8 @@ class Database:
         strategy, k = _strategy(query)
         source = relation
         if query.where:
-            source = TemporalRelation(
-                relation.schema,
-                self._apply_where(query, relation),
-                name="qualifying",
+            source = relation.take(
+                self._apply_where(query, relation), name="qualifying"
             )
 
         if query.explain:
@@ -376,7 +475,7 @@ class Database:
     def _explain(
         self,
         query: Query,
-        source: TemporalRelation,
+        source: ColumnarRows,
         strategy: str,
         k: Optional[int],
         memory_budget_bytes: Optional[int],
@@ -428,7 +527,7 @@ class Database:
     # Checks and filtering
     # ------------------------------------------------------------------
 
-    def _check_semantics(self, query: Query, relation: TemporalRelation) -> None:
+    def _check_semantics(self, query: Query, relation: ColumnarRows) -> None:
         schema = relation.schema
         for call in query.aggregate_calls():
             aggregate = coerce_aggregate(call.function)
@@ -465,26 +564,30 @@ class Database:
                     f"WHERE attribute {condition.attribute!r} is not an "
                     f"attribute of {query.table!r}"
                 )
+        _check_types(query, schema)
 
-    def _apply_where(self, query: Query, relation: TemporalRelation) -> List:
-        """The rows of ``relation`` the WHERE qualification keeps."""
-        rows = list(relation.scan())
+    def _apply_where(self, query: Query, relation: ColumnarRows) -> List[int]:
+        """The row indices of ``relation`` the WHERE qualification keeps.
+
+        Conditions apply in order, each over the rows the previous ones
+        kept: ``VALID OVERLAPS`` on the start and end columns, a
+        comparison on the attribute's column.
+        """
+        kept: Sequence[int] = range(len(relation))
         for condition in query.where:
             if isinstance(condition, ValidOverlaps):
-                window = Interval(condition.start, condition.end)
-                rows = [
-                    row
-                    for row in rows
-                    if row.start <= window.end and window.start <= row.end
-                ]
+                timestamps = relation.columns(None)
+                starts, ends = timestamps.starts, timestamps.ends
+                first, last = condition.start, condition.end
+                kept = [i for i in kept if starts[i] <= last and first <= ends[i]]
             else:
-                position = relation.schema.position_of(condition.attribute)
-                compare = _COMPARATORS[condition.operator]
-                literal = condition.literal
-                rows = [
-                    row for row in rows if compare(row.values[position], literal)
-                ]
-        return rows
+                column = relation.columns(condition.attribute).values
+                cells = map(column.__getitem__, kept)
+                passes = map(
+                    _COMPARATORS[condition.operator], cells, repeat(condition.literal)
+                )
+                kept = list(compress(kept, passes))
+        return list(kept)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -493,7 +596,7 @@ class Database:
     def _aggregate(
         self,
         query: Query,
-        source: TemporalRelation,
+        source: ColumnarRows,
         strategy: str,
         k: Optional[int],
         deadline: Optional[Deadline],
@@ -521,7 +624,7 @@ class Database:
     def _execute_grouped(
         self,
         query: Query,
-        source: TemporalRelation,
+        source: ColumnarRows,
         shaper: _Shaper,
         strategy: str,
         k: Optional[int],
@@ -555,7 +658,7 @@ class Database:
     def _execute_span(
         self,
         query: Query,
-        source: TemporalRelation,
+        source: ColumnarRows,
         shaper: _Shaper,
         deadline: Optional[Deadline],
     ) -> QueryResult:

@@ -12,6 +12,7 @@ import gc
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -371,7 +372,9 @@ class TestHygiene:
             )
             assert store.live_segment_names()
         assert store.live_keys() == []
-        assert shm_names() == before
+        # Starting the pool may reap a dead owner's segments, so the
+        # names may only shrink: none of this store's survives.
+        assert shm_names() <= before
 
     def test_lru_eviction_bounds_resident_segments(self):
         store = SegmentStore(max_resident=2)
@@ -471,7 +474,65 @@ class TestHygiene:
                     starts, ends, values, windows, "sum",
                     uid=914, version=1, column_key="salary", retry=FAST_RETRY,
                 )
-        assert shm_names() == before
+        assert shm_names() <= before  # pool start may reap dead owners'
+
+
+PUBLISH_SCRIPT = """
+import sys
+from array import array
+from repro.exec.pool import SegmentStore
+store = SegmentStore()
+store.publish(1, 1, array("q", [1, 2]), array("q", [3, 4]), None)
+print(" ".join(store.live_segment_names()), flush=True)
+sys.stdin.readline()
+store.shutdown()
+"""
+
+
+class TestOrphanReaping:
+    """A pool start unlinks the segments of owners that died without
+    cleaning up, and leaves a live owner's alone."""
+
+    @staticmethod
+    def publisher():
+        """A subprocess, leading its own process group, that publishes
+        one snapshot and waits for a line on stdin before shutting its
+        store down."""
+        src = os.path.join(
+            os.path.dirname(os.path.abspath(__file__)), "..", "..", "src"
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", PUBLISH_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        names = set(process.stdout.readline().split())
+        assert len(names) == 2 and names <= shm_names()
+        return process, names
+
+    def test_start_reaps_a_killed_owners_segments(self):
+        process, names = self.publisher()
+        # SIGKILL the owner and its resource tracker together, as a
+        # harness that kills the process group does: nothing is left
+        # alive to unlink the names.
+        os.killpg(process.pid, signal.SIGKILL)
+        process.wait(timeout=30)
+        process.stdin.close()
+        process.stdout.close()
+        assert names <= shm_names()
+        with ResidentWorkerPool(1, store=SegmentStore()):
+            pass
+        assert not names & shm_names()
+
+    def test_start_spares_a_live_owners_segments(self):
+        process, names = self.publisher()
+        try:
+            with ResidentWorkerPool(1, store=SegmentStore()):
+                assert names <= shm_names()
+        finally:
+            process.communicate("\n", timeout=30)
+        assert not names & shm_names()
 
 
 class TestCachedEvaluatorPoolPath:

@@ -110,7 +110,8 @@ class TestReadErrors:
 
 
 class TestGarbageCollectorState:
-    """The load pauses the cyclic GC and hands back the caller's setting."""
+    """The load leaves the caller's cyclic-GC setting as it found it,
+    whether the build succeeds or fails."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_caller_setting_restored(self, enabled):
@@ -126,7 +127,9 @@ class TestGarbageCollectorState:
         def broken(*_args, **_kwargs):
             raise MemoryError("no room for the rows")
 
-        monkeypatch.setattr("repro.relation.io.TemporalRelation", broken)
+        monkeypatch.setattr(
+            "repro.relation.io.TemporalRelation.from_columns", broken
+        )
         gc.enable()
         with pytest.raises(MemoryError):
             from_csv_text(EMPLOYED_CSV)

@@ -254,7 +254,7 @@ class TestPoolBackedSwarm:
                 stats = client.stats()
             assert stats["pool"]["forks"] == 1
             assert stats["pool"]["live_segments"] > 0
-        assert shm_names() == before
+        assert shm_names() <= before  # pool start may reap dead owners'
 
 
 class TestPoolOff:

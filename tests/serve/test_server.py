@@ -99,6 +99,17 @@ class TestQueries:
                 # The session survives a failed statement.
                 assert client.query(COUNT).rows
 
+    def test_type_mistake_is_a_typed_remote_error(self):
+        """A TSQL2 type mistake is refused from the schema as a semantic
+        error frame, not reported as an internal error mid-scan."""
+        with serve() as runner:
+            with QueryClient(runner.host, runner.port) as client:
+                with pytest.raises(RemoteQueryError) as info:
+                    client.query("SELECT COUNT(name) FROM jobs WHERE salary > 'abc'")
+                assert info.value.remote_type == "TSQL2SemanticError"
+                assert "internal error" not in str(info.value)
+                assert client.query(COUNT).rows
+
     def test_syntax_error_is_typed(self):
         with serve() as runner:
             with QueryClient(runner.host, runner.port) as client:

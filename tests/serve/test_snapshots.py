@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -147,20 +148,37 @@ class TestCacheProtocol:
         assert cache.counters.cache_misses == 1
 
 
-class TestConcurrentMaterialization:
-    def test_working_copy_is_built_once(self):
-        view = served(32).pin()
-        barrier = threading.Barrier(4)
+class TestConcurrentViewReads:
+    def test_concurrent_readers_share_one_column_snapshot(self):
+        """Statements sharing a view get one ColumnSet per attribute —
+        the object a pool publication's lifetime is tied to — and
+        consistent statistics, with no materialised copy to build."""
+        relation = served(32)
+        view = relation.pin()
+        barrier = threading.Barrier(8)
         seen = []
 
         def touch():
             barrier.wait(timeout=10.0)
-            seen.append(view.statistics())
+            seen.append((view.statistics(), view.columns("salary")))
+            for _ in range(200):
+                view.scan()
 
-        threads = [threading.Thread(target=touch) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert len(seen) == 4
-        assert all(s.tuple_count == 32 for s in seen)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=touch) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8
+        assert all(stats.tuple_count == 32 for stats, _ in seen)
+        assert len({id(columns) for _, columns in seen}) == 1
+        assert seen[0][1].values is relation.base.columns("salary").values
+        # One counted scan for the column snapshot, then 8 x 200: a lost
+        # update between threads would show here.
+        assert view.scan_count == 1 + 8 * 200

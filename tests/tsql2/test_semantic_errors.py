@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.relation.relation import TemporalRelation
 from repro.tsql2.executor import Database, TSQL2SemanticError
 from repro.workload.employed import employed_relation
 
@@ -66,3 +67,44 @@ class TestSelectListRules:
     def test_query_without_aggregate_rejected(self, db):
         with pytest.raises(TSQL2SemanticError, match="aggregate"):
             db.execute("SELECT Name FROM Employed GROUP BY Name")
+
+
+class TestTypeRefusals:
+    """A statement whose types cannot work is refused from the schema,
+    before any row is read — over an empty relation too."""
+
+    STATEMENTS = [
+        "SELECT COUNT(name) FROM Employed WHERE salary > 'abc'",
+        "SELECT COUNT(name) FROM Employed WHERE name > 5",
+        "SELECT COUNT(name) FROM Employed HAVING COUNT(name) > 'x'",
+        "SELECT MAX(name) FROM Employed HAVING MAX(name) > 3",
+        "SELECT SUM(name) FROM Employed",
+        "SELECT AVG(name) FROM Employed",
+        "SELECT MAX(name) + 1 FROM Employed",
+        "SELECT COUNT(name) FROM Employed WHERE VALID OVERLAPS [10, 5]",
+    ]
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["employed", "empty"])
+    @pytest.mark.parametrize("text", STATEMENTS)
+    def test_refused_before_any_row_is_read(self, text, empty):
+        relation = employed_relation()
+        if empty:
+            relation = TemporalRelation(relation.schema, name="Employed")
+        database = Database()
+        database.register(relation)
+        with pytest.raises(TSQL2SemanticError):
+            database.execute(text)
+        assert relation.scan_count == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT COUNT(name) FROM Employed WHERE name = 'Karen'",
+            "SELECT COUNT(name) FROM Employed WHERE salary <> 40000",
+            "SELECT MIN(name) FROM Employed HAVING MIN(name) >= 'K'",
+            "SELECT MAX(salary) - MIN(salary) FROM Employed HAVING COUNT(name) > 1",
+            "SELECT COUNT(name) FROM Employed WHERE VALID OVERLAPS [5, 5]",
+        ],
+    )
+    def test_well_typed_statements_still_run(self, db, text):
+        assert len(db.execute(text)) >= 1
