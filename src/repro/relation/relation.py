@@ -448,20 +448,21 @@ class ColumnarRows:
         snapshot = self._column_sets.get(key)
         if snapshot is None:
             position = None if attribute is None else self.schema.position_of(attribute)
-            self._count_scan()
             starts, ends, values = self._share()
-            snapshot = self._column_sets.setdefault(
-                key,
-                ColumnSet(
-                    starts,
-                    ends,
-                    None if position is None else values[position],
-                    batches=1,
-                    uid=self.uid,
-                    version=self.version,
-                    column_key=attribute or "",
-                ),
+            built = ColumnSet(
+                starts,
+                ends,
+                None if position is None else values[position],
+                batches=1,
+                uid=self.uid,
+                version=self.version,
+                column_key=attribute or "",
             )
+            snapshot = self._column_sets.setdefault(key, built)
+            # Threads racing to build the first snapshot each build one;
+            # only the published one counts as the scan.
+            if snapshot is built:
+                self._count_scan()
         return snapshot
 
     def statistics(self) -> RelationStatistics:

@@ -9,8 +9,8 @@ from other sessions never tear a result.
 
 Layering (each module only looks down):
 
-* :mod:`repro.serve.protocol` — length-prefixed JSON frames, the whole
-  wire format.
+* :mod:`repro.serve.protocol` — length-prefixed frames, the whole wire
+  format: JSON frames, and column frames for query answers.
 * :mod:`repro.serve.config` — :class:`ServerConfig`, every knob in one
   frozen dataclass.
 * :mod:`repro.serve.admission` — the session, per-session queue and

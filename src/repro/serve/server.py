@@ -31,7 +31,7 @@ import asyncio
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.cache.store import default_cache
 from repro.exec.errors import (
@@ -49,6 +49,7 @@ from repro.serve.protocol import ConnectionClosed, FrameError, read_frame, write
 from repro.serve.scheduler import FairScheduler, Statement
 from repro.serve.session import Session
 from repro.serve.snapshots import ServedRelation
+from repro.tsql2.ast import Query
 from repro.tsql2.executor import Database, TSQL2SemanticError
 from repro.tsql2.lexer import TSQL2SyntaxError
 from repro.tsql2.parser import parse
@@ -422,8 +423,10 @@ class QueryServer:
         if self.config.debug_statement_delay_ms:
             time.sleep(self.config.debug_statement_delay_ms / 1000.0)
 
-    def _pin_at_admit(self, session: Session, text: Any) -> "Optional[tuple]":
-        """Pin a query's snapshot at admission, when that is sound.
+    def _pin_at_admit(
+        self, session: Session, query: Query, text: str
+    ) -> "Optional[tuple]":
+        """Pin a parsed query's snapshot at admission, when that is sound.
 
         Pinning early is what makes two identical queries from
         different sessions *provably* the same work — both carry the
@@ -437,13 +440,10 @@ class QueryServer:
         """
         if session.queue or session.in_flight:
             return None
-        if not isinstance(text, str) or not text.strip():
-            return None
         try:
-            query = parse(text)
             served = self.served(query.table)
             view = served.pin()
-        except (TSQL2SyntaxError, TSQL2SemanticError, TemporalAggregateError):
+        except (TSQL2SemanticError, TemporalAggregateError):
             # Let the run-time path produce the (uncoalesced) error.
             return None
         key = ("query", served.name.lower(), view.version, text.strip())
@@ -454,24 +454,36 @@ class QueryServer:
     ) -> Statement:
         text = frame.get("text")
         token = frame.get("token")
+        # The statement is parsed once, here at admission; the run
+        # executes the parsed query.  A syntax error is answered when
+        # the statement's turn comes, in order with the session's
+        # other replies.
+        parsed: Union[Query, Exception]
+        if not isinstance(text, str) or not text.strip():
+            parsed = TSQL2SemanticError("query op needs a non-empty 'text'")
+        else:
+            try:
+                parsed = parse(text)
+            except TSQL2SyntaxError as error:
+                parsed = error
         # A read token must be checked against the freshest view, and a
         # tokened query must never coalesce with a tokenless flight
         # (the follower would receive rows instead of the typed lag
         # refusal) — so tokened queries always pin at run time.
-        pinned = None if token is not None else self._pin_at_admit(session, text)
+        pinned = None
+        if isinstance(parsed, Query) and token is None:
+            pinned = self._pin_at_admit(session, parsed, text)
 
         def run() -> Dict[str, Any]:
             started = time.perf_counter()
             self._debug_delay()
-            if not isinstance(text, str) or not text.strip():
-                return _error_frame(
-                    TSQL2SemanticError("query op needs a non-empty 'text'")
-                )
+            if not isinstance(parsed, Query):
+                return _error_frame(parsed)
+            query = parsed
             try:
                 if pinned is not None:
                     served, view = pinned[0], pinned[1]
                 else:
-                    query = parse(text)
                     served = self.served(query.table)
                     view = served.pin()
                 if token is not None:
@@ -479,7 +491,7 @@ class QueryServer:
                 database = Database()
                 database.register(view, name=served.name)
                 result = database.execute(
-                    text,
+                    query,
                     deadline_ms=self.config.deadline_ms,
                     memory_budget_bytes=self.config.memory_budget_bytes,
                 )
@@ -493,9 +505,9 @@ class QueryServer:
                 "ok": True,
                 "op": "query",
                 "columns": list(result.columns),
-                # Row tuples zipped from the result's columns; JSON
-                # encodes them exactly as it encodes lists.
-                "rows": result.rows,
+                # The answer's columns, sent as a column frame
+                # (repro.serve.protocol); no row is built here.
+                "data": result.data,
                 "pinned": {
                     "table": served.name,
                     "version": view.version,

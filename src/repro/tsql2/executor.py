@@ -2,7 +2,8 @@
 
 The executor glues the query language to the evaluation engine:
 
-1. parse the query text;
+1. parse the query text (a caller that parsed it already, as the query
+   server does at admission, passes the :class:`~repro.tsql2.ast.Query`);
 2. semantic checks, before any row is read (table and attributes
    exist, bare select columns are grouped, span grouping has a bounded
    window, hinted algorithms are known, and the types work: literals
@@ -33,7 +34,7 @@ from __future__ import annotations
 import operator
 from array import array
 from itertools import compress, repeat
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.base import coerce_aggregate
 from repro.core.engine import STRATEGIES, temporal_aggregate
@@ -129,6 +130,12 @@ class QueryResult:
         if self._rows is None:
             self._rows = list(zip(*self._data))
         return self._rows
+
+    @property
+    def data(self) -> List[Sequence[Any]]:
+        """One sequence per column, in column order: the stored columns
+        themselves, no rows built.  Callers must not mutate them."""
+        return self._data
 
     def __len__(self) -> int:
         return len(self._data[0]) if self._data else 0
@@ -419,13 +426,14 @@ class Database:
 
     def execute(
         self,
-        text: str,
+        statement: Union[str, Query],
         *,
         keep_empty: bool = True,
         deadline_ms: Optional[float] = None,
         memory_budget_bytes: Optional[int] = None,
     ) -> QueryResult:
-        """Parse and run one query.
+        """Run one query: its text, parsed here, or an already parsed
+        :class:`~repro.tsql2.ast.Query`.
 
         ``keep_empty=False`` drops rows whose aggregate values are all
         empty (None, or 0 for COUNT) — TSQL2's presentation of Table 1.
@@ -440,7 +448,7 @@ class Database:
         plan's bound does (:mod:`repro.core.planner`).
         """
         deadline = Deadline.after_ms(deadline_ms)
-        query = parse(text)
+        query = parse(statement) if isinstance(statement, str) else statement
         relation = self.relation(query.table)
         self._check_semantics(query, relation)
         strategy, k = _strategy(query)

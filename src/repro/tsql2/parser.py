@@ -341,5 +341,12 @@ class _Parser:
 
 
 def parse(text: str) -> Query:
-    """Parse one TSQL2-lite query into a :class:`~repro.tsql2.ast.Query`."""
-    return _Parser(text).parse_query()
+    """Parse one TSQL2-lite query into a :class:`~repro.tsql2.ast.Query`.
+
+    Raises :class:`TSQL2SyntaxError`, also for a statement nested past
+    the interpreter's recursion limit.
+    """
+    try:
+        return _Parser(text).parse_query()
+    except RecursionError:
+        raise TSQL2SyntaxError("statement is nested too deeply", 0) from None

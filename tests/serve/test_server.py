@@ -13,15 +13,44 @@ import time
 
 import pytest
 
+from repro.analysis import invariants
 from repro.exec.errors import DeadlineExceeded, ServerOverloaded
-from repro.serve import QueryClient, RemoteQueryError
-from repro.serve.protocol import recv_frame, send_frame
+from repro.serve import QueryClient, RemoteQueryError, protocol
+from repro.serve import server as server_module
+from repro.serve.protocol import encode_frame, recv_frame, send_frame
+from repro.tsql2 import executor
 from repro.tsql2.executor import Database
+from repro.tsql2.parser import parse
 
 from tests.serve.conftest import make_relation, serve
 
 COUNT = "SELECT COUNT(name) FROM jobs"
 MIXED = "SELECT COUNT(name), SUM(salary), MIN(salary), MAX(salary), AVG(salary) FROM jobs"
+EMPTY = "SELECT COUNT(name) FROM jobs HAVING COUNT(name) > 1000"
+
+#: The served differential's statements: the five aggregates, all five
+#: in one statement, a filtered and grouped statement with HAVING (a
+#: string column and gapped starts), an EXPLAIN (string and number
+#: cells in one column) and an empty answer.
+STATEMENTS = [
+    COUNT,
+    "SELECT SUM(salary) FROM jobs",
+    "SELECT MIN(salary) FROM jobs",
+    "SELECT MAX(salary) FROM jobs",
+    "SELECT AVG(salary) FROM jobs",
+    MIXED,
+    "SELECT name, COUNT(name), AVG(salary) FROM jobs WHERE salary > 200 "
+    "GROUP BY name HAVING COUNT(name) > 0",
+    "EXPLAIN SELECT AVG(salary) FROM jobs",
+    EMPTY,
+]
+
+#: Bodies that are not a request: garbage, and a column frame (a reply
+#: kind the server never accepts).
+GARBLED = [
+    b"\xff\xfe not json \x00",
+    encode_frame({"ok": True, "columns": ["v"], "data": [[1, 2]]})[4:],
+]
 
 
 def serial_rows(n, text):
@@ -74,12 +103,61 @@ class TestSessionLifecycle:
 
 class TestQueries:
     def test_query_matches_serial_execution(self):
+        """The served differential: each statement's rows, read through
+        the client, equal ``Database.execute``'s on the same relation,
+        as configured and with the runtime invariant verifier forced on
+        (``REPRO_CHECK_INVARIANTS=1``)."""
+        for checked in (False, True):
+            if checked:
+                invariants.enable()
+            try:
+                with serve() as runner:
+                    with QueryClient(runner.host, runner.port) as client:
+                        for text in STATEMENTS:
+                            reply = client.query(text)
+                            assert reply.pinned_table == "jobs"
+                            assert reply.pinned_row_count == 64
+                            # repr tells 1 from 1.0 from True.
+                            assert repr(reply.rows) == repr(
+                                serial_rows(64, text)
+                            ), text
+            finally:
+                invariants.reset_to_env()
+
+    def test_an_admitted_read_parses_once(self, monkeypatch):
+        """Pinned at admission, pinned at run time (pipelined behind
+        the session's own statement) and tokened: each read parses its
+        text once."""
+        parses = []
+
+        def counted_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(server_module, "parse", counted_parse)
+        monkeypatch.setattr(executor, "parse", counted_parse)
         with serve() as runner:
             with QueryClient(runner.host, runner.port) as client:
-                reply = client.query(MIXED)
-                assert [tuple(r) for r in reply.rows] == serial_rows(64, MIXED)
-                assert reply.pinned_table == "jobs"
-                assert reply.pinned_row_count == 64
+                client.query(COUNT)
+                for _ in range(3):
+                    client.send({"op": "query", "text": COUNT})
+                for _ in range(3):
+                    client.recv()
+                client.query(COUNT, token=("another-stream", 0))
+        assert len(parses) == 5
+
+    def test_over_cap_answer_is_typed_and_the_session_goes_on(self, monkeypatch):
+        cap = 1024
+        with serve() as runner:
+            with QueryClient(runner.host, runner.port) as client:
+                monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", cap)
+                with pytest.raises(RemoteQueryError) as info:
+                    client.query(COUNT)
+                assert info.value.remote_type == "FrameError"
+                message = str(info.value)
+                rows = len(serial_rows(64, COUNT))
+                assert f"{rows} rows" in message and f"{cap}-byte" in message
+                assert client.query(EMPTY).rows == []
 
     def test_column_accessor(self):
         with serve() as runner:
@@ -111,11 +189,14 @@ class TestQueries:
                 assert client.query(COUNT).rows
 
     def test_syntax_error_is_typed(self):
+        nested = "SELECT " + "(" * 5000 + "COUNT(name)" + ")" * 5000 + " FROM jobs"
         with serve() as runner:
             with QueryClient(runner.host, runner.port) as client:
-                with pytest.raises(RemoteQueryError) as info:
-                    client.query("SELEKT COUNT(x) FROM jobs")
-                assert info.value.remote_type == "TSQL2SyntaxError"
+                for text in ("SELEKT COUNT(x) FROM jobs", nested):
+                    with pytest.raises(RemoteQueryError) as info:
+                        client.query(text)
+                    assert info.value.remote_type == "TSQL2SyntaxError"
+                assert client.query(COUNT).rows
 
     def test_server_deadline_crosses_the_wire_typed(self):
         with serve(deadline_ms=0.000001) as runner:
@@ -181,27 +262,28 @@ class TestProtocolAbuse:
 
     def test_garbled_body_gets_a_typed_answer(self):
         with serve() as runner:
-            sock = socket.create_connection((runner.host, runner.port))
-            try:
-                recv_frame(sock)  # hello
-                body = b"\xff\xfe not json \x00"
-                sock.sendall(struct.pack(">I", len(body)) + body)
-                reply = recv_frame(sock)
-                assert reply["ok"] is False
-                assert reply["error"]["type"] == "FrameError"
-            finally:
-                sock.close()
+            for body in GARBLED:
+                sock = socket.create_connection((runner.host, runner.port))
+                try:
+                    recv_frame(sock)  # hello
+                    sock.sendall(struct.pack(">I", len(body)) + body)
+                    reply = recv_frame(sock)
+                    assert reply["ok"] is False
+                    assert reply["error"]["type"] == "FrameError"
+                finally:
+                    sock.close()
 
     def test_garbled_session_does_not_disturb_others(self):
         with serve() as runner:
             with QueryClient(runner.host, runner.port) as healthy:
-                sock = socket.create_connection((runner.host, runner.port))
-                recv_frame(sock)
-                sock.sendall(struct.pack(">I", 5) + b"ouch!")
-                sock.close()
-                assert [tuple(r) for r in healthy.query(MIXED).rows] == (
-                    serial_rows(64, MIXED)
-                )
+                for body in [b"ouch!"] + GARBLED:
+                    sock = socket.create_connection((runner.host, runner.port))
+                    recv_frame(sock)
+                    sock.sendall(struct.pack(">I", len(body)) + body)
+                    sock.close()
+                    assert [tuple(r) for r in healthy.query(MIXED).rows] == (
+                        serial_rows(64, MIXED)
+                    )
 
     def test_kill_mid_query_leaves_the_server_serving(self):
         with serve(debug_statement_delay_ms=50.0) as runner:

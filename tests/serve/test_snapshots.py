@@ -180,5 +180,8 @@ class TestConcurrentViewReads:
         assert len({id(columns) for _, columns in seen}) == 1
         assert seen[0][1].values is relation.base.columns("salary").values
         # One counted scan for the column snapshot, then 8 x 200: a lost
-        # update between threads would show here.
-        assert view.scan_count == 1 + 8 * 200
+        # update between threads would show here.  Read under the lock
+        # that guards the count, as the race checker requires.
+        with view._stats_lock:
+            scans = view.scan_count
+        assert scans == 1 + 8 * 200
