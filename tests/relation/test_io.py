@@ -3,10 +3,11 @@
 import csv
 import gc
 import io
+import random
 
 import pytest
 
-from repro.core.interval import FOREVER
+from repro.core.interval import FOREVER, format_instant
 from repro.relation.io import (
     RelationIOError,
     from_csv_text,
@@ -14,7 +15,8 @@ from repro.relation.io import (
     to_csv_text,
     write_csv,
 )
-from repro.relation.schema import EMPLOYED_SCHEMA, Schema
+from repro.relation.relation import TemporalRelation
+from repro.relation.schema import EMPLOYED_SCHEMA, Attribute, Schema
 
 EMPLOYED_CSV = """\
 name,salary,valid_start,valid_end
@@ -196,6 +198,20 @@ class TestWriteAndRoundtrip:
         write_csv(employed, buffer)
         assert buffer.getvalue().count("\n") == 5
 
+    @pytest.mark.parametrize("relation", ["employed", "mixed"])
+    def test_writes_the_row_wise_bytes(self, relation, employed, tmp_path):
+        """``write_csv`` renders the stored columns exactly as rendering
+        one row object at a time did."""
+        relation = employed if relation == "employed" else mixed_relation()
+        path = tmp_path / "written.csv"
+        write_csv(relation, str(path))
+        with open(tmp_path / "rows.csv", "w", newline="") as handle:
+            write_rows(relation, handle)
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        buffer = io.StringIO()
+        write_rows(relation, buffer)
+        assert to_csv_text(relation) == buffer.getvalue()
+
     def test_inferred_roundtrip_preserves_values(self, small_random_relation):
         text = to_csv_text(small_random_relation)
         back = from_csv_text(text)  # schema inferred
@@ -205,3 +221,38 @@ class TestWriteAndRoundtrip:
             (r.values[0], r.values[1], r.start, r.end)
             for r in small_random_relation
         ]
+
+
+def write_rows(relation, handle) -> None:
+    """The row-wise rendering ``write_csv`` replaced: one row object at
+    a time."""
+    writer = csv.writer(handle)
+    writer.writerow(list(relation.schema.names()) + ["valid_start", "valid_end"])
+    for row in relation:
+        writer.writerow(
+            [str(value) for value in row.values]
+            + [format_instant(row.start), format_instant(row.end)]
+        )
+
+
+def mixed_relation() -> TemporalRelation:
+    """A random relation with int, float and str attributes (an int past
+    int64, signed zeros and infinities, text CSV must quote) and open
+    ends."""
+    rng = random.Random(7)
+    schema = Schema(
+        (Attribute("id", "int"), Attribute("score", "float"), Attribute("note", "str"))
+    )
+    relation = TemporalRelation(schema, name="mixed")
+    texts = ["", "plain", "a,b", 'say "hi"', "two\nlines", " padded ", "∞"]
+    floats = [0.1, -0.0, 1e300, float("inf"), -2.5, 3.0]
+    for index in range(200):
+        start = rng.randrange(1_000)
+        end = FOREVER if rng.random() < 0.3 else start + rng.randrange(100)
+        identifier = 2**70 if index == 17 else rng.randrange(-10**6, 10**6)
+        relation.insert(
+            (identifier, rng.choice(floats) * rng.random(), rng.choice(texts)),
+            start,
+            end,
+        )
+    return relation

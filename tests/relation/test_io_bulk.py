@@ -1,4 +1,4 @@
-"""Differential test: the column-at-a-time CSV loader against the
+"""Differential test: the chunked, column-at-a-time CSV loader against the
 per-row loader it replaced.
 
 :func:`reference_read_csv` is that per-row loader, kept here verbatim
@@ -12,16 +12,27 @@ and inferred schemas, under both error policies, the two must agree on
 the rows, the schema, the fingerprint and the quarantine ``(line,
 reason)`` sequence, and raise the same exception type with the same
 message.
+
+The bulk loader reads ``_CHUNK_RECORDS`` records at a time, far more
+than a generated file holds, so the comparison runs again with the
+chunk patched down to 1, 2 and 3 records: type inference, refusal
+order and NaN refusals must not depend on where a chunk ends.  Explicit
+cases pin the chunk-boundary paths that random text rarely reaches: a
+later chunk widening an inferred column from int to float or str, or
+from float to str, after earlier chunks were converted.
 """
 
 import csv
 import io
 from typing import Any, List, Optional, Tuple
+from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.interval import FOREVER, ORIGIN, InvalidIntervalError
+from repro.relation import io as relation_io
 from repro.relation.io import (
     QuarantinedRow,
     QuarantineReport,
@@ -325,18 +336,7 @@ def quarantined(report: QuarantineReport) -> list:
     ]
 
 
-@settings(
-    max_examples=300,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(
-    temporal_csv(),
-    st.booleans(),
-    st.sampled_from(("raise", "quarantine")),
-    st.booleans(),
-)
-def test_bulk_loader_matches_the_per_row_loader(case, declared, on_error, small_cap):
+def assert_loaders_agree(case, declared, on_error, small_cap) -> None:
     text, names, kinds = case
     schema = (
         Schema(tuple(Attribute(n, k) for n, k in zip(names, kinds)))
@@ -355,6 +355,164 @@ def test_bulk_loader_matches_the_per_row_loader(case, declared, on_error, small_
         )
 
     assert outcome(bulk) == outcome(per_row)
+
+
+LOADER_CASES = (
+    temporal_csv(),
+    st.booleans(),
+    st.sampled_from(("raise", "quarantine")),
+    st.booleans(),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(*LOADER_CASES)
+def test_bulk_loader_matches_the_per_row_loader(case, declared, on_error, small_cap):
+    assert_loaders_agree(case, declared, on_error, small_cap)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(*LOADER_CASES)
+def test_bulk_loader_matches_across_chunk_boundaries(
+    chunk, case, declared, on_error, small_cap
+):
+    with mock.patch.object(relation_io, "_CHUNK_RECORDS", chunk):
+        assert_loaders_agree(case, declared, on_error, small_cap)
+
+
+def loaded_and_reference(text: str, chunk: int) -> Tuple[tuple, tuple]:
+    """Both loaders' quarantine outcomes on ``text`` at ``chunk``."""
+    with mock.patch.object(relation_io, "_CHUNK_RECORDS", chunk):
+        bulk = outcome(
+            lambda r: from_csv_text(text, on_error="quarantine", report=r)
+        )
+    per_row = outcome(
+        lambda r: reference_read_csv(text, on_error="quarantine", report=r)
+    )
+    return bulk, per_row
+
+
+def csv_text(header: str, *rows: str) -> str:
+    return "\n".join((header, *rows)) + "\n"
+
+
+WIDENING_CASES = {
+    "int then float": (
+        csv_text("level,valid_start,valid_end", "1,0,5", "1.5,6,9"),
+        "float",
+        [1.0, 1.5],
+    ),
+    "int then str keeps the earlier text": (
+        csv_text(
+            "code,valid_start,valid_end", " 007 ,0,5", "1_000,1,5", "x,2,5"
+        ),
+        "str",
+        ["007", "1_000", "x"],
+    ),
+    "float then str": (
+        csv_text("level,valid_start,valid_end", "1e3,0,5", "2.5,1,5", "abc,2,5"),
+        "str",
+        ["1e3", "2.5", "abc"],
+    ),
+    "nan loads when a later chunk makes the column str": (
+        csv_text("level,valid_start,valid_end", "nan,0,5", "1.5,1,5", "n/a,2,5"),
+        "str",
+        ["nan", "1.5", "n/a"],
+    ),
+    "int past int64 then float": (
+        csv_text(
+            "level,valid_start,valid_end",
+            "99999999999999999999,0,5",
+            "7,1,5",
+            "0.5,2,5",
+        ),
+        "float",
+        [1e20, 7.0, 0.5],
+    ),
+    "int past int64 stays int": (
+        csv_text(
+            "level,valid_start,valid_end", "7,0,5", "99999999999999999999,1,5"
+        ),
+        "int",
+        [7, 99999999999999999999],
+    ),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+@pytest.mark.parametrize("case", sorted(WIDENING_CASES))
+def test_a_later_chunk_widens_an_inferred_column(case, chunk):
+    """Earlier chunks are re-derived from their own text when a later
+    chunk widens the column, so the whole file types as one piece."""
+    text, kind, values = WIDENING_CASES[case]
+    bulk, per_row = loaded_and_reference(text, chunk)
+    assert bulk == per_row
+    relation = from_csv_text(text)
+    assert relation.schema.attributes[0].type == kind
+    assert [row.values[0] for row in relation] == values
+    assert relation.quarantine is None
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_nan_is_refused_when_its_column_ends_float(chunk):
+    text = csv_text(
+        "level,valid_start,valid_end",
+        "1,0,5",
+        "nan,1,5",
+        "2.5,2,5",
+        "NaN,3,5",
+        "3,4,5",
+    )
+    bulk, per_row = loaded_and_reference(text, chunk)
+    assert bulk == per_row
+    report = QuarantineReport()
+    with mock.patch.object(relation_io, "_CHUNK_RECORDS", chunk):
+        relation = from_csv_text(text, on_error="quarantine", report=report)
+    assert [row.values[0] for row in relation] == [1.0, 2.5, 3.0]
+    assert [(row.line, row.reason) for row in report.rows] == [
+        (
+            line,
+            f"NaN attribute value in tuple valid at [{start}, 5]; NaN does "
+            "not order and would corrupt aggregate results",
+        )
+        for line, start in ((3, 1), (5, 3))
+    ]
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_a_later_field_count_refusal_is_reported_first(chunk):
+    """A value refusal in the first chunk is held until the file ends,
+    so a field-count refusal in the third chunk still comes first."""
+    text = csv_text(
+        "name,salary,valid_start,valid_end",
+        "A,1,9,3",
+        "B,2,0,5",
+        "C,3,0,5",
+        "D,4,0,5",
+        "E,5,7",
+        "F,6,0,5",
+    )
+    bulk, per_row = loaded_and_reference(text, chunk)
+    assert bulk == per_row
+    report = QuarantineReport()
+    with mock.patch.object(relation_io, "_CHUNK_RECORDS", chunk):
+        from_csv_text(text, on_error="quarantine", report=report)
+    assert [(row.line, row.reason) for row in report.rows] == [
+        (6, "expected 4 fields, got 3"),
+        (2, "invalid valid-time bounds [9, 3]"),
+    ]
+    with mock.patch.object(relation_io, "_CHUNK_RECORDS", chunk):
+        with pytest.raises(RelationIOError, match="^line 6: expected 4 fields"):
+            from_csv_text(text)
 
 
 def test_quarantine_order_is_field_count_first():
