@@ -216,6 +216,7 @@ def _write_replication_json(reports, csv_dir) -> str:
     the 1-to-2 replica read scaling land here so the acceptance check
     reads numbers, not rendered tables.
     """
+    from repro.bench.planner import host_header
     from repro.bench.replication import (
         APPEND_BATCHES,
         CATCHUP_ROWS,
@@ -227,6 +228,7 @@ def _write_replication_json(reports, csv_dir) -> str:
 
     payload = {
         "generated_by": "python -m repro.bench replication",
+        "host": host_header(),
         "cpu_count": os.cpu_count(),
         "append_batches": APPEND_BATCHES,
         "rows_per_batch": ROWS_PER_BATCH,

@@ -313,7 +313,10 @@ class _Column:
         kind = self.attribute.type
         if kind == "str":
             if self.inferred:
-                longest = max(map(len, map(str.encode, cells)))
+                try:
+                    longest = max(map(len, map(str.encode, cells)))
+                except UnicodeEncodeError:
+                    longest = self._encodable_width(cells, errors)
                 self.widest = max(self.widest, longest)
             stripped = list(map(str.strip, cells))
             return list(map(self.distinct.setdefault, stripped, stripped))
@@ -325,6 +328,19 @@ class _Column:
         except ValueError:
             self._widen()
             return self.convert(cells, errors)
+
+    def _encodable_width(self, cells: Sequence[str], errors: Dict[int, str]) -> int:
+        """The longest UTF-8 cell; a cell with none (a lone surrogate,
+        from a str or stream source) refuses its row in ``errors``."""
+        longest = 0
+        for row, cell in enumerate(cells):
+            try:
+                longest = max(longest, len(cell.encode()))
+            except UnicodeEncodeError as exc:
+                name = self.attribute.name
+                reason = f"value {cell!r} for attribute {name!r} has no UTF-8"
+                errors.setdefault(row, f"{reason}: {exc.reason}")
+        return longest
 
     def _refusal(self, cell: str, _exc: ValueError) -> str:
         kind = self.attribute.type

@@ -12,13 +12,14 @@ cursor.
 :class:`ReplicaApplier` executes the ``rep.*`` ops a shipper sends:
 
 * **hello** — epoch fencing first (a lower-epoch shipper is a deposed
-  primary and gets a typed ``StaleEpoch``), then the per-table cursor
+  primary and gets a typed ``StaleEpoch``), then the schema check (the
+  shipper's must equal this replica's), then the per-table cursor
   ``(applied_count, applied_version, fingerprint)`` the shipper
   resumes from.
 * **sync** — catch-up chunks.  Rows land in the heap as they arrive
   (journaled, so progress survives a crash), but nothing is committed
-  or published until the final chunk's fingerprint matches the
-  primary's.  A divergent or abandoned sync is rolled back *in place*
+  or published until the final chunk lands on the primary's row count
+  and fingerprint.  A refused or abandoned sync is rolled back *in place*
   (``_discard_uncommitted`` reopens the heap through the same crash
   recovery that would run after a restart), so the cursor a reconnect
   reports always describes the committed prefix — never an inflated
@@ -31,6 +32,10 @@ cursor.
   safe.
 * **heartbeat** — liveness for the failover monitor.
 
+Shipped rows, like the primary's own appends, are written by
+:meth:`ReplicatedTable.write`; a replica's refusal is a typed
+``ReplicationError``.
+
 Every mutation of one table happens under ``table.lock`` (reentrant:
 the primary's ship path resyncs a behind replica while already
 holding it).  The invariant the lock protects end to end:
@@ -42,19 +47,22 @@ the heap may run ahead (uncommitted).
 from __future__ import annotations
 
 import os
+import struct
 import threading
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.errors import ReplicationError
+from repro.exec.errors import InvalidInput, ReplicationError
 from repro.relation.relation import (
     TemporalRelation,
     fingerprint_rows,
 )
 from repro.relation.schema import Schema
 from repro.relation.tuples import TemporalTuple
+from repro.serve.server import append_rows
 from repro.serve.snapshots import ServedRelation
 from repro.storage.heapfile import HeapFile
-from repro.replicate.wire import decode_rows, require_int, optional_str
+from repro.storage.journal import encode_statement_payload
+from repro.replicate.wire import optional_str, require_int, schema_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.replicate.node import ReplicationNode
@@ -113,6 +121,50 @@ class ReplicatedTable:
         self.served = ServedRelation(relation, name=self.name)
         return statements
 
+    def write(
+        self,
+        batch: Sequence[Tuple[Any, Any, Any]],
+        statements: Sequence[Tuple[str, int, int]] = (),
+        expect: Optional[Tuple[int, int]] = None,
+    ) -> List[TemporalTuple]:
+        """Journal one batch of ``(values, start, end)`` rows, then its
+        dedup-ledger ``statements``, and return the validated rows: the
+        one write path of the primary's append, a shipped batch and each
+        sync chunk.  All that can refuse runs before the first heap
+        append: the rows validate and encode, the ledger entries encode,
+        and the batch lands on ``expect``, the primary's ``(row_count,
+        fingerprint)``, when given.  Nothing is committed or published.
+        Caller holds ``self.lock``."""
+        heap, served = self.heap, self.served
+        assert heap is not None and heap.journal is not None
+        assert served is not None
+        rows = served.validate_batch(batch)
+        records = [heap.codec.encode(row) for row in rows]
+        for entry in statements:
+            try:
+                encode_statement_payload(*entry)
+            except (UnicodeEncodeError, struct.error) as error:
+                raise InvalidInput(
+                    f"ledger entry {entry!r} cannot be journaled: {error}"
+                ) from None
+        if expect is not None:
+            reached = (
+                len(heap) + len(rows),
+                fingerprint_rows(rows, heap.fingerprint),
+            )
+            if reached != expect:
+                raise ReplicationError(
+                    f"batch for {self.name!r} diverges from this replica's "
+                    f"chain: it reaches {reached[0]} rows / {reached[1]:#x}, "
+                    f"the primary acknowledged {expect[0]} / {expect[1]:#x} "
+                    "(history diverged; scrub both journals for the fork)"
+                )
+        for record, row in zip(records, rows):
+            heap.append_record(record, row)
+        for entry in statements:
+            heap.journal.log_statement(*entry)
+        return rows
+
     def cursor(self) -> Dict[str, Any]:
         """The shipper-resume cursor: applied rows/version/fingerprint."""
         assert self.heap is not None and self.served is not None
@@ -138,6 +190,14 @@ class ReplicatedTable:
             self.heap.abandon()
             return self.open(self._fsync_policy)
 
+    def rotate_if_due(self) -> None:
+        """Reclaim journal space once the live segment outgrows its
+        target (full flush: data-file sync, then rotation)."""
+        heap = self.heap
+        assert heap is not None and heap.journal is not None
+        if heap.journal.should_rotate:
+            heap.flush()
+
     def close(self) -> None:
         if self.heap is not None:
             self.heap.close()
@@ -146,13 +206,27 @@ class ReplicatedTable:
         return f"ReplicatedTable({self.name!r})"
 
 
-def _maybe_rotate(table: ReplicatedTable) -> None:
-    """Reclaim journal space once the live segment outgrows its target
-    (full flush: data-file sync, then rotation)."""
-    heap = table.heap
-    assert heap is not None
-    if heap.journal is not None and heap.journal.should_rotate:
-        heap.flush()
+def _write_shipped(
+    table: ReplicatedTable,
+    frame: Dict[str, Any],
+    statements: Sequence[Tuple[str, int, int]] = (),
+    expect: Optional[Tuple[int, int]] = None,
+) -> List[TemporalTuple]:
+    """:meth:`ReplicatedTable.write` of a ``rep.*`` frame's rows, with
+    every refusal a :class:`ReplicationError`: a typed error frame to
+    the shipper, not an exception escaping the op."""
+    try:
+        return table.write(append_rows(frame.get("rows")), statements, expect)
+    except ValueError as error:
+        raise ReplicationError(
+            f"replica refuses the rows shipped for {table.name!r}: {error}"
+        ) from error
+
+
+def _reply(op: str, table: ReplicatedTable, **fields: Any) -> Dict[str, Any]:
+    """A ``rep.ship``/``rep.sync`` acknowledgement: the table's cursor."""
+    cursor = table.cursor()
+    return {"ok": True, "op": op, "table": table.name, **cursor, **fields}
 
 
 class ReplicaApplier:
@@ -183,14 +257,9 @@ class ReplicaApplier:
         process restart.  Caller holds ``table.lock``.
         """
         heap = table.heap
-        assert heap is not None
-        dirty = bool(table._sync_rows)
-        if (
-            heap.journal is not None
-            and len(heap) != (heap.journal.committed_count or 0)
-        ):
-            dirty = True
-        if not dirty:
+        assert heap is not None and heap.journal is not None
+        # A sync's buffered rows are uncommitted heap rows too.
+        if len(heap) == (heap.journal.committed_count or 0):
             return
         self._node.reload_table(table)
         self.rollbacks += 1
@@ -223,13 +292,11 @@ class ReplicaApplier:
         tables_reply: Dict[str, Any] = {}
         for name, info in dict(frame.get("tables") or {}).items():
             table = self._table({"table": name})
-            assert table.heap is not None
-            width = require_int(dict(info), "record_bytes")
-            if width != table.heap.codec.record_bytes:
+            shipped = info.get("schema") if isinstance(info, dict) else None
+            if shipped != schema_spec(table.schema):
                 raise ReplicationError(
-                    f"stream {name!r} ships {width}-byte records but this "
-                    f"replica stores {table.heap.codec.record_bytes}-byte "
-                    "records — schema mismatch"
+                    f"stream {name!r} ships schema {shipped}, this replica "
+                    f"stores {schema_spec(table.schema)} — schema mismatch"
                 )
             with table.lock:
                 # A sync the previous primary abandoned mid-stream left
@@ -252,8 +319,6 @@ class ReplicaApplier:
     def apply_ship(self, frame: Dict[str, Any]) -> Dict[str, Any]:
         self._node.observe_epoch(require_int(frame, "epoch"))
         table = self._table(frame)
-        heap, served = table.heap, table.served
-        assert heap is not None and served is not None
         version = require_int(frame, "version")
         sid = optional_str(frame, "sid")
         self._node.note_heartbeat()
@@ -269,14 +334,7 @@ class ReplicaApplier:
                 # Duplicate delivery (shipper retry after a torn frame
                 # or reconnect): already applied, acknowledge as such.
                 self.duplicates_ignored += 1
-                return {
-                    "ok": True,
-                    "op": "rep.ship",
-                    "table": table.name,
-                    "applied_count": len(heap),
-                    "applied_version": applied_version,
-                    "duplicate": True,
-                }
+                return _reply("rep.ship", table, duplicate=True)
             base_count = require_int(frame, "base_count")
             if version != applied_version + 1 or base_count != len(heap):
                 raise ReplicationError(
@@ -284,52 +342,24 @@ class ReplicaApplier:
                     f"{len(heap)} rows but the batch expects v{version} on "
                     f"{base_count} rows — resync required"
                 )
-            records = decode_rows(
-                frame.get("rows") or [], heap.codec.record_bytes
-            )
-            if not records:
+            if not frame.get("rows"):
                 raise ReplicationError("ship batch carries no rows")
-            rows = [heap.codec.decode(record) for record in records]
-            # Verify the chained fingerprint BEFORE mutating anything:
-            # a divergent batch must leave no trace.
-            expect = fingerprint_rows(rows, heap.fingerprint)
-            if expect != require_int(frame, "fingerprint"):
-                raise ReplicationError(
-                    f"shipped batch v{version} diverges from this replica's "
-                    f"fingerprint chain for {table.name!r} — refusing to "
-                    "apply (scrub both journals to locate the fork)"
-                )
-            for record, row in zip(records, rows):
-                heap.append_record(record, row)
-            row_count = len(heap)
-            if row_count != require_int(frame, "row_count"):
-                # The appends above are uncommitted; drop them before
-                # raising so the cursor stays on the committed prefix.
-                self._discard_uncommitted(table)
-                raise ReplicationError(
-                    f"batch v{version} lands at {row_count} rows, but the "
-                    f"primary acknowledged {frame.get('row_count')}"
-                )
-            if sid is not None and heap.journal is not None:
-                heap.journal.log_statement(sid, version, row_count)
-            heap.commit()
-            served.append_replicated(
-                [(list(row.values), row.start, row.end) for row in rows],
-                version,
+            row_count = require_int(frame, "row_count")
+            statements = [] if sid is None else [(sid, version, row_count)]
+            rows = _write_shipped(
+                table,
+                frame,
+                statements,
+                (row_count, require_int(frame, "fingerprint")),
             )
+            heap.commit()
+            served.append_replicated(rows, version)
             if sid is not None:
                 self._node.dedup_record(sid, version, row_count)
-            _maybe_rotate(table)
-        self.batches_applied += 1
-        self.rows_applied += len(records)
-        return {
-            "ok": True,
-            "op": "rep.ship",
-            "table": table.name,
-            "applied_count": row_count,
-            "applied_version": version,
-            "duplicate": False,
-        }
+            table.rotate_if_due()
+            self.batches_applied += 1
+            self.rows_applied += len(rows)
+            return _reply("rep.ship", table, duplicate=False)
 
     # ------------------------------------------------------------------
     # rep.sync — catch-up chunks
@@ -341,79 +371,55 @@ class ReplicaApplier:
         heap, served = table.heap, table.served
         assert heap is not None and served is not None
         self._node.note_heartbeat()
+        final = bool(frame.get("final", True))
         with table.lock:
-            base_count = require_int(frame, "base_count")
-            expected_base = len(heap)
-            if base_count != expected_base:
-                # A misaligned chunk aborts the whole sync: roll back
-                # to the committed prefix so the next attempt (which
-                # resumes from our cursor) starts clean.
-                self._discard_uncommitted(table)
-                raise ReplicationError(
-                    f"sync chunk for {table.name!r} starts at row "
-                    f"{base_count} but this replica holds {expected_base}"
-                )
-            records = decode_rows(
-                frame.get("rows") or [], heap.codec.record_bytes
-            )
-            rows = [heap.codec.decode(record) for record in records]
-            for record, row in zip(records, rows):
-                heap.append_record(record, row)
-            table._sync_rows.extend(rows)
-            if not bool(frame.get("final", True)):
-                return {
-                    "ok": True,
-                    "op": "rep.sync",
-                    "table": table.name,
-                    "applied_count": len(heap),
-                    "final": False,
-                }
-            # Final chunk: verify end-to-end, commit, publish.
-            version = require_int(frame, "version")
-            row_count = require_int(frame, "row_count")
-            fingerprint = require_int(frame, "fingerprint")
-            synced = table._sync_rows
-            table._sync_rows = []
-            if len(heap) != row_count or heap.fingerprint != fingerprint:
-                reached, reached_fp = len(heap), heap.fingerprint
-                # Roll back to the committed prefix before raising: the
-                # uncommitted appends would otherwise inflate the
-                # cursor and wedge every future reconnect behind the
-                # prefix check.
-                self._discard_uncommitted(table)
-                raise ReplicationError(
-                    f"sync of {table.name!r} diverged: replica reaches "
-                    f"{reached} rows / fingerprint "
-                    f"{reached_fp:#x}, primary acknowledged "
-                    f"{row_count} rows / {fingerprint:#x}"
-                )
-            for sid, stmt_version, stmt_rows in frame.get("statements") or []:
-                if heap.journal is not None:
-                    heap.journal.log_statement(
-                        str(sid), int(stmt_version), int(stmt_rows)
+            try:
+                base_count = require_int(frame, "base_count")
+                if base_count != len(heap):
+                    raise ReplicationError(
+                        f"sync chunk for {table.name!r} starts at row "
+                        f"{base_count} but this replica holds {len(heap)}"
                     )
-                self._node.dedup_record(
-                    str(sid), int(stmt_version), int(stmt_rows)
-                )
+                statements: List[Tuple[str, int, int]] = []
+                expect: Optional[Tuple[int, int]] = None
+                if final:
+                    # The final chunk lands on the primary's row count
+                    # and fingerprint, and carries its dedup ledger.
+                    version = require_int(frame, "version")
+                    try:
+                        statements = [
+                            (str(sid), int(at), int(count))
+                            for sid, at, count in frame.get("statements") or []
+                        ]
+                    except (TypeError, ValueError):
+                        raise ReplicationError(
+                            "sync statements must be [sid, version, rows] lists"
+                        ) from None
+                    expect = (
+                        require_int(frame, "row_count"),
+                        require_int(frame, "fingerprint"),
+                    )
+                rows = _write_shipped(table, frame, statements, expect)
+            except ReplicationError:
+                # A refused chunk aborts the whole sync: roll back to the
+                # committed prefix so the next attempt starts clean.
+                self._discard_uncommitted(table)
+                raise
+            table._sync_rows.extend(rows)
+            if not final:
+                return _reply("rep.sync", table, final=False)
+            synced, table._sync_rows = table._sync_rows, []
             heap.commit()
+            for entry in statements:
+                self._node.dedup_record(*entry)
             applied_version, _ = served.stats()
             if synced and version > applied_version:
-                served.append_replicated(
-                    [(list(row.values), row.start, row.end) for row in synced],
-                    version,
-                )
+                served.append_replicated(synced, version)
             else:
                 served.adopt_version(version)
             self.rows_applied += len(synced)
-            _maybe_rotate(table)
-            return {
-                "ok": True,
-                "op": "rep.sync",
-                "table": table.name,
-                "applied_count": len(heap),
-                "applied_version": version,
-                "final": True,
-            }
+            table.rotate_if_due()
+            return _reply("rep.sync", table, final=True)
 
     # ------------------------------------------------------------------
     # rep.heartbeat
@@ -431,15 +437,3 @@ class ReplicaApplier:
                 for table in self._tables.values()
             },
         }
-
-    # ------------------------------------------------------------------
-    # Prefix verification (shipper-side helper, but lives with the
-    # fingerprint logic)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def prefix_fingerprint(heap: HeapFile, count: int) -> int:
-        """Chained fingerprint over the first ``count`` stored rows."""
-        from itertools import islice
-
-        return fingerprint_rows(islice(heap.scan(), count))

@@ -24,9 +24,10 @@ to the epoch comparison.
 Write path (primary)
 --------------------
 
-Under the table lock: validate → journal every row → journal the
-STATEMENT ledger record → COMMIT → ship synchronously to every live
-replica → publish to the served relation → acknowledge.  The client's
+Under the table lock: validate and encode every row and the
+STATEMENT ledger record (a refusal leaves no row in the heap) →
+journal them → COMMIT → ship synchronously to every live replica →
+publish to the served relation → acknowledge.  The client's
 acknowledgement therefore implies the batch is durable locally *and*
 applied on every replica that was reachable at commit time — the
 zero-acknowledged-loss property the chaos harness checks.
@@ -72,7 +73,7 @@ from repro.serve.session import Session
 from repro.serve.snapshots import ServedRelation
 from repro.replicate.applier import ReplicaApplier, ReplicatedTable
 from repro.replicate.shipper import JournalShipper
-from repro.replicate.wire import ShipBatch
+from repro.replicate.wire import ShipBatch, wire_rows
 
 __all__ = ["TableSpec", "ReplicationNode", "FailoverMonitor"]
 
@@ -350,26 +351,18 @@ class ReplicationNode(QueryServer):
             if refusal is not None:
                 # Demoted between admission and execution.
                 raise refusal
-            rows = served.validate_batch(batch)
-            if not rows:
+            batch = list(batch)
+            if not batch:
                 raise ValueError("append batch must contain at least one row")
-            # Encode the whole batch before the first heap append: the
-            # codec refuses an over-wide string or an int outside int32,
-            # and a refusal must leave no row in the heap.  The heap and
-            # the ship then take these records as they are.
-            records = [heap.codec.encode(row) for row in rows]
             version = served.stats()[0] + 1
             base_count = len(heap)
-            for record, row in zip(records, rows):
-                heap.append_record(record, row)
-            row_count = len(heap)
+            row_count = base_count + len(batch)
             # Every batch gets a ledger record — client-supplied sids
             # make retries exactly-once; the anonymous fallback still
             # pins the (version, row_count) identity for restart
             # bootstrap and replica version adoption.
             ledger_sid = sid or f"anon:{table.name}:{version}"
-            if heap.journal is not None:
-                heap.journal.log_statement(ledger_sid, version, row_count)
+            rows = table.write(batch, [(ledger_sid, version, row_count)])
             heap.commit()
             shipper = self.shipper
             if shipper is not None:
@@ -381,15 +374,11 @@ class ReplicationNode(QueryServer):
                         base_count=base_count,
                         fingerprint=heap.fingerprint,
                         sid=ledger_sid,
-                        records=records,
+                        rows=wire_rows(rows),
                     )
                 )
-            applied = served.append_replicated(
-                [(list(row.values), row.start, row.end) for row in rows],
-                version,
-            )
-            if heap.journal is not None and heap.journal.should_rotate:
-                heap.flush()
+            applied = served.append_replicated(rows, version)
+            table.rotate_if_due()
             return applied
 
     # ------------------------------------------------------------------

@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import socket
 import threading
+from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.exec.errors import (
     ReplicationError,
@@ -54,18 +55,22 @@ from repro.serve.client import raise_for_error
 from repro.serve.protocol import (
     ConnectionClosed,
     FrameError,
+    encode_frame,
     recv_frame,
     send_frame,
 )
 from repro.relation.relation import fingerprint_rows
+from repro.relation.schema import Schema
 from repro.replicate.wire import (
-    MAX_SHIP_ROWS,
     ShipBatch,
     heartbeat_frame,
     hello_frame,
     require_int,
+    schema_spec,
     ship_frame,
+    sync_chunk_rows,
     sync_frame,
+    wire_rows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -113,7 +118,7 @@ class PeerLink:
         return f"PeerLink({self.endpoint!r})"
 
 
-class TableSnapshot:
+class TableSnapshot(NamedTuple):
     """One table's shippable state, materialized under ``table.lock``.
 
     The connect/sync path consumes only this — never live table state
@@ -122,27 +127,12 @@ class TableSnapshot:
     which holds ``table.lock`` while shipping).
     """
 
-    __slots__ = ("name", "rows", "total", "version", "fingerprint",
-                 "statements", "codec")
-
-    def __init__(
-        self,
-        *,
-        name: str,
-        rows: List[Any],
-        total: int,
-        version: int,
-        fingerprint: int,
-        statements: List[Tuple[str, int, int]],
-        codec: Any,
-    ) -> None:
-        self.name = name
-        self.rows = rows
-        self.total = total
-        self.version = version
-        self.fingerprint = fingerprint
-        self.statements = statements
-        self.codec = codec
+    name: str
+    schema: Schema
+    rows: List[Any]
+    version: int
+    fingerprint: int
+    statements: List[Tuple[str, int, int]]
 
 
 class JournalShipper:
@@ -252,12 +242,11 @@ class JournalShipper:
                     version = max(version, statements[-1][1])
                 snapshots[table.name] = TableSnapshot(
                     name=table.name,
+                    schema=table.schema,
                     rows=rows,
-                    total=len(heap),
                     version=version,
                     fingerprint=heap.fingerprint,
                     statements=statements,
-                    codec=heap.codec,
                 )
         return snapshots
 
@@ -285,7 +274,7 @@ class JournalShipper:
             # frame; consume it before speaking rep.* ops.
             raise_for_error(recv_frame(sock))
             tables = {
-                table.name: {"record_bytes": table.heap.codec.record_bytes}
+                table.name: {"schema": schema_spec(table.schema)}
                 for table in self._node.replicated_tables()
             }
             self._send(
@@ -318,10 +307,11 @@ class JournalShipper:
         """Bring one table from the replica's cursor to the snapshot's
         tail.  Pure snapshot reads and socket I/O — no table state."""
         applied = require_int(cursor, "applied_count")
-        if applied > snapshot.total:
+        total = len(snapshot.rows)
+        if applied > total:
             raise ReplicationError(
                 f"replica holds {applied} rows of {snapshot.name!r} but this "
-                f"primary snapshot only has {snapshot.total} — refusing to "
+                f"primary snapshot only has {total} — refusing to "
                 "ship into a longer history (rebuild the replica, or retry "
                 "once the snapshot catches up)"
             )
@@ -334,42 +324,50 @@ class JournalShipper:
                     "refusing to ship (rebuild the replica)"
                 )
         if (
-            applied == snapshot.total
+            applied == total
             and require_int(cursor, "applied_version") >= snapshot.version
         ):
             return
-        encoded = [snapshot.codec.encode(row) for row in snapshot.rows[applied:]]
-        chunks = [
-            encoded[i : i + MAX_SHIP_ROWS]
-            for i in range(0, len(encoded), MAX_SHIP_ROWS)
-        ] or [[]]
-        base = applied
-        for index, chunk in enumerate(chunks):
-            final = index == len(chunks) - 1
+        frame = partial(
+            sync_frame,
+            self._node.epoch,
+            snapshot.name,
+            version=snapshot.version,
+            row_count=total,
+            fingerprint=snapshot.fingerprint,
+        )
+        # Size the chunks beside the largest the frame's other fields
+        # get: the last base count, the ledger, and ``false``.
+        largest = frame(
+            base_count=total, rows=[], statements=snapshot.statements, final=False
+        )
+        step = sync_chunk_rows(
+            snapshot.schema, len(encode_frame(self._stamped(largest)))
+        )
+        for base in range(applied, max(total, applied + 1), step):
+            final = base + step >= total
             self._send(
                 sock,
-                sync_frame(
-                    self._node.epoch,
-                    snapshot.name,
+                frame(
                     base_count=base,
-                    version=snapshot.version,
-                    row_count=snapshot.total,
-                    fingerprint=snapshot.fingerprint,
-                    records=chunk,
+                    rows=wire_rows(snapshot.rows[base : base + step]),
                     statements=snapshot.statements if final else [],
                     final=final,
                 ),
             )
             self._receive(sock)
-            base += len(chunk)
 
-    def _send(self, sock: socket.socket, frame: Dict[str, Any]) -> None:
-        """One stamped frame out: the shared replication auth token
-        rides every ``rep.*`` frame when the node has one configured."""
+    def _stamped(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+        """``frame`` with the shared replication auth token, which rides
+        every ``rep.*`` frame when the node has one configured."""
         secret = self._node.repl_secret
         if secret is not None:
             frame["auth"] = secret
-        send_frame(sock, frame)
+        return frame
+
+    def _send(self, sock: socket.socket, frame: Dict[str, Any]) -> None:
+        """One stamped frame out."""
+        send_frame(sock, self._stamped(frame))
 
     def _receive(self, sock: socket.socket) -> Dict[str, Any]:
         """One reply, with the epoch fence applied: a peer refusing us

@@ -9,17 +9,16 @@ agree on one schema:
 
 ``rep.hello``
     Shipper handshake.  Carries the shipper's epoch and, per table,
-    the replication stream uid and record width.  The replica answers
-    with its own epoch and per-table ``(applied_count,
-    applied_version, fingerprint)`` — the cursor the shipper resumes
-    from — or refuses a lower epoch with a typed ``StaleEpoch`` (the
-    split-brain fence).
+    its :func:`schema_spec`, which must equal the replica's.  The
+    replica answers with its own epoch and per-table
+    ``(applied_count, applied_version, fingerprint)`` — the cursor the
+    shipper resumes from — or refuses a lower epoch with a typed
+    ``StaleEpoch`` (the split-brain fence).
 ``rep.sync``
-    Catch-up: one batch of raw records (hex-encoded fixed-width
-    bytes) bringing a behind replica from ``base_count`` rows to the
-    primary's current ``(version, row_count, fingerprint)`` in one
-    jump, plus the retained dedup-ledger entries so exactly-once
-    survives the bootstrap.
+    Catch-up: chunks of :func:`sync_chunk_rows` rows bringing a behind
+    replica from ``base_count`` rows to the primary's current
+    ``(version, row_count, fingerprint)``, plus the retained
+    dedup-ledger entries so exactly-once survives the bootstrap.
 ``rep.ship``
     One committed append batch, shipped synchronously before the
     primary acknowledges its client: rows, the batch's
@@ -34,101 +33,79 @@ agree on one schema:
     harness uses instead of waiting out a lease), and inspect
     role/epoch/cursors.
 
-Raw records cross the wire hex-encoded: the frame protocol is JSON,
-and fixed-width records are not UTF-8.  At the paper's 128-byte
-tuples that doubles the byte count — acceptable for a reproduction;
-the framing keeps batches well under ``MAX_FRAME_BYTES``.
+Rows cross the wire as an ``append`` request sends them, one JSON
+list ``[value..., valid_start, valid_end]`` per row; the replica
+parses them with the ``append`` op's helper
+(:func:`repro.serve.server.append_rows`), and validates and encodes
+them as an append would, so the storage layout never crosses it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exec.errors import ReplicationError
+from repro.relation.schema import Schema
+from repro.relation.tuples import TemporalTuple
+from repro.serve.protocol import MAX_FRAME_BYTES
 
 __all__ = [
     "ShipBatch",
-    "encode_rows",
-    "decode_rows",
+    "wire_rows",
+    "schema_spec",
+    "sync_chunk_rows",
     "hello_frame",
     "sync_frame",
     "ship_frame",
     "heartbeat_frame",
     "require_int",
     "optional_str",
-    "MAX_SHIP_ROWS",
 ]
 
-#: Rows per ``rep.sync`` frame: 128-byte records hex-encode to 256
-#: bytes, so 8192 rows stay near 2 MiB — comfortably inside the frame
-#: protocol's 8 MiB bound with JSON overhead included.
-MAX_SHIP_ROWS = 8192
+#: The longest JSON text of an int (``-2147483648``) and a float
+#: (``-2.2250738585072014e-308``) value, and of a timestamp
+#: (``FOREVER`` is 2**62, 19 digits).
+_TEXT_BYTES = {"int": 11, "float": 24, "timestamp": 19}
 
 
-def encode_rows(records: Sequence[bytes]) -> List[str]:
-    """Fixed-width records -> JSON-safe hex strings."""
-    return [record.hex() for record in records]
+def wire_rows(rows: Sequence[TemporalTuple]) -> List[List[Any]]:
+    """Rows as ``[value..., valid_start, valid_end]`` lists."""
+    return [[*row.values, row.start, row.end] for row in rows]
 
 
-def decode_rows(encoded: Sequence[Any], record_bytes: int) -> List[bytes]:
-    """Hex strings -> records, validating width (a typed refusal beats
-    feeding a torn hex string to the codec)."""
-    records: List[bytes] = []
-    for item in encoded:
-        if not isinstance(item, str):
-            raise ReplicationError(
-                f"shipped row must be a hex string, got {type(item).__name__}"
-            )
-        try:
-            record = bytes.fromhex(item)
-        except ValueError as error:
-            raise ReplicationError(f"undecodable shipped row: {error}") from None
-        if len(record) != record_bytes:
-            raise ReplicationError(
-                f"shipped row is {len(record)} bytes; this stream carries "
-                f"{record_bytes}-byte records"
-            )
-        records.append(record)
-    return records
+def schema_spec(schema: Schema) -> Dict[str, Any]:
+    """A schema as the handshake compares it: every attribute's name,
+    type and width, in order, and the padding."""
+    return {
+        "attributes": [[a.name, a.type, a.width] for a in schema.attributes],
+        "padding": schema.padding,
+    }
 
 
-class ShipBatch:
+def sync_chunk_rows(schema: Schema, reserved: int) -> int:
+    """Rows per ``rep.sync`` chunk: as many of the schema's worst-case
+    JSON rows as fit ``MAX_FRAME_BYTES`` beside ``reserved`` bytes of
+    the frame's other fields.  A str value escapes each declared byte
+    as ``\\u00XX`` between quotes; a row adds its brackets and a comma
+    after each value, the last one's parting it from the next row."""
+    values = [
+        6 * a.width + 2 if a.type == "str" else _TEXT_BYTES[a.type]
+        for a in schema.attributes
+    ] + [_TEXT_BYTES["timestamp"]] * 2
+    row = sum(values) + 2 + len(values)
+    return max(1, (MAX_FRAME_BYTES - reserved) // row)
+
+
+class ShipBatch(NamedTuple):
     """One committed append batch as the shipper sends it."""
 
-    __slots__ = (
-        "table",
-        "version",
-        "row_count",
-        "base_count",
-        "fingerprint",
-        "sid",
-        "records",
-    )
-
-    def __init__(
-        self,
-        *,
-        table: str,
-        version: int,
-        row_count: int,
-        base_count: int,
-        fingerprint: int,
-        sid: str,
-        records: Sequence[bytes],
-    ) -> None:
-        self.table = table
-        self.version = version
-        self.row_count = row_count
-        self.base_count = base_count
-        self.fingerprint = fingerprint
-        self.sid = sid
-        self.records = list(records)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShipBatch({self.table!r} v{self.version}, "
-            f"{len(self.records)} rows -> {self.row_count})"
-        )
+    table: str
+    version: int
+    row_count: int
+    base_count: int
+    fingerprint: int
+    sid: str
+    rows: List[List[Any]]
 
 
 def hello_frame(
@@ -147,17 +124,7 @@ def hello_frame(
 
 def ship_frame(epoch: int, batch: ShipBatch) -> Dict[str, Any]:
     """One incremental append batch."""
-    return {
-        "op": "rep.ship",
-        "epoch": epoch,
-        "table": batch.table,
-        "version": batch.version,
-        "row_count": batch.row_count,
-        "base_count": batch.base_count,
-        "fingerprint": batch.fingerprint,
-        "sid": batch.sid,
-        "rows": encode_rows(batch.records),
-    }
+    return {"op": "rep.ship", "epoch": epoch, **batch._asdict()}
 
 
 def sync_frame(
@@ -168,7 +135,7 @@ def sync_frame(
     version: int,
     row_count: int,
     fingerprint: int,
-    records: Sequence[bytes],
+    rows: List[List[Any]],
     statements: Sequence[Tuple[str, int, int]],
     final: bool,
 ) -> Dict[str, Any]:
@@ -183,7 +150,7 @@ def sync_frame(
         "version": version,
         "row_count": row_count,
         "fingerprint": fingerprint,
-        "rows": encode_rows(records),
+        "rows": rows,
         "statements": [list(entry) for entry in statements],
         "final": final,
     }

@@ -31,7 +31,7 @@ import asyncio
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.cache.store import default_cache
 from repro.exec.errors import (
@@ -54,12 +54,25 @@ from repro.tsql2.executor import Database, TSQL2SemanticError
 from repro.tsql2.lexer import TSQL2SyntaxError
 from repro.tsql2.parser import parse
 
-__all__ = ["QueryServer", "ServerRunner", "DEDUP_WINDOW"]
+__all__ = ["QueryServer", "ServerRunner", "DEDUP_WINDOW", "append_rows"]
 
 #: Idempotent-statement dedup window: how many acknowledged statement
 #: ids the server remembers.  Matches the journal's STATEMENT
 #: retention so a recovered/promoted node can reseed the full window.
 DEDUP_WINDOW = 256
+
+
+def append_rows(rows: Any) -> List[Tuple[List[Any], Any, Any]]:
+    """An ``append`` frame's ``[value..., start, end]`` lists, which a
+    replicated batch carries too, as ``(values, start, end)`` rows."""
+    if not isinstance(rows, list):
+        raise TSQL2SemanticError("append rows must be a list")
+    batch = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) < 2:
+            raise TSQL2SemanticError("each append row is [value..., start, end]")
+        batch.append((row[:-2], row[-2], row[-1]))
+    return batch
 
 
 def _error_frame(error: BaseException) -> Dict[str, Any]:
@@ -579,14 +592,9 @@ class QueryServer:
                     version, row_count = hit
                     deduplicated = True
                 else:
-                    batch = []
-                    for row in rows:
-                        if not isinstance(row, list) or len(row) < 2:
-                            raise TSQL2SemanticError(
-                                "each append row is [value..., start, end]"
-                            )
-                        batch.append((row[:-2], row[-2], row[-1]))
-                    version, row_count = self._apply_append(served, batch, sid)
+                    version, row_count = self._apply_append(
+                        served, append_rows(rows), sid
+                    )
                     if sid is not None:
                         self.dedup_record(sid, version, row_count)
             except TemporalAggregateError as error:

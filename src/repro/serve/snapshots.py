@@ -186,24 +186,26 @@ class ServedRelation:
     def validate_batch(self, rows: Any) -> List[TemporalTuple]:
         """Validate ``(values, start, end)`` rows without appending.
 
-        The replication primary validates *before* journaling — a
-        malformed row must reject the whole batch before any byte of
-        it becomes durable or ships.  Uses the relation's own row
-        validation so accept/reject semantics match a plain append.
+        A replicated table validates *before* journaling — a malformed
+        row must reject the whole batch before any byte of it becomes
+        durable or ships.  Uses the relation's own row validation so
+        accept/reject semantics match a plain append.
         """
         return [
             self.base._validated_row(values, start, end)
             for values, start, end in rows
         ]
 
-    def append_replicated(self, rows: Any, version: int) -> Tuple[int, int]:
-        """Apply one primary-shipped batch, adopting the primary's
-        version number.
+    def append_replicated(
+        self, rows: List[TemporalTuple], version: int
+    ) -> Tuple[int, int]:
+        """Apply one replicated batch, rows :meth:`validate_batch`
+        returned, adopting the primary's version number.
 
         A replica must hand out the *primary's* version order —
         read tokens and pinned snapshots compare versions across
         nodes, so a locally-counted version would break
-        read-your-writes after failover.  ``append_batch`` bumps the
+        read-your-writes after failover.  ``extend`` bumps the
         local counter by one; the explicit assignment then aligns it
         with the shipped version (monotonicity enforced: replication
         never moves a version backwards).
@@ -215,9 +217,9 @@ class ServedRelation:
                     f"replicated version {version} must exceed the applied "
                     f"version {base.version}"
                 )
-            appended = base.append_batch(rows)
-            if appended == 0:
+            if not rows:
                 raise ValueError("append batch must contain at least one row")
+            base.extend(rows)
             base.version = version
             return base.version, len(base)
 

@@ -5,7 +5,8 @@ salary, two 4-byte timestamps and 110 bytes of payload the aggregate
 never examines (Section 6).  :class:`FixedWidthCodec` reproduces that
 layout for any :class:`~repro.relation.schema.Schema`:
 
-* ``str``  attributes — UTF-8, NUL-padded to the declared width;
+* ``str``  attributes — UTF-8, NUL-padded to the declared width (so
+  a string ending in NUL, or one with no UTF-8, is refused);
 * ``int``  attributes — 4-byte big-endian signed;
 * ``float`` attributes — 8-byte IEEE-754 double;
 * the two timestamps — 4-byte big-endian unsigned, **saturating**:
@@ -118,7 +119,17 @@ class FixedWidthCodec:
         parts: List[bytes] = []
         for attribute, value in zip(self.schema.attributes, row.values):
             if attribute.type == "str":
-                raw = value.encode("utf-8")
+                # The record must decode back to this very string.
+                try:
+                    raw = value.encode("utf-8")
+                except UnicodeEncodeError as error:
+                    raise CodecError(
+                        f"string {value!r} has no UTF-8: {error.reason}"
+                    ) from None
+                if raw.endswith(b"\x00"):
+                    raise CodecError(
+                        f"string {value!r} ends in NUL, which decode strips"
+                    )
                 if len(raw) > attribute.width:
                     raise CodecError(
                         f"string {value!r} exceeds the {attribute.width}-byte "

@@ -138,9 +138,9 @@ class HeapFile:
         """Store one tuple whose record a caller already holds.
 
         ``record`` is ``self.codec.encode(row)``: the journal and the
-        page take the record, the fingerprint chain takes the row.
-        Replication passes the records it encoded for the ship, or
-        received in one, instead of encoding each row again.
+        page take the record, the fingerprint chain takes the row.  A
+        replicated table encodes its whole batch before the first append
+        (:meth:`~repro.replicate.applier.ReplicatedTable.write`).
 
         Journaled files observe strict write-ahead order: the record
         reaches the journal before any data page is touched, so a crash

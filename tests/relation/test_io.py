@@ -103,6 +103,18 @@ class TestReadErrors:
                 read_csv(stream, on_error=on_error)
             assert "line 1 or later" in str(caught.value)
 
+    def test_inferred_str_cell_with_no_utf8_is_a_row_refusal(self):
+        """A lone surrogate, which only a str or stream source carries,
+        is refused as its row, not raised as a UnicodeEncodeError."""
+        text = "a,valid_start,valid_end\n\ud800,0,1\nok,1,2\n"
+        with pytest.raises(RelationIOError, match="^row 2: .*no UTF-8"):
+            from_csv_text(text)
+        relation = from_csv_text(text, on_error="quarantine")
+        assert [row.values for row in relation] == [("ok",)]
+        assert relation.schema.attribute("a").type == "str"
+        [quarantined] = relation.quarantine.rows
+        assert (quarantined.line, quarantined.fields) == (2, ["\ud800", "0", "1"])
+
     def test_field_over_the_csv_limit(self):
         huge = "x" * (csv.field_size_limit() + 1)
         text = f"name,valid_start,valid_end\nA,0,5\n{huge},0,5\n"

@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis import racecheck
 from repro.cache.store import set_default_cache
-from repro.relation.schema import EMPLOYED_SCHEMA
+from repro.relation.schema import EMPLOYED_SCHEMA, Schema
 from repro.serve.config import ServerConfig
 from repro.serve.server import ServerRunner
 from repro.replicate.node import ReplicationNode, TableSpec
@@ -43,10 +43,12 @@ def _race_checked():
     racecheck.assert_no_races()
 
 
-def jobs_spec(directory: str, name: str = "jobs") -> TableSpec:
+def jobs_spec(
+    directory: str, name: str = "jobs", schema: Schema = EMPLOYED_SCHEMA
+) -> TableSpec:
     return TableSpec(
         name=name,
-        schema=EMPLOYED_SCHEMA,
+        schema=schema,
         path=os.path.join(directory, f"{name}.heap"),
     )
 
@@ -60,10 +62,11 @@ def make_node(
     heartbeat_ms: float = 50.0,
     workers: int = 2,
     repl_secret: Optional[str] = None,
+    schema: Schema = EMPLOYED_SCHEMA,
 ) -> ReplicationNode:
     return ReplicationNode(
         ServerConfig(port=0, role=role, workers=workers),
-        tables=[jobs_spec(directory)],
+        tables=[jobs_spec(directory, schema=schema)],
         peers=list(peers),
         lease_ms=lease_ms,
         heartbeat_ms=heartbeat_ms,
@@ -100,6 +103,7 @@ def replicated_pair(
     *,
     lease_ms: Optional[float] = None,
     heartbeat_ms: float = 50.0,
+    schema: Schema = EMPLOYED_SCHEMA,
 ) -> Iterator[Pair]:
     """A live primary shipping to a live replica, torn down after."""
     replica = make_node(
@@ -107,6 +111,7 @@ def replicated_pair(
         role="replica",
         lease_ms=lease_ms,
         heartbeat_ms=heartbeat_ms,
+        schema=schema,
     )
     replica_runner = ServerRunner(replica).start()
     primary = make_node(
@@ -114,6 +119,7 @@ def replicated_pair(
         role="primary",
         peers=[f"{replica_runner.host}:{replica_runner.port}"],
         heartbeat_ms=heartbeat_ms,
+        schema=schema,
     )
     primary_runner = ServerRunner(primary).start()
     try:

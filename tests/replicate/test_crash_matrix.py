@@ -13,39 +13,42 @@ import os
 import pytest
 
 from repro.exec.errors import ReplicationError
+from repro.relation.relation import fingerprint_rows
+from repro.relation.tuples import TemporalTuple
 from repro.serve.client import QueryClient
+from repro.serve.protocol import decode_body, encode_frame
 from repro.replicate.applier import ReplicatedTable
 from repro.replicate.wire import ship_frame, ShipBatch
 
 from tests.replicate.conftest import jobs_spec, make_node, replicated_pair
 
 
+def over_the_wire(frame):
+    """``frame`` as a replica reads it: encoded into one frame and its
+    body (past the 4-byte length header) decoded back."""
+    return decode_body(encode_frame(frame)[4:])
+
+
 def _ship_frame_for(table: ReplicatedTable, rows, version, sid):
     """Build the ship frame the primary would send for one batch."""
     heap = table.heap
-    records = []
-    for values, start, end in rows:
-        from repro.relation.tuples import TemporalTuple
-
-        records.append(heap.codec.encode(TemporalTuple(tuple(values), start, end)))
-    return ship_frame(
-        0,
-        ShipBatch(
-            table=table.name,
-            version=version,
-            row_count=len(heap) + len(rows),
-            base_count=len(heap),
-            fingerprint=_fold_over(heap.fingerprint, heap.codec, records),
-            sid=sid,
-            records=records,
-        ),
+    return over_the_wire(
+        ship_frame(
+            0,
+            ShipBatch(
+                table=table.name,
+                version=version,
+                row_count=len(heap) + len(rows),
+                base_count=len(heap),
+                fingerprint=fingerprint_rows(
+                    (TemporalTuple(tuple(v), s, e) for v, s, e in rows),
+                    heap.fingerprint,
+                ),
+                sid=sid,
+                rows=[[*values, start, end] for values, start, end in rows],
+            ),
+        )
     )
-
-
-def _fold_over(fingerprint, codec, records):
-    from repro.relation.relation import fingerprint_rows
-
-    return fingerprint_rows(map(codec.decode, records), fingerprint)
 
 
 def test_torn_link_mid_ship_resyncs_and_converges(tmp_path):
@@ -77,8 +80,6 @@ def test_replica_killed_mid_replay_recovers_committed_prefix(tmp_path):
         committed_fp = table.heap.fingerprint
         # Second batch: journaled but the "process dies" before COMMIT
         # — emulated by appending without commit, then abandoning.
-        from repro.relation.tuples import TemporalTuple
-
         table.heap.append(TemporalTuple(("bob", 200), 5, 15))
         table.heap.abandon()
     finally:

@@ -149,9 +149,9 @@ def test_refused_append_leaves_no_row_in_the_heap(tmp_path, refused_row):
 
 
 def test_replicated_append_encodes_each_record_once(tmp_path, monkeypatch):
-    """The primary encodes a batch once, for its heap and its ship; the
-    replica stores the shipped records as they arrive.  The journals,
-    fingerprint chains and recovered rows match encoding per row."""
+    """Each node encodes a batch's records once: the primary from the
+    appended rows, the replica from the shipped ones.  The journals,
+    fingerprint chains and recovered rows match."""
     rows = [["ann", 1, 0, 5], ["ben", 2, 3, 9], ["cy", 3, 3, 3], ["di", 4, 6, 20]]
     encodes = {"primary": 0, "replica": 0}
     with replicated_pair(tmp_path) as pair:
@@ -165,7 +165,7 @@ def test_replicated_append_encodes_each_record_once(tmp_path, monkeypatch):
             monkeypatch.setattr(codec, "encode", counted)
         with QueryClient(pair.primary_runner.host, pair.primary_runner.port) as c:
             c.append("jobs", rows)
-        assert encodes == {"primary": 4, "replica": 0}
+        assert encodes == {"primary": 4, "replica": 4}
         primary_cursor, replica_cursor = _cursors(pair)
         assert replica_cursor == primary_cursor
     for side in ("primary", "replica"):

@@ -18,10 +18,10 @@ from repro.relation.relation import fingerprint_rows
 from repro.relation.tuples import TemporalTuple
 from repro.serve.client import QueryClient
 from repro.serve.server import ServerRunner
-from repro.replicate.wire import hello_frame, sync_frame
+from repro.replicate.wire import hello_frame, schema_spec, sync_frame
 
 from tests.replicate.conftest import make_node, replicated_pair
-from tests.replicate.test_crash_matrix import _ship_frame_for
+from tests.replicate.test_crash_matrix import _ship_frame_for, over_the_wire
 
 
 def _close_tables(node):
@@ -32,21 +32,18 @@ def _close_tables(node):
 
 def _sync_chunk(table, rows, *, base_count, version, row_count,
                 fingerprint, final, statements=()):
-    heap = table.heap
-    records = [
-        heap.codec.encode(TemporalTuple(tuple(values), start, end))
-        for values, start, end in rows
-    ]
-    return sync_frame(
-        0,
-        table.name,
-        base_count=base_count,
-        version=version,
-        row_count=row_count,
-        fingerprint=fingerprint,
-        records=records,
-        statements=statements,
-        final=final,
+    return over_the_wire(
+        sync_frame(
+            0,
+            table.name,
+            base_count=base_count,
+            version=version,
+            row_count=row_count,
+            fingerprint=fingerprint,
+            rows=[[*values, start, end] for values, start, end in rows],
+            statements=statements,
+            final=final,
+        )
     )
 
 
@@ -117,10 +114,7 @@ class TestFailedSyncRollsBack:
             assert len(table.heap) == 2
             # The next primary's hello must see the committed prefix.
             reply = node.applier.apply_hello(
-                hello_frame(
-                    0,
-                    {"jobs": {"record_bytes": table.heap.codec.record_bytes}},
-                )
+                hello_frame(0, {"jobs": {"schema": schema_spec(table.schema)}})
             )
             assert reply["tables"]["jobs"] == committed
             assert node.applier.rollbacks == 1

@@ -61,6 +61,20 @@ class TestRecords:
         with pytest.raises(CodecError, match="exceeds"):
             codec.encode(row)
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("bo\x00", "ends in NUL"), ("s\ud800", "no UTF-8")],
+        ids=["trailing-nul", "lone-surrogate"],
+    )
+    def test_string_that_cannot_decode_back_rejected(self, codec, name, reason):
+        """A trailing NUL would be stripped with the padding, and a lone
+        surrogate has no UTF-8: neither record gives its string back."""
+        with pytest.raises(CodecError, match=reason):
+            codec.encode(TemporalTuple((name, 1), 0, 1))
+        # An inner NUL is stored and given back.
+        row = TemporalTuple(("a\x00b", 1), 0, 1)
+        assert codec.decode(codec.encode(row)) == row
+
     def test_out_of_range_int_rejected(self, codec):
         row = TemporalTuple(("A", 2**40), 0, 1)
         with pytest.raises(CodecError):
