@@ -493,12 +493,14 @@ def instrument_from_source(
 
 
 def install_default() -> List[str]:
-    """Instrument the serving stack's shared classes from their models.
+    """Instrument the serving stack's shared classes from their models,
+    the resident worker pool among them.
 
     Returns the class names newly instrumented this call (empty on
     repeat calls — instrumentation sticks for the process lifetime).
     """
     from repro.cache.store import ShardResultCache
+    from repro.exec.pool import ResidentWorkerPool
     from repro.metrics.counters import ThreadLocalCounters
     from repro.serve.admission import AdmissionController
     from repro.serve.snapshots import ServedRelation, SnapshotView
@@ -510,6 +512,7 @@ def install_default() -> List[str]:
         ServedRelation,
         SnapshotView,
         ThreadLocalCounters,
+        ResidentWorkerPool,
     ):
         if instrument_from_source(cls):
             installed.append(cls.__name__)

@@ -1,16 +1,15 @@
 """Cached evaluation: pure hits, append deltas, and full recomputes.
 
 :func:`evaluate_cached` is the cache's engine boundary.  Given a
-relation carrying the result-cache protocol (uid, version, append
-watermark, chained fingerprint — see
-:class:`~repro.relation.relation.TemporalRelation`), it serves one
-``temporal_aggregate`` call down one of three paths:
+relation carrying the result-cache protocol (uid, version, chained
+fingerprint — see :class:`~repro.relation.relation.TemporalRelation`),
+it serves one ``temporal_aggregate`` call down one of three paths:
 
 * **Pure hit** — the entry's version and fingerprint match the
   relation's: concatenate the cached shard columns into a fresh
   column-backed result.  No scan, no sort, no sweep, no row objects.
-* **Append delta** — the entry predates some appends but postdates the
-  last in-place reorder, and the relation confirms the content chain
+* **Append delta** — the entry predates some appends, and the relation
+  confirms that its rows extend the entry's by appends alone
   (:meth:`~repro.relation.relation.TemporalRelation.verify_append_chain`):
   mark dirty exactly the time shards whose windows overlap an appended
   tuple's interval, re-sweep *only those* with the columnar kernel,
@@ -26,6 +25,14 @@ become the cache parts) and stitching heals exactly the artificial
 seams.  Uncacheable inputs — relations without the protocol,
 unregistered aggregate instances, empty relations — fall through to
 the plain columnar sweep.
+
+Relations are append-only, so appends are the only change between an
+entry and a later version; a relation whose rows differ in any other
+way fails the append chain and recomputes.  The sweeps go through
+:func:`repro.core.parallel.sweep_windows` with the relation's own
+:class:`~repro.core.columns.ColumnSet`, so they run on the resident
+pool when it applies, and the pool's shared-memory copy of the columns
+lives as long as that ColumnSet.
 
 ``REPRO_CHECK_INVARIANTS=1`` adds a sampled-shard audit on every pure
 hit: one cached window is re-swept from the live relation and compared
@@ -111,7 +118,6 @@ def evaluate_cached(
 
     if (
         entry is not None
-        and entry.version >= relation.append_watermark
         and entry.row_count <= len(relation)
         and relation.verify_append_chain(entry.row_count, entry.fingerprint)
     ):
@@ -153,38 +159,31 @@ def _serve_hit(
 
 def _scan_columns(
     relation: Any, attribute: Optional[str], counters: "OperationCounters"
-) -> Tuple[Any, Any, Any, Any]:
-    """One counted scan decomposed into validated flat columns.
+) -> ColumnSet:
+    """One counted scan as validated flat columns.
 
     Relations offering the flat-column protocol (``columns()``) feed
-    the cache straight from their version-keyed column snapshot — no
-    per-row tuples are built between storage and the shard kernels.
-    Protocol-less relations fall back to decomposing a triple scan (and
-    account the per-row tuples that scan materialized).
-
-    The fourth return is the :class:`~repro.core.columns.ColumnSet`
-    itself when the relation produced one (None otherwise) — the
-    resident execution backend needs its identity stamp to key a
-    shared-memory publication.
+    the cache straight from their version-keyed
+    :class:`~repro.core.columns.ColumnSet`, whose uid lets the sweeps
+    run on the resident pool; no per-row tuples are built between
+    storage and the shard kernels.  Protocol-less relations fall back
+    to decomposing a triple scan into anonymous columns (and account
+    the per-row tuples that scan materialized).
     """
     columns_method = getattr(relation, "columns", None)
     if callable(columns_method):
         columns = columns_method(attribute)
         counters.column_batches += columns.batches
-        starts, ends, values = columns.starts, columns.ends, columns.values
     else:
-        columns = None
         starts, ends, values = zip(*relation.scan_triples(attribute))
         counters.tuple_materializations += len(starts)
-    validate_columns(starts, ends)
-    return starts, ends, values, columns
+        columns = ColumnSet(starts, ends, values)
+    validate_columns(columns.starts, columns.ends)
+    return columns
 
 
 def _sweep_parts(
-    columns: Any,
-    starts: Any,
-    ends: Any,
-    values: Any,
+    columns: ColumnSet,
     windows: List[Tuple[int, int]],
     aggregate: "Aggregate",
     counters: "OperationCounters",
@@ -199,8 +198,7 @@ def _sweep_parts(
     allocated bytes, so it stores exactly-sized copies.
     """
     swept, _report = sweep_windows(
-        starts, ends, values, windows, aggregate,
-        columns=columns, deadline=deadline, counters=counters,
+        columns, windows, aggregate, deadline=deadline, counters=counters
     )
     parts = [
         ColumnSet(part_starts[:], part_ends[:], part_values[:])
@@ -245,10 +243,10 @@ def _refresh_append(
     # Uncharge the stale entry up front; the refreshed entry re-admits
     # (and re-applies the byte budget) through the normal store path.
     cache.discard(key)
-    starts, ends, values, columns = _scan_columns(relation, attribute, counters)
+    columns = _scan_columns(relation, attribute, counters)
     # The appended rows are the columns' tail past the entry's rows.
-    appended_starts = starts[entry.row_count :]
-    appended_ends = ends[entry.row_count :]
+    appended_starts = columns.starts[entry.row_count :]
+    appended_ends = columns.ends[entry.row_count :]
     windows = entry.windows
     dirty = [
         index
@@ -260,8 +258,8 @@ def _refresh_append(
     ]
     parts = list(entry.parts)
     swept, events_by_shard = _sweep_parts(
-        columns, starts, ends, values, [windows[index] for index in dirty],
-        aggregate, counters, deadline,
+        columns, [windows[index] for index in dirty], aggregate, counters,
+        deadline,
     )
     for index, part in zip(dirty, swept):
         parts[index] = part
@@ -279,7 +277,7 @@ def _refresh_append(
         row_count=len(relation),
         windows=windows,
         parts=parts,
-        merges=seam_merges(parts, starts, ends),
+        merges=seam_merges(parts, columns.starts, columns.ends),
     )
     return _finish(refreshed, cache, key, counters)
 
@@ -299,12 +297,12 @@ def _recompute(
     counters.cache_misses += 1
     cache.tally(cache_misses=1)
     cache.discard(key)
-    starts, ends, values, columns = _scan_columns(relation, attribute, counters)
-    windows = shard_bounds(starts, ends, shard_count)
+    columns = _scan_columns(relation, attribute, counters)
+    windows = shard_bounds(columns.starts, columns.ends, shard_count)
     parts, events_by_shard = _sweep_parts(
-        columns, starts, ends, values, windows, aggregate, counters, deadline
+        columns, windows, aggregate, counters, deadline
     )
-    counters.tuples += len(starts)
+    counters.tuples += len(columns)
     counters.node_visits += sum(events_by_shard)
     counters.aggregate_updates += sum(events_by_shard)
     space.absorb_concurrent(events_by_shard)
@@ -315,7 +313,7 @@ def _recompute(
         row_count=len(relation),
         windows=windows,
         parts=parts,
-        merges=seam_merges(parts, starts, ends),
+        merges=seam_merges(parts, columns.starts, columns.ends),
     )
     return _finish(entry, cache, key, counters)
 

@@ -11,7 +11,7 @@ The evaluation logic that decides hit / append-delta / miss lives in
 * **Validity stamps** — an entry records ``version`` and
   ``fingerprint``; the relation side of the handshake lives on
   :class:`~repro.relation.relation.TemporalRelation` (version counter,
-  append watermark, chained fingerprint).
+  chained fingerprint).
 * **Byte budget** — each entry is charged the bytes of its column
   buffers (:attr:`CachedEntry.charged_bytes`).  Inserting past the
   budget evicts least-recently-used entries first; an entry larger
@@ -58,7 +58,7 @@ def cacheable_relation(relation: Any) -> bool:
     """Does ``relation`` carry the result-cache protocol?
 
     True exactly for containers declaring ``supports_result_cache``
-    (and thereby uid / version / append watermark / fingerprint /
+    (and thereby uid / version / fingerprint /
     ``verify_append_chain``).  Raw triple streams
     and storage containers without the protocol evaluate uncached.
     """

@@ -19,14 +19,15 @@ relation); evaluators fold it into
 flat-column shape claim is checkable next to the
 ``tuple_materializations`` counter it replaces.
 
-``uid``/``version``/``column_key`` are the snapshot's *identity*: the
-producing relation's uid, the relation version the columns were cut
-at, and the attribute the value column came from.  They are optional
-(anonymous column sets still evaluate everywhere) but required for the
-resident execution backend (:mod:`repro.exec.pool`) — a shared-memory
-publication is keyed by exactly this triple, so an unidentified
-ColumnSet can never be published (its shards sweep in process) rather
-than risking a stale-snapshot reuse.
+``uid``/``version`` are the snapshot's *identity*: the producing
+relation's uid and the relation version the columns were cut at.  They
+are optional: anonymous column sets (raw triples, heap-file scans,
+cache parts) evaluate everywhere but always sweep in process.  A
+ColumnSet with a uid may go to the resident execution backend
+(:mod:`repro.exec.pool`), which copies its columns into shared memory
+on its first sweep and unlinks the copy when the ColumnSet is
+collected, so the copy lives exactly as long as the columns it
+mirrors.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class ColumnSet:
         "batches",
         "uid",
         "version",
-        "column_key",
         # Weak-referenceable so the resident execution backend can tie
         # a shared-memory publication's lifetime to this snapshot: when
         # the ColumnSet is garbage collected (superseded version, or
@@ -64,7 +64,6 @@ class ColumnSet:
         batches: int = 1,
         uid: Optional[int] = None,
         version: Optional[int] = None,
-        column_key: str = "",
     ) -> None:
         if values is not None and len(values) != len(starts):
             raise ValueError(
@@ -82,7 +81,6 @@ class ColumnSet:
         self.batches = batches
         self.uid = uid
         self.version = version
-        self.column_key = column_key
 
     def __len__(self) -> int:
         return len(self.starts)

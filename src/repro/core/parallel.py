@@ -83,39 +83,34 @@ def registered_instance(aggregate: Aggregate) -> bool:
 
 
 def sweep_windows(
-    starts: Sequence[int],
-    ends: Sequence[int],
-    values: Optional[Sequence[Any]],
+    columns: ColumnSet,
     windows: Sequence[Tuple[int, int]],
     aggregate: Aggregate,
     *,
-    columns: "Optional[ColumnSet]" = None,
     deadline: "Optional[Deadline]" = None,
     retry: Optional[RetryPolicy] = None,
     shard_timeout: Optional[float] = None,
     counters: "Optional[OperationCounters]" = None,
 ) -> Tuple[List[Tuple[Columns, int]], Optional[SupervisionReport]]:
-    """Sweep every window: ``(columns, events)`` per window, in order.
+    """Sweep every window of ``columns``: ``(columns, events)`` per
+    window, in order.
 
     The windows run on the resident pool (:mod:`repro.exec.pool`) when
     there is more than one, the input has at least
-    :data:`~repro.core.partition.PARALLEL_MIN_TUPLES` tuples, ``columns``
-    — the :class:`~repro.core.columns.ColumnSet` the flat columns came
-    from — carries the relation uid/version that keys the shared-memory
-    publication (anonymous columns could alias a stale one), a worker
-    can rebuild the aggregate by name, and a pool is available.  Then
+    :data:`~repro.core.partition.PARALLEL_MIN_TUPLES` tuples, a worker
+    can rebuild the aggregate by name, a pool is available and the pool
+    takes the columns: a relation's :class:`~repro.core.columns.ColumnSet`
+    (it carries a uid) whose value column, if any, maps to int64.  Then
     worker counter deltas merge into ``counters`` and the run's
     :class:`~repro.exec.supervision.SupervisionReport` comes back
-    second.  Everything else — raw triples, small inputs, value columns
-    that do not map to int64 — sweeps in process with the deadline
-    checked at each shard, and the report is None.
+    second.  Everything else — anonymous columns such as raw triples',
+    small inputs, value columns that do not map to int64 — sweeps in
+    process with the deadline checked at each shard, and the report is
+    None.
     """
     if (
         len(windows) > 1
-        and len(starts) >= partition.PARALLEL_MIN_TUPLES
-        and columns is not None
-        and columns.uid is not None
-        and columns.version is not None
+        and len(columns) >= partition.PARALLEL_MIN_TUPLES
         and registered_instance(aggregate)
     ):
         from repro.exec.pool import active_pool, default_pool
@@ -128,15 +123,9 @@ def sweep_windows(
         if pool is None and threading.active_count() == 1:
             pool = default_pool()
         outcome = None if pool is None else pool.sweep_columns(
-            starts,
-            ends,
-            values,
+            columns,
             windows,
             aggregate.name,
-            uid=columns.uid,
-            version=columns.version,
-            column_key=columns.column_key,
-            owner=columns,
             deadline=deadline,
             retry=retry,
             shard_timeout=shard_timeout,
@@ -145,6 +134,7 @@ def sweep_windows(
         if outcome is not None:
             shard_results, supervisor = outcome
             return shard_results, supervisor.report
+    starts, ends, values = columns.starts, columns.ends, columns.values
     swept: List[Tuple[Columns, int]] = []
     for index, (lo, hi) in enumerate(windows):
         if deadline is not None:
@@ -203,11 +193,12 @@ class ParallelSweepEvaluator(Evaluator):
             return self._make_delegate().evaluate(data)
         # The input arrived as per-row tuple objects; the flat-column
         # entry points (evaluate_columns / evaluate_relation) never
-        # build these.
+        # build these.  Their columns are anonymous: they sweep in
+        # process.
         self.counters.tuple_materializations += len(data)
         starts, ends, values = zip(*data)
         return self._evaluate_sharded(
-            starts, ends, values, shards=shards, batches=0
+            ColumnSet(starts, ends, values, batches=0), shards
         )
 
     def evaluate_columns(self, columns: "ColumnSet") -> TemporalAggregateResult:
@@ -221,14 +212,7 @@ class ParallelSweepEvaluator(Evaluator):
         shards = self.shards if self.shards is not None else available_workers()
         if not len(columns) or shards <= 1:
             return self._make_delegate().evaluate_columns(columns)
-        return self._evaluate_sharded(
-            columns.starts,
-            columns.ends,
-            columns.values,
-            shards=shards,
-            batches=columns.batches,
-            columns=columns,
-        )
+        return self._evaluate_sharded(columns, shards)
 
     def evaluate_relation(
         self, relation: Any, attribute: Optional[str] = None
@@ -239,29 +223,20 @@ class ParallelSweepEvaluator(Evaluator):
         return self.evaluate(relation.scan_triples(attribute))
 
     def _evaluate_sharded(
-        self,
-        starts: Sequence[int],
-        ends: Sequence[int],
-        values: Optional[Sequence[Any]],
-        *,
-        shards: int,
-        batches: int,
-        columns: "Optional[ColumnSet]" = None,
+        self, columns: ColumnSet, shards: int
     ) -> TemporalAggregateResult:
+        starts, ends = columns.starts, columns.ends
         validate_columns(starts, ends)
         windows = shard_bounds(starts, ends, shards)
         if len(windows) == 1:
             return self._make_delegate()._evaluate_columns(
-                starts, ends, values, batches=batches
+                starts, ends, columns.values, batches=columns.batches
             )
 
         shard_results, self.last_supervision = sweep_windows(
-            starts,
-            ends,
-            values,
+            columns,
             windows,
             self.aggregate,
-            columns=columns,
             deadline=self.deadline,
             retry=self.retry,
             shard_timeout=self.shard_timeout,
@@ -274,7 +249,7 @@ class ParallelSweepEvaluator(Evaluator):
         answer = stitch_columns(parts, seam_merges(parts, starts, ends))
         counters = self.counters
         counters.tuples += len(starts)
-        counters.column_batches += batches
+        counters.column_batches += columns.batches
         for _answer, events in shard_results:
             counters.node_visits += events
             counters.aggregate_updates += events

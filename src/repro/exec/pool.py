@@ -20,24 +20,27 @@ once:
   The ``pool_forks`` counter proves the shape: it equals the worker
   count (plus crash respawns), never the statement count.
 
-* **Columns publish once per (relation uid, version)** into named
-  ``multiprocessing.shared_memory`` segments (:class:`SegmentStore`).
-  The ``array('q')`` timestamp columns map byte-for-byte into the
-  segment; workers attach by name and read them zero-copy through a
-  ``memoryview('q')``.  A second query against the same snapshot — the
-  common case under serving load — reuses the published segments
-  outright.  Segments are refcounted (pins for in-flight sweeps, a
-  doom mark for released versions) and unlinked deterministically on
-  release (the publishing ColumnSet was collected), on pool shutdown
-  and at interpreter exit (``atexit``), so ``/dev/shm`` holds nothing
-  after the owning process is done — the hygiene property the tests
-  assert by listing segment names before and after.  An owner that
-  never gets to clean up (SIGKILLed together with its
-  ``resource_tracker``, or OOM-killed) leaves its segments behind; the
-  next pool start anywhere on the host reaps them
-  (:func:`reap_orphaned_segments`).  The creating process holds a
-  shared ``flock`` on each segment's descriptor for as long as the
-  segment is open (forked workers inherit it), so a segment on which
+* **Columns publish once per** :class:`~repro.core.columns.ColumnSet`.
+  The first sweep that sends a ColumnSet to the workers copies its
+  start, end and int64 value columns into named
+  ``multiprocessing.shared_memory`` segments; every later sweep over
+  the same ColumnSet — the common case under serving load, where
+  statements share a pinned snapshot's ColumnSet — reuses them.  The
+  publication lives exactly as long as its ColumnSet: a
+  ``weakref.finalize`` unlinks the segments when the ColumnSet is
+  collected, and :meth:`ResidentWorkerPool.stop` unlinks what is left.
+  A sweep holds its ColumnSet until it returns, so no segment goes
+  away under a running job, and how many stay resident is decided by
+  whoever holds ColumnSets: a relation memoizes its current version's,
+  a served relation those of its memoized pins.  Workers attach a
+  job's segments when the job starts and close them when it ends, so
+  between jobs a worker maps no segment (a respawned worker first
+  closes the mappings its fork copied).  An owner that never gets to
+  clean up (SIGKILLed together with its ``resource_tracker``, or
+  OOM-killed) leaves its segments behind; the next pool start anywhere
+  on the host reaps them (:func:`reap_orphaned_segments`).  The
+  creating process holds a shared ``flock`` on each segment's
+  descriptor for as long as the segment is open, so a segment on which
   an exclusive lock can be taken belongs to no live process — a rule
   that holds across pid reuse and across pid namespaces sharing
   ``/dev/shm``, where a pid-liveness check would not.
@@ -67,6 +70,7 @@ from __future__ import annotations
 
 import atexit
 import fcntl
+import itertools
 import multiprocessing
 import os
 import threading
@@ -76,7 +80,7 @@ from array import array
 from collections import OrderedDict
 from multiprocessing import shared_memory
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.aggregates import get_aggregate
 from repro.core.columnar_sweep import window_rows
@@ -87,9 +91,10 @@ from repro.exec.supervision import RetryPolicy, SupervisionReport
 
 from repro.metrics.counters import OperationCounters
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.columns import ColumnSet
+
 __all__ = [
-    "SegmentStore",
-    "PublishedSnapshot",
     "ResidentWorkerPool",
     "ResidentPoolSupervisor",
     "pool_workers_from_env",
@@ -98,7 +103,6 @@ __all__ = [
     "acquire_default_pool",
     "release_default_pool",
     "shutdown_default_pool",
-    "default_segment_store",
     "reap_orphaned_segments",
 ]
 
@@ -126,20 +130,23 @@ def _fork_available() -> bool:
 # Shared-memory column segments
 # ---------------------------------------------------------------------------
 
-#: Name prefix of every segment a :class:`SegmentStore` creates.
+#: Name prefix of every segment a pool creates.
 SEGMENT_PREFIX = "repro-pool-"
 
 #: Where POSIX shared-memory segments appear as files.
 SHM_DIR = "/dev/shm"
+
+#: Process-wide segment serial numbers: names stay unique across pools
+#: and across publications of one relation version.
+_SEGMENT_SERIALS = itertools.count(1)
 
 
 def reap_orphaned_segments() -> int:
     """Unlink every pool segment that no live process holds open.
 
     Each creator holds a shared ``flock`` on its segments (see
-    :meth:`SegmentStore._make_segment_locked`), so an exclusive
-    non-blocking lock succeeds only on a segment whose owner — and
-    every worker forked from it — is gone.  Returns how many segments
+    :func:`_make_segment`), so an exclusive non-blocking lock succeeds
+    only on a segment whose owner is gone.  Returns how many segments
     were unlinked; a host without ``/dev/shm`` has none to reap.
 
     A segment is locked just after it is created; a reap that lands in
@@ -186,380 +193,60 @@ def _shareable_values(values: Optional[Sequence[Any]]) -> Optional[array]:
         return None
 
 
-class PublishedSnapshot:
-    """One (relation uid, version) snapshot resident in shared memory.
+def _make_segment(
+    columns: "ColumnSet", label: str, column: array
+) -> shared_memory.SharedMemory:
+    """A new segment holding ``column``'s int64s, locked as live."""
+    name = (
+        f"{SEGMENT_PREFIX}{os.getpid()}-{columns.uid}-v{columns.version}"
+        f"-{label}-{next(_SEGMENT_SERIALS)}"
+    )
+    segment = shared_memory.SharedMemory(
+        create=True, size=max(1, len(column) * 8), name=name
+    )
+    # Held on the segment's own descriptor until close(): marks the
+    # segment live for reap_orphaned_segments.
+    fcntl.flock(segment._fd, fcntl.LOCK_SH)  # type: ignore[attr-defined]
+    payload = column.tobytes()
+    segment.buf[: len(payload)] = payload
+    return segment
 
-    Holds the parent-side segment handles plus the descriptor fields a
-    job needs to attach from a worker: segment *names* and the row
-    count (segment sizes round up to page granularity, so the length
-    travels explicitly).
+
+class _Publication:
+    """One ColumnSet's columns in shared memory.
+
+    Holds the parent-side segment handles (starts, ends, then values
+    when the ColumnSet has a value column) and the row count: segment
+    sizes round up to page granularity, so the length travels in the
+    job descriptor.  ``finalizer`` unlinks the segments when the
+    ColumnSet is collected.
     """
 
-    __slots__ = (
-        "uid",
-        "version",
-        "column_key",
-        "length",
-        "segments",
-        "starts_name",
-        "ends_name",
-        "values_name",
-        "pins",
-        "doomed",
-    )
+    __slots__ = ("segments", "length", "finalizer")
 
-    def __init__(
-        self,
-        uid: int,
-        version: int,
-        column_key: str,
-        length: int,
-        segments: List[shared_memory.SharedMemory],
-        values_name: Optional[str],
-    ) -> None:
-        self.uid = uid
-        self.version = version
-        self.column_key = column_key
-        self.length = length
+    def __init__(self, segments: List[shared_memory.SharedMemory], length: int) -> None:
         self.segments = segments
-        self.starts_name = segments[0].name
-        self.ends_name = segments[1].name
-        self.values_name = values_name
-        self.pins = 0
-        self.doomed = False
+        self.length = length
+        self.finalizer: Optional[weakref.finalize] = None
 
     def descriptor(self) -> Dict[str, Any]:
         """The picklable attach-by-name fields for a job spec."""
+        names = [segment.name for segment in self.segments]
         return {
-            "starts_name": self.starts_name,
-            "ends_name": self.ends_name,
-            "values_name": self.values_name,
+            "starts_name": names[0],
+            "ends_name": names[1],
+            "values_name": names[2] if len(names) > 2 else None,
             "length": self.length,
         }
 
     def destroy(self) -> None:
-        """Close and unlink every segment (idempotent)."""
+        """Close and unlink every segment."""
         for segment in self.segments:
             try:
                 segment.close()
                 segment.unlink()
-            except (FileNotFoundError, OSError):
-                pass  # already unlinked (e.g. atexit after explicit release)
-        self.segments = []
-
-
-class SegmentStore:
-    """Refcounted registry of published column snapshots.
-
-    One store per process owns every segment this process created.
-    ``publish`` is idempotent per (uid, version, column key) — the
-    column key names the attribute the value column was scanned from,
-    because one relation version has a *different* value column per
-    attribute — so the serving case of many statements against one
-    snapshot publishes once and reuses.  A snapshot first published
-    value-less (a COUNT sweep needs no values) upgrades in place when
-    a valued sweep later needs the same attribute's column.
-    Reclamation is deterministic: a snapshot dies when it is *released*
-    (its relation moved on, or its owner was garbage collected) **and**
-    no in-flight sweep holds a pin.  ``shutdown`` (also registered via
-    ``atexit``) unlinks everything unconditionally, so a crashed or
-    interrupted run leaves ``/dev/shm`` clean.
-    """
-
-    #: Resident snapshots kept per store; beyond this the least
-    #: recently used unpinned snapshot is doomed on publish, bounding
-    #: ``/dev/shm`` under long append-heavy serving runs.
-    MAX_RESIDENT_SNAPSHOTS = 8
-
-    def __init__(self, max_resident: Optional[int] = None) -> None:
-        self._lock = threading.Lock()
-        self.max_resident = (
-            max_resident if max_resident is not None
-            else self.MAX_RESIDENT_SNAPSHOTS
-        )
-        #: (uid, version, column_key) -> snapshot, LRU-ordered by last
-        #: publish/pin touch.  # ta: guarded-by(self._lock)
-        self._snapshots: "OrderedDict[Tuple[int, int, str], PublishedSnapshot]" = (
-            OrderedDict()
-        )
-        #: Doomed-but-pinned snapshots whose registry slot was reused
-        #: by a later publish of the same key.  They no longer appear
-        #: in ``_snapshots`` yet their segments are still linked, so
-        #: the store must keep owning them until the last unpin (or
-        #: ``shutdown``) destroys them.  # ta: guarded-by(self._lock)
-        self._limbo: List[PublishedSnapshot] = []
-        self._nonce = 0  # ta: guarded-by(self._lock)
-        self.published_total = 0  # ta: guarded-by(self._lock)
-        self.reclaimed_total = 0  # ta: guarded-by(self._lock)
-
-    # -- naming ---------------------------------------------------------
-
-    def _segment_name_locked(self, uid: int, version: int, column: str) -> str:
-        # The pid prefix scopes hygiene checks to this process's
-        # segments; the nonce keeps names fresh across publish cycles
-        # of the same (uid, version) after a release.
-        self._nonce += 1
-        return f"{self.name_prefix()}{uid}-v{version}-{column}-{self._nonce}"
-
-    @staticmethod
-    def name_prefix() -> str:
-        """The ``/dev/shm`` name prefix of this process's segments."""
-        return f"{SEGMENT_PREFIX}{os.getpid()}-"
-
-    # -- publication ----------------------------------------------------
-
-    def _make_segment_locked(
-        self, uid: int, version: int, column_name: str, column: array
-    ) -> shared_memory.SharedMemory:
-        name = self._segment_name_locked(uid, version, column_name)
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, len(column) * 8), name=name
-        )
-        # Held on the segment's own descriptor until close(): marks the
-        # segment live for reap_orphaned_segments.
-        fcntl.flock(segment._fd, fcntl.LOCK_SH)  # type: ignore[attr-defined]
-        payload = column.tobytes()
-        segment.buf[: len(payload)] = payload
-        return segment
-
-    def publish(
-        self,
-        uid: int,
-        version: int,
-        starts: Sequence[int],
-        ends: Sequence[int],
-        values: Optional[Sequence[Any]],
-        *,
-        column_key: str = "",
-        owner: Optional[Any] = None,
-        counters: Optional[OperationCounters] = None,
-    ) -> Optional[PublishedSnapshot]:
-        """Ensure (uid, version, column_key) is resident.
-
-        Returns None — the caller sweeps in process — for empty
-        columns or a value column that does not map to int64.
-        Idempotent: a second publish of a live snapshot returns the
-        existing one without touching shared memory, except that a
-        value-less snapshot grows a values segment the first time a
-        valued sweep asks for one.
-
-        ``owner`` (typically the producing ColumnSet) ties the
-        publication's lifetime to an object: when the owner is garbage
-        collected — its relation died, or a newer version superseded
-        it — the snapshot is released automatically.
-        """
-        if not len(starts):
-            return None
-        key = (uid, version, column_key)
-        with self._lock:
-            existing = self._snapshots.get(key)
-            if (
-                existing is not None
-                and not existing.doomed
-                and (values is None or existing.values_name is not None)
-            ):
-                self._snapshots.move_to_end(key)
-                return existing
-        # Convert outside the lock: the int64 probe is O(n).
-        start_column = _shareable_values(starts)
-        end_column = _shareable_values(ends)
-        value_column = _shareable_values(values)
-        if start_column is None or end_column is None:
-            return None
-        if values is not None and value_column is None:
-            return None
-        with self._lock:
-            existing = self._snapshots.get(key)
-            if existing is not None and not existing.doomed:
-                self._snapshots.move_to_end(key)
-                if value_column is not None and existing.values_name is None:
-                    # Upgrade in place: COUNT published timestamps only;
-                    # this valued sweep needs the attribute's column too.
-                    try:
-                        segment = self._make_segment_locked(
-                            uid, version, "values", value_column
-                        )
-                    except (OSError, ValueError):
-                        return None
-                    existing.segments.append(segment)
-                    existing.values_name = segment.name
-                    self.published_total += 1
-                    if counters is not None:
-                        counters.segments_published += 1
-                return existing
-            segments: List[shared_memory.SharedMemory] = []
-            try:
-                columns = [("starts", start_column), ("ends", end_column)]
-                if value_column is not None:
-                    columns.append(("values", value_column))
-                for column_name, column in columns:
-                    segments.append(
-                        self._make_segment_locked(uid, version, column_name, column)
-                    )
-            except (OSError, ValueError):
-                for segment in segments:
-                    try:
-                        segment.close()
-                        segment.unlink()
-                    except (FileNotFoundError, OSError):
-                        pass
-                return None
-            snapshot = PublishedSnapshot(
-                uid,
-                version,
-                column_key,
-                len(start_column),
-                segments,
-                segments[2].name if value_column is not None else None,
-            )
-            if existing is not None:
-                # A doomed snapshot still in the registry is pinned by
-                # an in-flight sweep (unpinned doomed snapshots are
-                # popped eagerly).  Overwriting its slot must not lose
-                # track of its live segments: park it in limbo until
-                # its last unpin destroys it.
-                self._limbo.append(existing)
-            self._snapshots[key] = snapshot
-            self.published_total += len(segments)
-            if counters is not None:
-                counters.segments_published += len(segments)
-            evicted = self._evict_over_capacity_locked(counters)
-        for old in evicted:
-            old.destroy()
-        if owner is not None:
-            try:
-                weakref.finalize(owner, self.release_key, uid, version, column_key)
-            except TypeError:
-                pass  # owner not weak-referenceable; capacity eviction covers it
-        return snapshot
-
-    def _evict_over_capacity_locked(
-        self, counters: Optional[OperationCounters]
-    ) -> List[PublishedSnapshot]:
-        """Doom LRU unpinned snapshots beyond ``max_resident``."""
-        evicted: List[PublishedSnapshot] = []
-        if len(self._snapshots) <= self.max_resident:
-            return evicted
-        # [:-1]: never evict the entry just published (always newest).
-        for key in list(self._snapshots)[:-1]:
-            if len(self._snapshots) <= self.max_resident:
-                break
-            snapshot = self._snapshots[key]
-            if snapshot.pins > 0:
-                continue
-            snapshot.doomed = True
-            self._snapshots.pop(key, None)
-            self._account_reclaim_locked(snapshot, counters)
-            evicted.append(snapshot)
-        return evicted
-
-    # -- pinning and reclamation ----------------------------------------
-
-    def pin(
-        self, uid: int, version: int, column_key: str = ""
-    ) -> Optional[PublishedSnapshot]:
-        """Take a use-pin on a live snapshot (None if gone/doomed)."""
-        with self._lock:
-            snapshot = self._snapshots.get((uid, version, column_key))
-            if snapshot is None or snapshot.doomed:
-                return None
-            snapshot.pins += 1
-            self._snapshots.move_to_end((uid, version, column_key))
-            return snapshot
-
-    def unpin(
-        self,
-        snapshot: PublishedSnapshot,
-        *,
-        counters: Optional[OperationCounters] = None,
-    ) -> None:
-        """Drop a use-pin; reclaims the snapshot if it was doomed."""
-        with self._lock:
-            snapshot.pins -= 1
-            doomed = snapshot.doomed and snapshot.pins <= 0
-            if doomed:
-                key = (snapshot.uid, snapshot.version, snapshot.column_key)
-                # Pop by identity, never by key alone: while this pin
-                # was held the key's slot may have been republished,
-                # and popping the *new* snapshot would orphan its
-                # segments (untracked yet still linked in /dev/shm).
-                if self._snapshots.get(key) is snapshot:
-                    self._snapshots.pop(key)
-                else:
-                    try:
-                        self._limbo.remove(snapshot)
-                    except ValueError:
-                        pass
-                self._account_reclaim_locked(snapshot, counters)
-        if doomed:
-            snapshot.destroy()
-
-    def _account_reclaim_locked(
-        self,
-        snapshot: PublishedSnapshot,
-        counters: Optional[OperationCounters],
-    ) -> None:
-        reclaimed = len(snapshot.segments)
-        self.reclaimed_total += reclaimed
-        if counters is not None:
-            counters.segments_reclaimed += reclaimed
-
-    def release_key(
-        self,
-        uid: int,
-        version: int,
-        column_key: str,
-        *,
-        counters: Optional[OperationCounters] = None,
-    ) -> int:
-        """Doom exactly one (uid, version, column_key) snapshot.
-
-        The owner-finalizer path: a dying ColumnSet releases only its
-        own publication, never another attribute's columns at the same
-        version.  Returns 1 if the snapshot was reclaimed immediately.
-        """
-        with self._lock:
-            snapshot = self._snapshots.get((uid, version, column_key))
-            if snapshot is None:
-                return 0
-            snapshot.doomed = True
-            if snapshot.pins > 0:
-                return 0
-            self._snapshots.pop((uid, version, column_key), None)
-            self._account_reclaim_locked(snapshot, counters)
-        snapshot.destroy()
-        return 1
-
-    # -- shutdown and introspection -------------------------------------
-
-    def live_keys(self) -> List[Tuple[int, int, str]]:
-        with self._lock:
-            return sorted(self._snapshots)
-
-    def live_segment_names(self) -> List[str]:
-        with self._lock:
-            snapshots = list(self._snapshots.values()) + self._limbo
-            return sorted(
-                segment.name
-                for snapshot in snapshots
-                for segment in snapshot.segments
-            )
-
-    def shutdown(self, *, counters: Optional[OperationCounters] = None) -> int:
-        """Unlink every segment unconditionally (pins notwithstanding).
-
-        The end-of-process path: at this point no worker will attach
-        again, so holding segments for pinned sweeps only leaks them.
-        """
-        with self._lock:
-            snapshots = list(self._snapshots.values()) + self._limbo
-            self._snapshots.clear()
-            self._limbo = []
-            for snapshot in snapshots:
-                self._account_reclaim_locked(snapshot, counters)
-        for snapshot in snapshots:
-            snapshot.destroy()
-        return len(snapshots)
+            except OSError:
+                pass  # already unlinked (e.g. reaped)
 
 
 # ---------------------------------------------------------------------------
@@ -567,58 +254,14 @@ class SegmentStore:
 # ---------------------------------------------------------------------------
 
 
-class _Attachments:
-    """A worker's cache of attached segments, keyed by name.
-
-    Attaching is a syscall plus a page-table mapping; caching it makes
-    the second and every later job against the same snapshot touch
-    nothing but the descriptor bytes on the pipe.
-    """
-
-    def __init__(self) -> None:
-        self._segments: Dict[str, shared_memory.SharedMemory] = {}
-        self._views: Dict[Tuple[str, int], memoryview] = {}
-
-    def column(self, name: str, length: int) -> memoryview:
-        """The named segment's first ``length`` int64s, zero-copy."""
-        view = self._views.get((name, length))
-        if view is not None:
-            return view
-        segment = self._segments.get(name)
-        if segment is None:
-            # Attach-only: ownership stays with the parent's
-            # SegmentStore.  Workers are forked, so they share the
-            # parent's resource-tracker process; the attach-side
-            # re-registration is a set no-op there and the single
-            # unregister happens when the store unlinks.  (Do NOT
-            # unregister here — that would race the parent's own
-            # unregister in the shared tracker.)
-            segment = shared_memory.SharedMemory(name=name)
-            self._segments[name] = segment
-        view = memoryview(segment.buf)[: length * 8].cast("q")
-        self._views[(name, length)] = view
-        return view
-
-    def close(self) -> None:
-        for view in self._views.values():
-            view.release()
-        self._views.clear()
-        for segment in self._segments.values():
-            try:
-                segment.close()
-            except (OSError, BufferError):
-                pass  # exported views may pin the mapping; process exit frees it
-        self._segments.clear()
-
-
-def _run_sweep_job(
-    spec: Dict[str, Any], attachments: _Attachments
-) -> Tuple[str, Any]:
+def _run_sweep_job(spec: Dict[str, Any]) -> Tuple[str, Any]:
     """Execute one sweep job inside a worker; returns the reply tuple.
 
     Replies are ``("ok", (columns, events, deltas))`` or
     ``("err", (type_name, message))``.  ``deltas`` carries the worker's
     counter increments for this job (see :data:`WORKER_DELTA_FIELDS`).
+    The job's segments are attached here and closed before it returns,
+    so a worker maps no segment between jobs.
     """
     plan: Optional[FaultPlan] = spec.get("plan")
     if plan is not None:
@@ -628,18 +271,36 @@ def _run_sweep_job(
             # reply send fail, which is the point of the fault.
             return ("ok", (poison, 0, {}))
     length = spec["length"]
-    starts = attachments.column(spec["starts_name"], length)
-    ends = attachments.column(spec["ends_name"], length)
-    values_name = spec.get("values_name")
-    values = (
-        attachments.column(values_name, length)
-        if values_name is not None
-        else None
-    )
-    aggregate = get_aggregate(spec["aggregate"])
-    answer, events = window_rows(
-        starts, ends, values, aggregate, spec["lo"], spec["hi"]
-    )
+    segments: List[shared_memory.SharedMemory] = []
+    views: List[Optional[memoryview]] = []
+    try:
+        for key in ("starts_name", "ends_name", "values_name"):
+            name = spec[key]
+            if name is None:
+                views.append(None)
+                continue
+            # Attach-only: the parent owns and unlinks the segment.
+            # Workers are forked after the parent's resource tracker
+            # started, so the attach-side registration lands in that
+            # one shared tracker (a set no-op); do NOT unregister here,
+            # which would race the parent's own unregister.
+            segment = shared_memory.SharedMemory(name=name)
+            segments.append(segment)
+            views.append(segment.buf[: length * 8].cast("q"))
+        starts, ends, values = views
+        aggregate = get_aggregate(spec["aggregate"])
+        answer, events = window_rows(
+            starts, ends, values, aggregate, spec["lo"], spec["hi"]  # type: ignore[arg-type]
+        )
+    finally:
+        for view in views:
+            if view is not None:
+                view.release()
+        for segment in segments:
+            try:
+                segment.close()
+            except BufferError:
+                pass  # a view outlives the job; the mapping goes with it
     # The worker's own counter deltas: the sweep ran here, and — the
     # hot-path proof — it materialized zero row tuples (columns in,
     # answer columns out: the arrays pickle as raw bytes).
@@ -647,14 +308,18 @@ def _run_sweep_job(
     return ("ok", (answer, events, deltas))
 
 
-def _pool_worker(conn: Any) -> None:
+def _pool_worker(conn: Any, inherited: List[shared_memory.SharedMemory]) -> None:
     """A resident worker's main loop: recv job, send reply, repeat.
 
     Lives until a ``stop`` job or pipe EOF (parent died).  Errors are
     typed replies, not crashes — only an injected ``kill`` fault (or a
-    real signal) takes the process down.
+    real signal) takes the process down.  ``inherited`` are the
+    parent's segments this fork copied mappings of (a respawn while
+    publications live); the worker closes them first, or it would keep
+    their memory after the parent unlinks them.
     """
-    attachments = _Attachments()
+    for segment in inherited:
+        segment.close()
     try:
         while True:
             try:
@@ -668,7 +333,7 @@ def _pool_worker(conn: Any) -> None:
                 conn.send(("ok", "pong"))
                 continue
             try:
-                reply = _run_sweep_job(spec, attachments)
+                reply = _run_sweep_job(spec)
             except Exception as exc:
                 reply = ("err", (type(exc).__name__, str(exc)))
             try:
@@ -682,7 +347,6 @@ def _pool_worker(conn: Any) -> None:
                 except (OSError, ValueError):
                     break
     finally:
-        attachments.close()
         try:
             conn.close()
         except OSError:
@@ -936,17 +600,15 @@ class ResidentWorkerPool:
 
     ``workers=None`` sizes from ``REPRO_POOL_WORKERS`` then the core
     count (via :func:`repro.core.partition.available_workers`).  The
-    pool owns a :class:`SegmentStore` for its snapshots and a single
-    submission lock: one sweep fan-out at a time, with workers
-    surviving in between — that survival is the entire point.
+    pool owns the segments it publishes, one publication per live
+    :class:`~repro.core.columns.ColumnSet`.  ``_fanout_lock`` admits
+    one sweep fan-out at a time, with workers surviving in between —
+    that survival is the entire point; ``_lock`` guards the workers,
+    the publications and the tallies, and is held only briefly, so
+    :meth:`stats` never waits behind a sweep.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        store: Optional[SegmentStore] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is None:
             workers = pool_workers_from_env()
         if workers is None:
@@ -956,17 +618,23 @@ class ResidentWorkerPool:
         if workers < 1:
             raise ValueError("a resident pool needs at least 1 worker")
         self.worker_count = workers
-        self.store = store if store is not None else default_segment_store()
         self._ctx = (
             multiprocessing.get_context("fork") if _fork_available() else None
         )
+        self._fanout_lock = threading.Lock()
+        # Re-entrant: a publication's finalizer takes it, and a garbage
+        # collection can run one on a thread that already holds it.
         self._lock = threading.RLock()
         self._workers: List[Optional[_Worker]] = []  # ta: guarded-by(self._lock)
         self._started = False  # ta: guarded-by(self._lock)
         self._closed = False  # ta: guarded-by(self._lock)
+        #: id(ColumnSet) -> its publication, while the ColumnSet lives.
+        self._publications: Dict[int, _Publication] = {}  # ta: guarded-by(self._lock)
         self.forks_total = 0  # ta: guarded-by(self._lock)
         #: Shard sweeps whose accepted result came from a worker.
         self.shards_total = 0  # ta: guarded-by(self._lock)
+        self.segments_published = 0  # ta: guarded-by(self._lock)
+        self.segments_reclaimed = 0  # ta: guarded-by(self._lock)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -982,7 +650,7 @@ class ResidentWorkerPool:
         # with a warning) names the parent still owns when the worker
         # exits.  Forked after ensure_running, workers inherit the
         # parent's tracker fd and every registration lands in one
-        # shared, set-deduplicated cache that the store's unlink
+        # shared, set-deduplicated cache that the parent's unlink
         # clears exactly once.
         try:
             from multiprocessing import resource_tracker
@@ -991,9 +659,14 @@ class ResidentWorkerPool:
         except (ImportError, AttributeError, OSError):
             pass  # no tracker on this platform; nothing to share
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited = [
+            segment
+            for publication in self._publications.values()
+            for segment in publication.segments
+        ]
         process = self._ctx.Process(
             target=_pool_worker,
-            args=(child_conn,),
+            args=(child_conn, inherited),
             name=f"repro-pool-worker-{index}",
             daemon=True,
         )
@@ -1052,16 +725,28 @@ class ResidentWorkerPool:
             return [w for w in self._workers if w is not None and w.alive()]
 
     def stop(self, *, counters: Optional[OperationCounters] = None) -> None:
-        """Stop every worker and reclaim this pool's segments."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            workers = [w for w in self._workers if w is not None]
-            self._workers = []
-        for worker in workers:
-            worker.terminate()
-        self.store.shutdown(counters=counters)
+        """Stop every worker and unlink every segment this pool made.
+
+        Waits for a running fan-out to finish first."""
+        with self._fanout_lock:
+            with self._lock:
+                if self._closed:
+                    return
+                self._closed = True
+                workers = [w for w in self._workers if w is not None]
+                self._workers = []
+                publications = list(self._publications.values())
+                self._publications.clear()
+                reclaimed = sum(len(p.segments) for p in publications)
+                self.segments_reclaimed += reclaimed
+            for worker in workers:
+                worker.terminate()
+        for publication in publications:
+            if publication.finalizer is not None:
+                publication.finalizer.detach()
+            publication.destroy()
+        if counters is not None:
+            counters.segments_reclaimed += reclaimed
 
     def __enter__(self) -> "ResidentWorkerPool":
         return self.start()
@@ -1069,62 +754,104 @@ class ResidentWorkerPool:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
+    # -- publication ----------------------------------------------------
+
+    def _publish(
+        self, columns: "ColumnSet", counters: Optional[OperationCounters]
+    ) -> Optional[_Publication]:
+        """``columns`` in shared memory, copied on its first sweep.
+
+        Returns None — the caller sweeps in process — when a column
+        does not map to int64 or a segment cannot be made.  The caller
+        holds ``_fanout_lock``, so one ColumnSet is never published
+        twice at once.
+        """
+        key = id(columns)
+        with self._lock:
+            publication = self._publications.get(key)
+        if publication is not None:
+            return publication
+        starts = _shareable_values(columns.starts)
+        ends = _shareable_values(columns.ends)
+        values = _shareable_values(columns.values)
+        if starts is None or ends is None:
+            return None
+        if columns.values is not None and values is None:
+            return None
+        publication = _Publication([], len(starts))
+        try:
+            for label, column in (("starts", starts), ("ends", ends), ("values", values)):
+                if column is not None:
+                    publication.segments.append(_make_segment(columns, label, column))
+        except (OSError, ValueError):
+            publication.destroy()
+            return None
+        with self._lock:
+            self._publications[key] = publication
+            self.segments_published += len(publication.segments)
+        publication.finalizer = weakref.finalize(columns, self._release, key)
+        if counters is not None:
+            counters.segments_published += len(publication.segments)
+        return publication
+
+    def _release(self, key: int) -> None:
+        """A published ColumnSet was collected: unlink its segments."""
+        with self._lock:
+            publication = self._publications.pop(key, None)
+            if publication is None:
+                return
+            self.segments_reclaimed += len(publication.segments)
+        publication.destroy()
+
+    def stats(self) -> Dict[str, int]:
+        """The pool section of a server's ``stats`` frame, read under
+        one lock: workers, forks, pooled shards and segment tallies."""
+        with self._lock:
+            return {
+                "workers": self.worker_count,
+                "forks": self.forks_total,
+                "pool_shards": self.shards_total,
+                "live_segments": sum(
+                    len(p.segments) for p in self._publications.values()
+                ),
+                "segments_published": self.segments_published,
+                "segments_reclaimed": self.segments_reclaimed,
+            }
+
     # -- evaluation -----------------------------------------------------
 
     def sweep_columns(
         self,
-        starts: Sequence[int],
-        ends: Sequence[int],
-        values: Optional[Sequence[Any]],
+        columns: "ColumnSet",
         windows: Sequence[Tuple[int, int]],
         aggregate_name: str,
         *,
-        uid: Optional[int],
-        version: Optional[int],
-        column_key: str = "",
-        owner: Optional[Any] = None,
         deadline: Optional[Deadline] = None,
         retry: Optional[RetryPolicy] = None,
         shard_timeout: Optional[float] = None,
         counters: Optional[OperationCounters] = None,
     ) -> Optional[Tuple[List[Any], "ResidentPoolSupervisor"]]:
-        """Fan ``windows`` out over the resident workers.
+        """Fan ``windows`` of ``columns`` out over the resident workers.
 
         Returns ``(shard_results, supervisor)`` with one
         ``(columns, events)`` pair per window (worker counter deltas
         already merged into ``counters``), or None when the resident
-        backend cannot serve this input — unidentified snapshot
-        (no uid/version), unshareable values, fork unavailable — and
-        the caller should sweep in process.  Exactly one fan-out runs
-        at a time; the columns publish at most once per snapshot.
+        backend cannot serve this input — an anonymous ColumnSet (no
+        relation uid: built for one call, so a copy would be wasted),
+        empty or unshareable columns, fork unavailable — and the caller
+        should sweep in process.  Exactly one fan-out runs at a time.
         """
-        if uid is None or version is None or not self.usable():
+        if columns.uid is None or not len(columns) or not self.usable():
             return None
         self.start(counters=counters)
-        if not self.started():
-            return None
-        snapshot = self.store.publish(
-            uid,
-            version,
-            starts,
-            ends,
-            values,
-            column_key=column_key,
-            owner=owner,
-            counters=counters,
-        )
-        if snapshot is None:
-            return None
-        pinned = self.store.pin(uid, version, column_key)
-        if pinned is None:
-            return None
-        try:
+        with self._fanout_lock:
+            if not self.usable():
+                return None  # stopped since the start above
+            publication = self._publish(columns, counters)
+            if publication is None:
+                return None
             plan = current_fault_plan()
-            descriptor = pinned.descriptor()
-            if values is None:
-                # A value-less sweep (COUNT) must stay value-less even
-                # when the snapshot carries a values segment for others.
-                descriptor["values_name"] = None
+            descriptor = publication.descriptor()
             specs = [
                 dict(
                     descriptor,
@@ -1141,7 +868,8 @@ class ResidentWorkerPool:
 
             def fallback(spec: Dict[str, Any]) -> Tuple[Any, int, Dict[str, int]]:
                 answer, events = window_rows(
-                    starts, ends, values, aggregate, spec["lo"], spec["hi"]
+                    columns.starts, columns.ends, columns.values, aggregate,
+                    spec["lo"], spec["hi"],
                 )
                 return (answer, events, {})
 
@@ -1151,48 +879,32 @@ class ResidentWorkerPool:
                 shard_timeout=shard_timeout,
                 deadline=deadline,
             )
-            with self._lock:
-                job_results = supervisor.run(specs, fallback, counters)
-                self.shards_total += supervisor.report.pooled_shards
-            if counters is not None:
-                for result in job_results:
-                    deltas = result[2]
-                    for field in WORKER_DELTA_FIELDS:
-                        if field in deltas:
-                            setattr(
-                                counters,
-                                field,
-                                getattr(counters, field) + deltas[field],
-                            )
-            shard_results = [
-                (result[0], result[1]) for result in job_results
-            ]
-            return shard_results, supervisor
-        finally:
-            self.store.unpin(pinned, counters=counters)
+            job_results = supervisor.run(specs, fallback, counters)
+        with self._lock:
+            self.shards_total += supervisor.report.pooled_shards
+        if counters is not None:
+            for result in job_results:
+                deltas = result[2]
+                for field in WORKER_DELTA_FIELDS:
+                    if field in deltas:
+                        setattr(
+                            counters,
+                            field,
+                            getattr(counters, field) + deltas[field],
+                        )
+        shard_results = [(result[0], result[1]) for result in job_results]
+        return shard_results, supervisor
 
 
 # ---------------------------------------------------------------------------
 # Process-wide defaults
 # ---------------------------------------------------------------------------
 
-# Reentrant: default_pool() holds it while ResidentWorkerPool.__init__
-# fetches the default store through default_segment_store().
-_DEFAULT_LOCK = threading.RLock()
-_DEFAULT_STORE: Optional[SegmentStore] = None  # ta: guarded-by(_DEFAULT_LOCK)
+_DEFAULT_LOCK = threading.Lock()
 _DEFAULT_POOL: Optional[ResidentWorkerPool] = None  # ta: guarded-by(_DEFAULT_LOCK)
 #: Outstanding acquire_default_pool() references; the pool is shut
 #: down when the count returns to zero.  # ta: guarded-by(_DEFAULT_LOCK)
 _DEFAULT_POOL_REFS = 0
-
-
-def default_segment_store() -> SegmentStore:
-    """The process-wide segment store (created on first touch)."""
-    global _DEFAULT_STORE
-    with _DEFAULT_LOCK:
-        if _DEFAULT_STORE is None:
-            _DEFAULT_STORE = SegmentStore()
-        return _DEFAULT_STORE
 
 
 def default_pool(workers: Optional[int] = None) -> Optional[ResidentWorkerPool]:
@@ -1263,17 +975,14 @@ def release_default_pool() -> None:
 
 
 def shutdown_default_pool() -> None:
-    """Stop the default pool and unlink every default-store segment."""
+    """Stop the default pool, unlinking every segment it published."""
     global _DEFAULT_POOL, _DEFAULT_POOL_REFS
     with _DEFAULT_LOCK:
         pool = _DEFAULT_POOL
         _DEFAULT_POOL = None
         _DEFAULT_POOL_REFS = 0
-        store = _DEFAULT_STORE
     if pool is not None:
         pool.stop()
-    elif store is not None:
-        store.shutdown()
 
 
 def _atexit_cleanup() -> None:

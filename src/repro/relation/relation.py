@@ -440,7 +440,9 @@ class ColumnarRows:
         snapshot per (version, attribute) is memoized, and building it
         counts as one scan.  A snapshot never changes: appends leave
         the columns it holds alone.  Callers must treat it as
-        read-only.
+        read-only.  The resident pool's shared-memory copy of a
+        snapshot lives as long as the snapshot, so this memo decides
+        how long it stays published.
         """
         from repro.core.columns import ColumnSet
 
@@ -456,7 +458,6 @@ class ColumnarRows:
                 batches=1,
                 uid=self.uid,
                 version=self.version,
-                column_key=attribute or "",
             )
             snapshot = self._column_sets.setdefault(key, built)
             # Threads racing to build the first snapshot each build one;
@@ -525,10 +526,11 @@ class ColumnarRows:
         """Is :attr:`fingerprint` reachable by appending rows
         ``row_count:`` onto a prefix fingerprinting ``fingerprint``?
 
-        The cache's delta path trusts (uid, version, watermark) for the
-        fast decision and calls this as the content-level guard: a
-        relation whose prefix was reordered fails the chain and falls
-        back to a full recompute instead of serving stale rows.
+        The cache's delta path calls this as the content-level guard:
+        relations are append-only, and a relation whose first
+        ``row_count`` rows are not the ones the cached entry saw fails
+        the chain and falls back to a full recompute instead of serving
+        stale rows.
         """
         if row_count > len(self._starts):
             return False
@@ -557,11 +559,10 @@ class TemporalRelation(ColumnarRows):
         self.scan_count = 0
         self.uid = next_relation_uid()
         #: Monotonically increasing mutation counter; every insert,
-        #: extend, and in-place reorder bumps it, so anything derived
-        #: from the rows (statistics, cached results) can key on it.
-        #: A relation built in one piece starts at 0.
+        #: extend and append batch bumps it, so anything derived from
+        #: the rows (statistics, cached results) can key on it.  A
+        #: relation built in one piece starts at 0.
         self.version = 0
-        self._reorder_version = 0
         self._starts: "array[int]" = array("q")
         self._ends: "array[int]" = array("q")
         self._values: List[Column] = [_empty_column(a) for a in schema.attributes]
@@ -735,23 +736,6 @@ class TemporalRelation(ColumnarRows):
     # Ordering
     # ------------------------------------------------------------------
 
-    def sort_in_place(self) -> None:
-        """Sort this relation's rows by (start, end).
-
-        An in-place reorder is *not* an append: the fingerprint is
-        refolded from scratch and the append watermark advances, so
-        cached results computed against the old row order can neither
-        pure-hit nor delta-refresh — they must recompute.
-        """
-        order = self._time_order()
-        self._starts = _taken(self._starts, order)
-        self._ends = _taken(self._ends, order)
-        self._values = [_taken(column, order) for column in self._values]
-        self._shared = False
-        self._fold = (0, 0)
-        self._mutated()
-        self._reorder_version = self.version
-
     def reordered(
         self, permutation: Sequence[int], name: Optional[str] = None
     ) -> "TemporalRelation":
@@ -777,17 +761,6 @@ class TemporalRelation(ColumnarRows):
             )
             self._fold = (count, fingerprint)
         return fingerprint
-
-    @property
-    def append_watermark(self) -> int:
-        """Version of the last non-append mutation (in-place reorder).
-
-        A cached result whose version is at least this watermark saw
-        every row it covers in the current order; anything between its
-        version and :attr:`version` is purely appended rows, which the
-        cache can fold in incrementally.
-        """
-        return self._reorder_version
 
     # ------------------------------------------------------------------
     # Presentation

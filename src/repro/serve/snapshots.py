@@ -28,9 +28,8 @@ refreshes it over exactly the ``k`` batches in between
 prefix).  No locks are held while evaluating — pinning is the only
 synchronized step.
 
-Snapshot correctness relies on the served base being append-only;
-:class:`ServedRelation` exposes no reorder operation for exactly that
-reason.
+Snapshot correctness relies on the served base being append-only,
+and relations are: no operation rewrites stored rows.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ class SnapshotView(ColumnarRows):
         # was a lost-update race between concurrent statements.
         with self._stats_lock:
             self.scan_count += 1
-
-    @property
-    def append_watermark(self) -> int:
-        # Served bases are append-only, so this is always 0 — delegated
-        # rather than hard-coded so a reordered base (which would
-        # invalidate every pinned prefix) poisons cache validity checks
-        # instead of silently serving stale rows.
-        return self._base.append_watermark
 
     def __repr__(self) -> str:
         return (

@@ -78,9 +78,8 @@ class HeapFile:
         self._tail_page_id: Optional[int] = pages - 1 if pages else None
         self.uid = next_relation_uid()
         #: Mutation counter mirroring :class:`TemporalRelation.version`:
-        #: appends bump it, and code that rewrites pages in place must
-        #: call :meth:`mark_mutated`.  Statistics cache by version, not
-        #: tuple count, so an equal-cardinality rewrite still invalidates.
+        #: every append bumps it, and no code rewrites pages in place.
+        #: Statistics and column snapshots cache by version.
         self.version = 0
         self._statistics_cache: Optional[Tuple[int, RelationStatistics]] = None
         #: Version-keyed flat-column snapshots, one per attribute (None
@@ -165,18 +164,6 @@ class HeapFile:
     def append_all(self, rows) -> None:
         for row in rows:
             self.append(row)
-
-    def mark_mutated(self) -> None:
-        """Declare an in-place page rewrite (e.g. a reorder).
-
-        Appends track themselves; anything that mutates existing pages
-        through the buffer must call this so version-keyed derivations
-        — cached :meth:`statistics`, planner decisions built on them —
-        recompute instead of serving the pre-rewrite order facts.
-        """
-        self.version += 1
-        self._statistics_cache = None
-        self._columns_cache.clear()
 
     # ------------------------------------------------------------------
     # Scanning
@@ -278,10 +265,7 @@ class HeapFile:
         Matches :meth:`TemporalRelation.statistics` field for field (one
         :func:`~repro.relation.relation.statistics_from_columns`), so a
         heap file can feed ``strategy="auto"`` directly.  Cached by
-        :attr:`version` — appends and declared in-place rewrites
-        (:meth:`mark_mutated`) invalidate, rescans do not.  (The old
-        tuple-count key went stale on equal-cardinality reorders, and a
-        stale ``is_totally_ordered`` mis-plans every later query.)
+        :attr:`version` — appends invalidate, rescans do not.
         """
         if (
             self._statistics_cache is not None

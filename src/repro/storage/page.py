@@ -15,7 +15,7 @@ offset bytes field
 ====== ===== ==========================
 0      4     record count
 4      2     record width in bytes
-6      2     format version (0 = legacy, unchecksummed)
+6      2     format version (:data:`PAGE_VERSION`)
 ====== ===== ==========================
 
 Footer layout (big-endian, last 8 bytes of the page):
@@ -33,9 +33,11 @@ serialised (:meth:`Page.to_bytes`).  A torn write — the classic crash
 failure where the kernel persists only a prefix of the 8 KiB page —
 leaves the old footer behind the new header, so the CRC mismatches and
 the reader raises :class:`~repro.exec.errors.StorageCorruption` instead
-of decoding garbage.  Version-0 pages (written before the durable
-format) carry no footer and are accepted without verification, so old
-heap files stay readable.
+of decoding garbage.  Every page carries :data:`PAGE_VERSION`; any other
+version is refused as corruption.  (The unchecksummed version 0 of the
+format is refused too: the version field is 1, so a single flipped bit
+makes it 0, and reading such a page without its checksum would serve
+damaged records as good ones.)
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ PAGE_HEADER_BYTES = 8
 #: Trailing integrity footer: 4-byte magic + 4-byte CRC-32.
 PAGE_FOOTER_BYTES = 8
 
-#: ``"TApg"`` — marks a checksummed (version >= 1) page image.
+#: ``"TApg"`` — marks a sealed page image.
 PAGE_MAGIC = 0x54417067
 
 #: Format version stamped into pages this writer produces.
@@ -118,7 +120,7 @@ class Page:
             self.data = bytearray(data)
             count, width, version = _HEADER.unpack_from(self.data, 0)
             self.version = version
-            if verify and version >= 1:
+            if verify and version == PAGE_VERSION:
                 self._verify_checksum()
             if width != record_bytes:
                 raise PageError(
@@ -126,12 +128,18 @@ class Page:
                 )
             if count > self.capacity:
                 raise PageError(f"page declares {count} records, over capacity")
+            if verify and version != PAGE_VERSION:
+                raise PageCorruption(
+                    f"page declares format version {version}, expected "
+                    f"{PAGE_VERSION}: a damaged header, so its checksum "
+                    "cannot vouch for the records"
+                )
 
     def _set_header(self, count: int) -> None:
         _HEADER.pack_into(self.data, 0, count, self.record_bytes, self.version)
 
     def _verify_checksum(self) -> None:
-        """Check the footer of a version >= 1 image; raise on mismatch."""
+        """Check the footer; raise on mismatch."""
         magic, stored = _FOOTER.unpack_from(self.data, PAGE_SIZE - PAGE_FOOTER_BYTES)
         if magic != PAGE_MAGIC:
             raise PageCorruption(
@@ -180,9 +188,6 @@ class Page:
             raise PageError("page is full")
         offset = self._offset(slot)
         self.data[offset : offset + self.record_bytes] = record
-        # Mutating a legacy image upgrades it: the rewrite will be
-        # sealed with a footer, so the page becomes verifiable.
-        self.version = max(self.version, PAGE_VERSION)
         self._set_header(slot + 1)
         self.dirty = True
         return slot
@@ -200,14 +205,7 @@ class Page:
             yield self.read(slot)
 
     def to_bytes(self) -> bytes:
-        """The sealed page image: header + records + checksummed footer.
-
-        Version-0 images that were never mutated serialise verbatim
-        (no footer is invented for bytes this writer did not produce);
-        anything this writer touched carries a fresh footer and CRC.
-        """
-        if self.version < 1:
-            return bytes(self.data)
+        """The sealed page image: header + records + checksummed footer."""
         _FOOTER.pack_into(self.data, PAGE_SIZE - PAGE_FOOTER_BYTES, PAGE_MAGIC, 0)
         checksum = content_checksum(memoryview(self.data)[: PAGE_SIZE - 4])
         _FOOTER.pack_into(

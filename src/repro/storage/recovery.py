@@ -334,7 +334,6 @@ class ScrubReport:
         "path",
         "pages_checked",
         "records_seen",
-        "legacy_pages",
         "corrupt_pages",
         "trailing_bytes",
         "journal_segments",
@@ -351,8 +350,6 @@ class ScrubReport:
         self.path = path
         self.pages_checked = 0
         self.records_seen = 0
-        #: Version-0 pages (no checksum to verify).
-        self.legacy_pages = 0
         #: ``(page_id, reason)`` for every page that failed validation.
         self.corrupt_pages: List[Tuple[int, str]] = []
         #: Bytes past the last whole page (a torn page write).
@@ -381,7 +378,6 @@ class ScrubReport:
         out = [
             f"{self.path}: {self.pages_checked} pages, "
             f"{self.records_seen} records"
-            + (f", {self.legacy_pages} legacy (unchecksummed)" if self.legacy_pages else "")
         ]
         if self.trailing_bytes:
             out.append(
@@ -445,8 +441,6 @@ def scrub_data(path: str, record_bytes: Optional[int] = None) -> ScrubReport:
         except PageError as exc:
             report.corrupt_pages.append((page_id, str(exc)))
             continue
-        if page.version < 1:
-            report.legacy_pages += 1
         report.records_seen += page.record_count
     return report
 

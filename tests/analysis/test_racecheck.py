@@ -197,8 +197,10 @@ class TestInstrumentation:
         )
 
     def test_install_default_covers_the_serving_stack(self):
+        from repro.exec.pool import ResidentWorkerPool
+
         racecheck.install_default()
-        for cls in (ShardResultCache,):
+        for cls in (ShardResultCache, ResidentWorkerPool):
             assert cls.__dict__.get("__rc_instrumented__")
 
 

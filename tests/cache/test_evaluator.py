@@ -138,13 +138,13 @@ class TestAppendDelta:
         assert result.rows == expected
 
     def test_reorder_invalidates_to_a_full_miss(self, small_random_relation):
+        # Relations are append-only: reordering makes a new relation,
+        # which never reuses the original's entry.
         cache = ShardResultCache()
         evaluate_cached(small_random_relation, "count", shards=SHARDS, cache=cache)
-        small_random_relation.sort_in_place()
-        result = evaluate_cached(
-            small_random_relation, "count", shards=SHARDS, cache=cache
-        )
-        assert result.rows == reference_rows(small_random_relation, "count", None)
+        ordered = small_random_relation.sorted_by_time()
+        result = evaluate_cached(ordered, "count", shards=SHARDS, cache=cache)
+        assert result.rows == reference_rows(ordered, "count", None)
         assert cache.counters.cache_misses == 2
         assert cache.counters.cache_dirty_shards == 0
 

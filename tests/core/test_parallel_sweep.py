@@ -17,6 +17,7 @@ from repro.core.engine import temporal_aggregate
 from repro.core.interval import FOREVER
 from repro.core.parallel import ParallelSweepEvaluator, sweep_windows
 from repro.core.columnar_sweep import ColumnarSweepEvaluator, window_rows
+from repro.core.columns import ColumnSet
 from repro.core.reference import ReferenceEvaluator
 from repro.exec.deadline import Deadline
 from repro.exec.errors import DeadlineExceeded
@@ -169,7 +170,9 @@ class TestSweepWindows:
         starts, ends, values = zip(*random_triples(seed=3, n=150))
         windows = partition.shard_bounds(starts, ends, 5)
         aggregate = get_aggregate("sum")
-        swept, report = sweep_windows(starts, ends, values, windows, aggregate)
+        swept, report = sweep_windows(
+            ColumnSet(starts, ends, values), windows, aggregate
+        )
         assert swept == [
             window_rows(starts, ends, values, aggregate, lo, hi)
             for lo, hi in windows
@@ -181,8 +184,8 @@ class TestSweepWindows:
         windows = partition.shard_bounds(starts, ends, 3)
         with pytest.raises(DeadlineExceeded) as info:
             sweep_windows(
-                starts, ends, values, windows, get_aggregate("count"),
-                deadline=Deadline(0.0001),
+                ColumnSet(starts, ends, values), windows,
+                get_aggregate("count"), deadline=Deadline(0.0001),
             )
         assert info.value.progress["total_shards"] == len(windows)
 
@@ -201,7 +204,7 @@ class TestSweepWindows:
         )
         with fault_plan(plan):
             swept, report = sweep_windows(
-                starts, ends, values, windows, aggregate
+                ColumnSet(starts, ends, values), windows, aggregate
             )
         assert report is None
         assert swept == [

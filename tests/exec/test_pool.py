@@ -1,11 +1,12 @@
 """The resident shared-memory execution backend, end to end.
 
-Covers the full lifecycle the serving stack leans on: publish-once
-version-keyed segments, zero-copy worker sweeps that match the
-in-process kernels row for row, crash/poison recovery through the
-resident supervisor, the counter proofs (fork-once, zero hot-path
-tuple materializations), and /dev/shm hygiene under eviction, owner
-garbage collection, and shutdown.
+Covers the full lifecycle the serving stack leans on: one publication
+per ColumnSet, zero-copy worker sweeps that match the in-process
+kernels row for row, crash/poison recovery through the resident
+supervisor, the counter proofs (fork-once, zero hot-path tuple
+materializations), and /dev/shm hygiene: a publication lives exactly
+as long as its ColumnSet, workers map segments only while a job runs,
+and stop unlinks what is left.
 """
 
 import gc
@@ -22,6 +23,7 @@ import pytest
 
 from repro.cache.evaluator import evaluate_cached
 from repro.cache.store import ShardResultCache
+from repro.core import partition
 from repro.core.aggregates import get_aggregate
 from repro.core.columnar_sweep import window_rows
 from repro.core.columns import ColumnSet
@@ -30,7 +32,6 @@ from repro.exec.deadline import Deadline, DeadlineExceeded
 from repro.exec.faults import FaultPlan, ShardFault, fault_plan
 from repro.exec.pool import (
     ResidentWorkerPool,
-    SegmentStore,
     WORKER_DELTA_FIELDS,
     _shareable_values,
     pool_workers_from_env,
@@ -53,13 +54,14 @@ AGGREGATES = ["count", "sum", "min", "max", "avg"]
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
 
 
-def columns_for(seed=11, n=600):
+def columns_for(seed=11, n=600, *, uid=901, version=1, valued=True):
+    """A relation-identified ColumnSet of ``n`` random tuples."""
     triples = random_triples(seed, n, max_instant=400)
     triples.sort(key=lambda t: (t[0], t[1]))
     starts = array("q", (t[0] for t in triples))
     ends = array("q", (t[1] for t in triples))
-    values = array("q", (t[2] for t in triples))
-    return starts, ends, values
+    values = array("q", (t[2] for t in triples)) if valued else None
+    return ColumnSet(starts, ends, values, uid=uid, version=version)
 
 
 def shm_names():
@@ -69,29 +71,32 @@ def shm_names():
             for name in os.listdir("/dev/shm")
             if name.startswith("repro-pool-")
         }
-    except FileNotFoundError:  # non-Linux: rely on the store's own view
+    except FileNotFoundError:  # non-Linux: rely on the pool's own view
         return set()
 
 
-@pytest.fixture()
-def store():
-    segment_store = SegmentStore()
-    yield segment_store
-    segment_store.shutdown()
+def live_segments(pool):
+    return pool.stats()["live_segments"]
 
 
 @pytest.fixture()
-def pool(store):
-    with ResidentWorkerPool(2, store=store) as resident:
+def pool():
+    with ResidentWorkerPool(2) as resident:
         yield resident
 
 
-def reference_rows(starts, ends, values, aggregate_name, windows):
+def reference_rows(columns, aggregate_name, windows):
     aggregate = get_aggregate(aggregate_name)
     return [
-        window_rows(starts, ends, values, aggregate, lo, hi)[0]
+        window_rows(
+            columns.starts, columns.ends, columns.values, aggregate, lo, hi
+        )[0]
         for lo, hi in windows
     ]
+
+
+def windows_of(columns, shards):
+    return shard_bounds(columns.starts, columns.ends, shards)
 
 
 class TestEnvKnobs:
@@ -122,24 +127,15 @@ class TestShareableValues:
 class TestSweepEquality:
     @pytest.mark.parametrize("aggregate", AGGREGATES)
     def test_matches_inprocess_kernels(self, pool, aggregate):
-        starts, ends, values = columns_for()
-        swept_values = None if aggregate == "count" else values
-        windows = shard_bounds(starts, ends, 4)
+        columns = columns_for(valued=aggregate != "count")
+        windows = windows_of(columns, 4)
         counters = OperationCounters()
         outcome = pool.sweep_columns(
-            starts,
-            ends,
-            swept_values,
-            windows,
-            aggregate,
-            uid=901,
-            version=1,
-            column_key="" if aggregate == "count" else "salary",
-            counters=counters,
+            columns, windows, aggregate, counters=counters
         )
         assert outcome is not None
         shard_results, supervisor = outcome
-        expected = reference_rows(starts, ends, swept_values, aggregate, windows)
+        expected = reference_rows(columns, aggregate, windows)
         assert [rows for rows, _events in shard_results] == expected
         assert supervisor.report.pooled_shards == len(windows)
         assert supervisor.report.inprocess_shards == 0
@@ -148,92 +144,60 @@ class TestSweepEquality:
         assert counters.tuple_materializations == 0
 
     def test_unidentified_snapshot_falls_back(self, pool):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 2)
-        assert (
-            pool.sweep_columns(
-                starts, ends, values, windows, "sum", uid=None, version=None
-            )
-            is None
+        identified = columns_for()
+        anonymous = ColumnSet(
+            identified.starts, identified.ends, identified.values
         )
+        windows = windows_of(anonymous, 2)
+        assert pool.sweep_columns(anonymous, windows, "sum") is None
+        assert live_segments(pool) == 0
 
     def test_unshareable_values_fall_back(self, pool):
-        starts, ends, _values = columns_for()
-        text_values = ["x"] * len(starts)
-        windows = shard_bounds(starts, ends, 2)
-        assert (
-            pool.sweep_columns(
-                starts, ends, text_values, windows, "min",
-                uid=902, version=1, column_key="name",
-            )
-            is None
+        identified = columns_for()
+        text = ColumnSet(
+            identified.starts,
+            identified.ends,
+            ["x"] * len(identified),
+            uid=902,
+            version=1,
         )
+        windows = windows_of(text, 2)
+        assert pool.sweep_columns(text, windows, "min") is None
+        assert live_segments(pool) == 0
 
 
 class TestPublication:
-    def test_publish_is_idempotent(self, pool, store):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 2)
+    def test_publish_is_idempotent(self, pool):
+        columns = columns_for(uid=903)
+        windows = windows_of(columns, 2)
         counters = OperationCounters()
         for _ in range(3):
             outcome = pool.sweep_columns(
-                starts, ends, values, windows, "sum",
-                uid=903, version=1, column_key="salary", counters=counters,
+                columns, windows, "sum", counters=counters
             )
             assert outcome is not None
-        # One snapshot = three segments (starts, ends, values), no
+        # One ColumnSet = three segments (starts, ends, values), no
         # matter how many sweeps reuse it.
         assert counters.segments_published == 3
-        assert store.live_keys() == [(903, 1, "salary")]
+        assert live_segments(pool) == 3
 
-    def test_column_keys_are_distinct_snapshots(self, pool, store):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 2)
-        pool.sweep_columns(
-            starts, ends, values, windows, "sum",
-            uid=904, version=1, column_key="salary",
-        )
-        pool.sweep_columns(
-            starts, ends, None, windows, "count",
-            uid=904, version=1, column_key="",
-        )
-        assert set(store.live_keys()) == {(904, 1, "salary"), (904, 1, "")}
+    def test_column_keys_are_distinct_snapshots(self, pool):
+        """One relation version's valued and timestamps-only column
+        sets are two publications."""
+        relation = triples_relation(random_triples(11, 600, max_instant=400))
+        valued = relation.columns("salary")
+        timestamps = relation.columns(None)
+        windows = windows_of(valued, 2)
+        assert pool.sweep_columns(valued, windows, "sum") is not None
+        assert pool.sweep_columns(timestamps, windows, "count") is not None
+        assert live_segments(pool) == 3 + 2
 
-    def test_count_then_sum_upgrades_values_in_place(self, pool, store):
-        """A value-less (COUNT) publication gains a values segment when
-        a valued sweep arrives for the same column key — and both keep
-        returning exact rows."""
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 2)
-        count_first = pool.sweep_columns(
-            starts, ends, None, windows, "count",
-            uid=905, version=1, column_key="salary",
-        )
-        sum_second = pool.sweep_columns(
-            starts, ends, values, windows, "sum",
-            uid=905, version=1, column_key="salary",
-        )
-        assert count_first is not None and sum_second is not None
-        assert [rows for rows, _ in count_first[0]] == reference_rows(
-            starts, ends, None, "count", windows
-        )
-        assert [rows for rows, _ in sum_second[0]] == reference_rows(
-            starts, ends, values, "sum", windows
-        )
-        assert store.live_keys() == [(905, 1, "salary")]
-
-    def test_versions_are_distinct_snapshots(self, pool, store):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 2)
-        for version in (1, 2):
-            pool.sweep_columns(
-                starts, ends, values, windows, "sum",
-                uid=906, version=version, column_key="salary",
-            )
-        assert set(store.live_keys()) == {
-            (906, 1, "salary"),
-            (906, 2, "salary"),
-        }
+    def test_versions_are_distinct_snapshots(self, pool):
+        held = [columns_for(uid=906, version=version) for version in (1, 2)]
+        windows = windows_of(held[0], 2)
+        for columns in held:
+            pool.sweep_columns(columns, windows, "sum")
+        assert live_segments(pool) == 6
 
 
 class TestConcurrentWorkers:
@@ -243,8 +207,8 @@ class TestConcurrentWorkers:
         pipelined send + wait-any drain overlaps them."""
         from time import perf_counter
 
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 4)
+        columns = columns_for(uid=915)
+        windows = windows_of(columns, 4)
         delay = 0.5
         plan = FaultPlan(
             name="delay-both",
@@ -255,15 +219,12 @@ class TestConcurrentWorkers:
         )
         started = perf_counter()
         with fault_plan(plan):
-            outcome = pool.sweep_columns(
-                starts, ends, values, windows, "sum",
-                uid=915, version=1, column_key="salary",
-            )
+            outcome = pool.sweep_columns(columns, windows, "sum")
         elapsed = perf_counter() - started
         assert outcome is not None
         shard_results, supervisor = outcome
         assert [rows for rows, _ in shard_results] == reference_rows(
-            starts, ends, values, "sum", windows
+            columns, "sum", windows
         )
         assert supervisor.report.pooled_shards == len(windows)
         assert elapsed < 2 * delay - 0.1, (
@@ -273,8 +234,8 @@ class TestConcurrentWorkers:
 
 class TestRecovery:
     def test_worker_kill_respawns_and_retries(self, pool):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 4)
+        columns = columns_for(uid=907)
+        windows = windows_of(columns, 4)
         counters = OperationCounters()
         plan = FaultPlan(
             name="kill-first",
@@ -282,14 +243,12 @@ class TestRecovery:
         )
         with fault_plan(plan):
             outcome = pool.sweep_columns(
-                starts, ends, values, windows, "sum",
-                uid=907, version=1, column_key="salary",
-                retry=FAST_RETRY, counters=counters,
+                columns, windows, "sum", retry=FAST_RETRY, counters=counters
             )
         assert outcome is not None
         shard_results, supervisor = outcome
         assert [rows for rows, _ in shard_results] == reference_rows(
-            starts, ends, values, "sum", windows
+            columns, "sum", windows
         )
         assert supervisor.report.respawns == 1
         assert supervisor.report.retries >= 1
@@ -297,52 +256,50 @@ class TestRecovery:
         assert counters.worker_respawns == 1
         # fork accounting: 2 at start + 1 respawn.
         assert counters.pool_forks == 1
-        assert pool.forks_total == 3
+        assert pool.stats()["forks"] == 3
 
     def test_poisoned_result_retries_clean(self, pool):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 4)
+        columns = columns_for(uid=908)
+        windows = windows_of(columns, 4)
         plan = FaultPlan(
             name="poison-2",
             shard_faults=(ShardFault(2, "poison", attempts=1),),
         )
         with fault_plan(plan):
             outcome = pool.sweep_columns(
-                starts, ends, values, windows, "max",
-                uid=908, version=1, column_key="salary", retry=FAST_RETRY,
+                columns, windows, "max", retry=FAST_RETRY
             )
         assert outcome is not None
         shard_results, supervisor = outcome
         assert [rows for rows, _ in shard_results] == reference_rows(
-            starts, ends, values, "max", windows
+            columns, "max", windows
         )
         assert supervisor.report.retries >= 1
         assert supervisor.report.failures == []
 
     def test_exhausted_retries_fall_back_inprocess(self, pool):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 4)
+        columns = columns_for(uid=909)
+        windows = windows_of(columns, 4)
         plan = FaultPlan(
             name="always-raise",
             shard_faults=(ShardFault(1, "raise", attempts=99),),
         )
         with fault_plan(plan):
             outcome = pool.sweep_columns(
-                starts, ends, values, windows, "avg",
-                uid=909, version=1, column_key="salary", retry=FAST_RETRY,
+                columns, windows, "avg", retry=FAST_RETRY
             )
         assert outcome is not None
         shard_results, supervisor = outcome
         assert [rows for rows, _ in shard_results] == reference_rows(
-            starts, ends, values, "avg", windows
+            columns, "avg", windows
         )
         assert supervisor.report.inprocess_shards == 1
         assert len(supervisor.report.failures) == 1
         assert supervisor.report.failures[0].attempts == FAST_RETRY.max_attempts
 
     def test_deadline_enforced(self, pool):
-        starts, ends, values = columns_for()
-        windows = shard_bounds(starts, ends, 4)
+        columns = columns_for(uid=910)
+        windows = windows_of(columns, 4)
         plan = FaultPlan(
             name="slow",
             shard_faults=(
@@ -353,139 +310,191 @@ class TestRecovery:
         with fault_plan(plan):
             with pytest.raises(DeadlineExceeded):
                 pool.sweep_columns(
-                    starts, ends, values, windows, "sum",
-                    uid=910, version=1, column_key="salary",
+                    columns, windows, "sum",
                     retry=FAST_RETRY, deadline=deadline,
                 )
 
 
 class TestHygiene:
     def test_store_shutdown_unlinks_everything(self):
-        store = SegmentStore()
+        """Stopping the pool unlinks every segment it published, even
+        those of a ColumnSet that is still alive."""
         before = shm_names()
-        with ResidentWorkerPool(1, store=store) as pool:
-            starts, ends, values = columns_for()
-            windows = shard_bounds(starts, ends, 2)
-            pool.sweep_columns(
-                starts, ends, values, windows, "sum",
-                uid=911, version=1, column_key="salary",
-            )
-            assert store.live_segment_names()
-        assert store.live_keys() == []
+        with ResidentWorkerPool(1) as pool:
+            columns = columns_for(uid=911)
+            pool.sweep_columns(columns, windows_of(columns, 2), "sum")
+            assert live_segments(pool) == 3
+        assert live_segments(pool) == 0
         # Starting the pool may reap a dead owner's segments, so the
-        # names may only shrink: none of this store's survives.
+        # names may only shrink: none of this pool's survives.
         assert shm_names() <= before
 
-    def test_lru_eviction_bounds_resident_segments(self):
-        store = SegmentStore(max_resident=2)
-        with ResidentWorkerPool(1, store=store) as pool:
-            starts, ends, values = columns_for(n=200)
-            windows = shard_bounds(starts, ends, 2)
-            for version in range(1, 6):
-                pool.sweep_columns(
-                    starts, ends, values, windows, "sum",
-                    uid=912, version=version, column_key="salary",
-                )
-            assert len(store.live_keys()) <= 2
-            # The newest snapshot always survives its own publish.
-            assert (912, 5, "salary") in store.live_keys()
-            assert store.reclaimed_total >= 3
-        assert store.live_keys() == []
-
     def test_owner_gc_releases_segments(self):
-        store = SegmentStore()
-        with ResidentWorkerPool(1, store=store) as pool:
-            starts, ends, values = columns_for(n=200)
-            windows = shard_bounds(starts, ends, 2)
-            owner = ColumnSet(
-                starts, ends, values, uid=913, version=1, column_key="salary"
-            )
-            pool.sweep_columns(
-                starts, ends, values, windows, "sum",
-                uid=913, version=1, column_key="salary", owner=owner,
-            )
-            assert store.live_keys() == [(913, 1, "salary")]
+        with ResidentWorkerPool(1) as pool:
+            owner = columns_for(n=200, uid=913)
+            pool.sweep_columns(owner, windows_of(owner, 2), "sum")
+            assert live_segments(pool) == 3
             del owner
             gc.collect()
-            assert store.live_keys() == []
+            assert live_segments(pool) == 0
 
-    def test_unpin_after_republish_keeps_new_snapshot(self):
-        """A snapshot doomed while pinned can have its registry slot
-        republished before the unpin lands; the unpin must destroy the
-        *old* snapshot only, never untrack the new one."""
+    def test_publication_lives_exactly_as_long_as_its_column_set(self):
         before = shm_names()
-        store = SegmentStore()
-        try:
-            starts, ends, values = columns_for(n=100)
-            old = store.publish(
-                950, 1, starts, ends, values, column_key="salary"
-            )
-            assert old is not None
-            pinned = store.pin(950, 1, "salary")
-            assert pinned is old
-            # The owner dies while the sweep is in flight...
-            store.release_key(950, 1, "salary")
-            # ...and the key is republished before the unpin lands.
-            new = store.publish(
-                950, 1, starts, ends, values, column_key="salary"
-            )
-            assert new is not None and new is not old
-            store.unpin(pinned)
-            assert old.segments == []  # the doomed snapshot unlinked
-            assert store.live_keys() == [(950, 1, "salary")]
-            repinned = store.pin(950, 1, "salary")
-            assert repinned is new  # the live snapshot stayed tracked
-            store.unpin(repinned)
-        finally:
-            store.shutdown()
-        assert shm_names() == before
+        with ResidentWorkerPool(1) as pool:
+            held = columns_for(uid=916)
+            dropped = columns_for(seed=12, uid=917)
+            counters = OperationCounters()
+            for _ in range(3):
+                pool.sweep_columns(
+                    dropped, windows_of(dropped, 2), "sum", counters=counters
+                )
+            # Repeated sweeps while the ColumnSet is held publish once.
+            assert counters.segments_published == 3
+            pool.sweep_columns(held, windows_of(held, 2), "sum")
+            names = shm_names() - before
+            assert len(names) == live_segments(pool) == 6
+            del dropped
+            gc.collect()
+            stats = pool.stats()
+            assert stats["live_segments"] == 3
+            assert stats["segments_reclaimed"] == 3
+            assert len(names & shm_names()) == 3
+        # stop() unlinks what a live ColumnSet still holds.
+        assert held is not None
+        assert pool.stats()["segments_reclaimed"] == 6
+        assert not names & shm_names()
 
-    def test_shutdown_reclaims_superseded_pinned_snapshot(self):
-        """Even if the last unpin never lands (crash path), shutdown
-        still owns — and unlinks — a snapshot whose registry slot was
-        republished while it was pinned."""
-        before = shm_names()
-        store = SegmentStore()
-        starts, ends, values = columns_for(n=100)
-        old = store.publish(951, 1, starts, ends, values, column_key="salary")
-        assert store.pin(951, 1, "salary") is old
-        store.release_key(951, 1, "salary")
-        new = store.publish(951, 1, starts, ends, values, column_key="salary")
-        assert new is not old
-        # Both snapshots' segments stay tracked until shutdown.
-        assert len(store.live_segment_names()) == 6
-        store.shutdown()
-        assert shm_names() == before
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+    )
+    def test_workers_map_no_segment_after_their_jobs(self, pool):
+        """Sweep distinct relations and drop each one: no worker keeps
+        a mapping of a segment its parent has unlinked."""
+        for seed in range(3):
+            relation = triples_relation(
+                random_triples(seed, partition.PARALLEL_MIN_TUPLES, max_instant=4000)
+            )
+            columns = relation.columns("salary")
+            assert pool.sweep_columns(
+                columns, windows_of(columns, 4), "sum"
+            ) is not None
+            del relation, columns
+            gc.collect()
+        assert live_segments(pool) == 0
+        workers = pool.workers()
+        assert len(workers) == 2
+        for worker in workers:
+            with open(f"/proc/{worker.process.pid}/maps") as maps:
+                mapped = [line for line in maps if "repro-pool-" in line]
+            assert mapped == []
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+    )
+    def test_respawned_worker_keeps_no_inherited_mapping(self, pool):
+        """A worker forked while a publication lives inherits the
+        parent's mappings of it; once the ColumnSet is dropped, no
+        worker may still map the unlinked segments."""
+        columns = columns_for(uid=918)
+        plan = FaultPlan(
+            name="kill", shard_faults=(ShardFault(0, "kill", attempts=1),)
+        )
+        with fault_plan(plan):
+            outcome = pool.sweep_columns(
+                columns, windows_of(columns, 4), "sum", retry=FAST_RETRY
+            )
+        assert outcome is not None and outcome[1].report.respawns == 1
+        del columns, outcome
+        gc.collect()
+        assert live_segments(pool) == 0
+        for worker in pool.workers():
+            with open(f"/proc/{worker.process.pid}/maps") as maps:
+                assert [line for line in maps if "repro-pool-" in line] == []
 
     def test_crash_recovery_leaves_no_segments(self):
         """A worker killed mid-query must not leak segments: the parent
         still owns every name and unlinks on shutdown."""
         before = shm_names()
-        store = SegmentStore()
-        with ResidentWorkerPool(2, store=store) as pool:
-            starts, ends, values = columns_for()
-            windows = shard_bounds(starts, ends, 4)
+        with ResidentWorkerPool(2) as pool:
+            columns = columns_for(uid=914)
             plan = FaultPlan(
                 name="kill",
                 shard_faults=(ShardFault(0, "kill", attempts=1),),
             )
             with fault_plan(plan):
                 pool.sweep_columns(
-                    starts, ends, values, windows, "sum",
-                    uid=914, version=1, column_key="salary", retry=FAST_RETRY,
+                    columns, windows_of(columns, 4), "sum", retry=FAST_RETRY
                 )
         assert shm_names() <= before  # pool start may reap dead owners'
 
 
+class TestServedLifetimes:
+    def test_append_cycles_keep_publications_bounded(self, monkeypatch):
+        """A served relation keeps PIN_MEMO_LIMIT pinned views, so at
+        most that many SUM(salary) publications live however many
+        versions the appends make."""
+        from repro.cache.store import set_default_cache
+        from repro.exec.pool import shutdown_default_pool
+        from repro.serve import QueryClient
+        from repro.serve.snapshots import PIN_MEMO_LIMIT
+        from tests.serve.conftest import make_relation, serve
+
+        monkeypatch.setattr("repro.core.planner.CACHE_MIN_TUPLES", 64)
+        monkeypatch.setattr(
+            "repro.core.planner.available_workers", lambda cap=8: 2
+        )
+        monkeypatch.setattr("repro.core.partition.PARALLEL_MIN_TUPLES", 64)
+        prefix = f"repro-pool-{os.getpid()}-"
+        attributes_read = 1  # salary
+
+        def live_publications():
+            gc.collect()
+            return len(
+                [n for n in shm_names() if n.startswith(prefix) and "-starts-" in n]
+            )
+
+        shutdown_default_pool()  # known-clean slate
+        set_default_cache(None)
+        peak = 0
+        try:
+            with serve(
+                make_relation(400), workers=2, pool_workers=2, reject_load=100.0
+            ) as runner:
+                with QueryClient(runner.host, runner.port) as client:
+                    for cycle in range(3 * PIN_MEMO_LIMIT):
+                        # Spans the whole timeline: every shard is dirty.
+                        client.append("jobs", [[f"a{cycle}", cycle, 0, 500]])
+                        assert client.query("SELECT SUM(salary) FROM jobs").rows
+                        live = live_publications()
+                        peak = max(peak, live)
+                        assert live <= PIN_MEMO_LIMIT * attributes_read
+                    stats = client.stats()
+            assert live_publications() == 0
+        finally:
+            shutdown_default_pool()
+            set_default_cache(None)
+        # More publications were made than the bound lets live at once
+        # (three segments each), so old ones were unlinked on the way.
+        assert stats["pool"]["segments_published"] > 3 * PIN_MEMO_LIMIT
+        assert peak >= 2
+
+
 PUBLISH_SCRIPT = """
-import sys
+import os, sys
 from array import array
-from repro.exec.pool import SegmentStore
-store = SegmentStore()
-store.publish(1, 1, array("q", [1, 2]), array("q", [3, 4]), None)
-print(" ".join(store.live_segment_names()), flush=True)
+from repro.core.columns import ColumnSet
+from repro.core.partition import shard_bounds
+from repro.exec.pool import ResidentWorkerPool
+pool = ResidentWorkerPool(1).start()
+columns = ColumnSet(
+    array("q", [1, 2, 5, 6]), array("q", [3, 4, 7, 8]), uid=1, version=1
+)
+windows = shard_bounds(columns.starts, columns.ends, 2)
+assert pool.sweep_columns(columns, windows, "count") is not None
+prefix = f"repro-pool-{os.getpid()}-"
+print(" ".join(n for n in os.listdir("/dev/shm") if n.startswith(prefix)), flush=True)
 sys.stdin.readline()
-store.shutdown()
+pool.stop()
 """
 
 
@@ -496,8 +505,8 @@ class TestOrphanReaping:
     @staticmethod
     def publisher():
         """A subprocess, leading its own process group, that publishes
-        one snapshot and waits for a line on stdin before shutting its
-        store down."""
+        one timestamps-only ColumnSet and waits for a line on stdin
+        before stopping its pool."""
         src = os.path.join(
             os.path.dirname(os.path.abspath(__file__)), "..", "..", "src"
         )
@@ -513,22 +522,22 @@ class TestOrphanReaping:
 
     def test_start_reaps_a_killed_owners_segments(self):
         process, names = self.publisher()
-        # SIGKILL the owner and its resource tracker together, as a
-        # harness that kills the process group does: nothing is left
-        # alive to unlink the names.
+        # SIGKILL the owner, its worker and its resource tracker
+        # together, as a harness that kills the process group does:
+        # nothing is left alive to unlink the names.
         os.killpg(process.pid, signal.SIGKILL)
         process.wait(timeout=30)
         process.stdin.close()
         process.stdout.close()
         assert names <= shm_names()
-        with ResidentWorkerPool(1, store=SegmentStore()):
+        with ResidentWorkerPool(1):
             pass
         assert not names & shm_names()
 
     def test_start_spares_a_live_owners_segments(self):
         process, names = self.publisher()
         try:
-            with ResidentWorkerPool(1, store=SegmentStore()):
+            with ResidentWorkerPool(1):
                 assert names <= shm_names()
         finally:
             process.communicate("\n", timeout=30)

@@ -72,7 +72,6 @@ BUILDS = (
     "csv",
     "sorted_by_time",
     "reordered",
-    "sort_in_place",
 )
 
 
@@ -112,13 +111,9 @@ def built(how, rows, data):
         return from_csv_text(text, schema=SCHEMA), model
     if how == "sorted_by_time":
         return TemporalRelation(SCHEMA, rows).sorted_by_time(), time_sorted(rows)
-    if how == "reordered":
-        permutation = data.draw(st.permutations(range(len(rows))))
-        relation = TemporalRelation(SCHEMA, rows).reordered(permutation)
-        return relation, [rows[i] for i in permutation]
-    relation = TemporalRelation(SCHEMA, rows)
-    relation.sort_in_place()
-    return relation, time_sorted(rows)
+    permutation = data.draw(st.permutations(range(len(rows))))
+    relation = TemporalRelation(SCHEMA, rows).reordered(permutation)
+    return relation, [rows[i] for i in permutation]
 
 
 def shown(rows):
@@ -188,7 +183,6 @@ class TestSnapshotsDoNotMove:
         frozen = (list(snapshot.starts), list(snapshot.ends), list(snapshot.values))
         relation.append_batch([(("Late", 1), 1, 2), (("Later", 2), 3, 4)])
         relation.insert(("Odd", Level.HIGH), 5, 6)  # the column becomes a list
-        relation.sort_in_place()
         assert (
             list(snapshot.starts), list(snapshot.ends), list(snapshot.values)
         ) == frozen

@@ -71,10 +71,6 @@ class TestOrdering:
         assert len(ordered) == len(employed)
         assert not employed.is_totally_ordered  # original untouched
 
-    def test_sort_in_place(self, employed):
-        employed.sort_in_place()
-        assert employed.is_totally_ordered
-
     def test_reordered_applies_permutation(self, employed):
         reversed_relation = employed.reordered([3, 2, 1, 0])
         assert reversed_relation[0].values == employed[3].values

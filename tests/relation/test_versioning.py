@@ -85,14 +85,16 @@ class TestAppendChain:
         relation.insert(("Curtis", 60_000), 30, 39)
         relation.insert(("Suchen", 65_000), 40, 49)
         assert relation.verify_append_chain(count, fingerprint)
-        assert relation.append_watermark == 0
 
-    def test_reorder_moves_the_watermark_and_breaks_the_chain(self):
-        relation = tiny_relation(list(reversed(SORTED_ROWS)))
-        count, fingerprint = len(relation), relation.fingerprint
-        relation.sort_in_place()
-        assert relation.append_watermark == relation.version
-        assert not relation.verify_append_chain(count, fingerprint)
+    def test_chain_rejects_a_reordered_prefix(self):
+        """The same rows in another order are not an append: a cached
+        entry over the reversed rows cannot be extended to the sorted
+        ones."""
+        reversed_rows = tiny_relation(list(reversed(SORTED_ROWS)))
+        relation = tiny_relation(SORTED_ROWS)
+        assert not relation.verify_append_chain(
+            len(reversed_rows), reversed_rows.fingerprint
+        )
 
     def test_chain_rejects_a_shrunken_prefix_claim(self):
         relation = tiny_relation(SORTED_ROWS)
@@ -109,9 +111,9 @@ class TestAppendChain:
 
 class TestStatisticsInvalidation:
     """The stale-statistics regression: cached statistics were keyed on
-    nothing (relation) / tuple count (heap file), so an equal-cardinality
-    in-place reorder kept serving pre-reorder order facts to the
-    planner.  Keyed on the version counter, every mutation invalidates."""
+    nothing (relation) / tuple count (heap file), so a mutation could
+    keep serving stale order facts to the planner.  Keyed on the version
+    counter, every append invalidates."""
 
     def test_unchanged_relation_reuses_the_cached_object(self):
         relation = tiny_relation(SORTED_ROWS)
@@ -131,23 +133,16 @@ class TestStatisticsInvalidation:
         relation.extend(tiny_relation(SORTED_ROWS).scan())
         assert relation.statistics().tuple_count == 2 * stale.tuple_count
 
-    def test_in_place_reorder_invalidates_at_equal_cardinality(self):
-        relation = tiny_relation(list(reversed(SORTED_ROWS)))
-        stale = relation.statistics()
-        assert not stale.is_totally_ordered
-        relation.sort_in_place()
-        fresh = relation.statistics()
-        assert fresh.tuple_count == stale.tuple_count  # same cardinality...
-        assert fresh.is_totally_ordered  # ...different order facts
-
     def test_mutate_then_replan_regression(self):
         # The end-to-end consequence: the planner must see the
-        # post-mutation order facts, not a cached pre-mutation snapshot.
-        # Forty disjoint tuples: under a budget of the k-ordered tree's
-        # 19 nodes (one tuple open at a time), the sweep's 80 events do
-        # not fit, and whether to sort first depends on the order.
+        # post-append order facts, not a cached pre-append snapshot.
+        # Forty disjoint tuples in time order: under a budget of the
+        # k-ordered tree's 19 nodes (one tuple open at a time), the
+        # sweep's 80 events do not fit, and the ordered relation runs
+        # the k-ordered tree with k=1 as it is.  One out-of-order
+        # append, disjoint from the rest, breaks the order.
         rows = [(f"n{i}", 1_000, 10 * i, 10 * i + 4) for i in range(40)]
-        relation = tiny_relation(list(reversed(rows)))
+        relation = tiny_relation(rows)
         budget = 19 * 20
 
         def plan():
@@ -159,10 +154,13 @@ class TestStatisticsInvalidation:
             )
 
         before = plan()
-        relation.sort_in_place()
+        assert (before.strategy, before.k, before.sort_first) == (
+            "kordered_tree",
+            1,
+            False,
+        )
+        relation.insert(("late", 1_000), 5, 8)
         after = plan()
-        assert after.strategy == "kordered_tree"
-        assert after.k == 1
         assert (before.strategy, before.k, before.sort_first) != (
             after.strategy,
             after.k,

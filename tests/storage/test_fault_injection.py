@@ -3,8 +3,9 @@
 The buffer manager and page code should turn on-disk corruption into
 explicit errors — never into silently wrong rows and never into index
 corruption.  Since the checksummed page format, *any* byte damage to a
-sealed page (header, payload, or padding) trips the CRC footer; only
-legacy version-0 images are exempt, because they carry no footer.
+sealed page (header, payload, or padding) trips the CRC footer, and a
+page whose version field reads anything but the current version is
+refused: a flipped version bit must not switch the checksum off.
 """
 
 import struct
@@ -80,17 +81,30 @@ class TestPayloadCorruption:
             list(heap.scan())
         assert excinfo.value.page_id == 0
 
-    def test_legacy_version0_pages_skip_verification(self, heap):
-        """Version-0 images predate the footer; payload damage there is
-        still served (the historical behavior the format upgrade fixed)."""
+    def test_legacy_version0_pages_are_refused(self, heap):
+        """A page rewritten as version 0 (no footer) is refused: the
+        unverified format would serve damaged records as good ones."""
         heap.buffer.drop_cache()
         heap._handle.seek(0)
         raw = bytearray(heap._handle.read(PAGE_SIZE))
         count = struct.unpack_from(">IHH", raw, 0)[0]
         struct.pack_into(">IHH", raw, 0, count, 128, 0)  # rewrite as v0
         raw[8 + 12 : 8 + 16] = b"\x00\x00\x00\x01"  # corrupt a timestamp
-        rows = list(Page(128, raw).records())
-        assert len(rows) == count  # structure intact, damage undetected
+        with pytest.raises(PageCorruption, match="format version 0"):
+            Page(128, raw)
+
+    def test_zeroed_version_field_does_not_skip_the_checksum(self, heap):
+        """Damage a record's start bytes, then zero the version field
+        too: the scan must still refuse the page, never serve the
+        damaged start."""
+        corrupt(heap._handle, 8 + 12, b"\x00\x00\x00\x01")
+        heap.buffer.drop_cache()
+        with pytest.raises(PageCorruption, match="checksum"):
+            list(heap.scan())
+        corrupt(heap._handle, 6, struct.pack(">H", 0))
+        heap.buffer.drop_cache()
+        with pytest.raises(PageCorruption, match="format version 0"):
+            list(heap.scan())
 
 
 class TestBufferManagerInvariants:

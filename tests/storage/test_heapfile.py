@@ -111,9 +111,8 @@ class TestScanEvaluatorIntegration:
 
 
 class TestVersionKeyedStatistics:
-    """Statistics were cached keyed on the tuple count, so an in-place
-    page rewrite at equal cardinality served stale order facts; the
-    cache is now keyed on the version counter."""
+    """Statistics are cached keyed on the version counter, which every
+    append bumps; no code rewrites pages in place."""
 
     def test_unchanged_heap_reuses_the_cached_object(self, employed):
         heap = HeapFile.from_relation(employed)
@@ -128,12 +127,3 @@ class TestVersionKeyedStatistics:
         fresh = heap.statistics()
         assert fresh is not stale
         assert fresh.tuple_count == stale.tuple_count + 1
-
-    def test_mark_mutated_invalidates_at_equal_cardinality(self, employed):
-        heap = HeapFile.from_relation(employed)
-        stale = heap.statistics()
-        count = len(heap)
-        heap.mark_mutated()
-        fresh = heap.statistics()
-        assert len(heap) == count  # no append happened...
-        assert fresh is not stale  # ...yet the snapshot was recomputed

@@ -1,4 +1,4 @@
-"""Checksummed page format: sealing, verification, legacy acceptance."""
+"""Checksummed page format: sealing, verification, version-0 refusal."""
 
 import struct
 
@@ -97,22 +97,30 @@ class TestLegacyVersionZero:
         image[PAGE_SIZE - PAGE_FOOTER_BYTES :] = b"\x00" * PAGE_FOOTER_BYTES
         return bytes(image)
 
-    def test_version0_loads_without_verification(self):
+    def test_version0_image_is_refused(self):
+        """A version-0 image carries no footer; reading it unverified
+        would serve whatever its records hold."""
         image = bytearray(self.as_version0(sealed_page()))
-        image[PAGE_HEADER_BYTES] ^= 0xFF  # would fail a v1 checksum
-        page = Page(16, bytes(image))
-        assert page.version == 0
-        assert page.record_count == 5
+        image[PAGE_HEADER_BYTES] ^= 0xFF
+        with pytest.raises(PageCorruption, match="format version 0"):
+            Page(16, bytes(image))
 
-    def test_version0_serialises_verbatim(self):
-        image = self.as_version0(sealed_page())
-        assert Page(16, image).to_bytes() == image
+    def test_one_flipped_version_bit_is_refused(self):
+        """The version field is 1, so one flipped bit makes it 0: the
+        footer and CRC are intact, and the page must still be refused
+        rather than read without its checksum."""
+        image = bytearray(sealed_page())
+        image[7] ^= 0x01  # low byte of the big-endian version field
+        assert struct.unpack_from(">IHH", image, 0)[2] == 0
+        with pytest.raises(StorageCorruption, match="format version 0"):
+            Page(16, bytes(image))
 
-    def test_append_upgrades_version0(self):
-        page = Page(16, self.as_version0(sealed_page()))
-        page.append(b"\x09" * 16)
-        assert page.version == PAGE_VERSION
-        resealed = page.to_bytes()
-        magic, _ = struct.unpack_from(">II", resealed, PAGE_SIZE - PAGE_FOOTER_BYTES)
-        assert magic == PAGE_MAGIC
-        assert Page(16, resealed).record_count == 6
+    def test_scrub_reports_version0_pages_as_corrupt(self, tmp_path):
+        from repro.storage.recovery import scrub_data
+
+        path = tmp_path / "data.heap"
+        path.write_bytes(sealed_page() + self.as_version0(sealed_page()))
+        report = scrub_data(str(path), record_bytes=16)
+        assert report.pages_checked == 2
+        assert [page_id for page_id, _reason in report.corrupt_pages] == [1]
+        assert not report.ok
